@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import islice, product
 from typing import Optional
 
 from . import demos, ell1, lattice, quasi, rays, svgfig
@@ -300,7 +301,7 @@ def _cmd_qi_check(args) -> int:
     box = (_frac(lo), _frac(hi))
     if args.map == "genset":
         pts = quasi.lattice_ball(args.radius)
-        pairs = [(a, b) for a in pts for b in pts][: args.count]
+        pairs = list(islice(product(pts, pts), args.count))
     elif args.map == "inclusion":
         ball = quasi.lattice_ball(args.radius)
         import random

@@ -47,20 +47,35 @@ def sqrt_exact(x) -> Exact:
         return Fraction(0)
     sn, dn = _split_square(x.numerator)
     sd, dd = _split_square(x.denominator)
-    # sqrt(n/m) = (sn/sd) * sqrt(dn/dd) = (sn/(sd*dd)) * sqrt(dn*dd)
-    coeff = Fraction(sn, sd * dd)
-    rad = dn * dd
-    s, d = _split_square(rad)
-    coeff *= s
-    if d == 1:
+    # sqrt(n/m) = (sn/sd) * sqrt(dn/dd) = (sn/(sd*dd)) * sqrt(dn*dd); dn and
+    # dd are squarefree and coprime (n/m is reduced), so dn*dd is squarefree
+    coeff, rad = Fraction(sn, sd * dd), dn * dd
+    if rad == 1:
         return coeff
-    return Surd(0, coeff, d)
+    return _make(Fraction(0), coeff, rad)
 
 
 def _make(a: Fraction, b: Fraction, d: int) -> Exact:
+    """a + b*sqrt(d), unchecked: d is squarefree, taken from a Surd or a
+    fresh square split, so it is never factored again."""
     if b == 0:
         return a
-    return Surd(a, b, d)
+    s = object.__new__(Surd)
+    s.a, s.b, s.d = a, b, d
+    return s
+
+
+def sign_sqrt(a: Fraction, b: Fraction, r: Fraction) -> int:
+    """Exact sign of a + b*sqrt(r) for rationals a, b and r >= 0, square or
+    not: a*a is compared with b*b*r, so r is never factored."""
+    if not b or not r:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    if not a or (a > 0) == (sb > 0):
+        return sb
+    # opposite signs: compare |b*sqrt(r)| with |a| via squares
+    bb, aa = b * b * r, a * a
+    return sb if bb > aa else -sb if aa > bb else 0
 
 
 class Surd:
@@ -94,19 +109,7 @@ class Surd:
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(d)."""
-        a, b = self.a, self.b
-        if a == 0:
-            return 1 if b > 0 else -1
-        if b == 0:  # cannot happen by construction
-            return 1 if a > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare |b*sqrt(d)| with |a| via squares
-        if b * b * self.d > a * a:
-            return 1 if b > 0 else -1
-        return 1 if a > 0 else -1
+        return sign_sqrt(self.a, self.b, self.d)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -130,7 +133,7 @@ class Surd:
         return (-self) + other
 
     def __neg__(self):
-        return Surd(-self.a, -self.b, self.d)
+        return _make(-self.a, -self.b, self.d)
 
     def __pos__(self):
         return self
@@ -171,23 +174,17 @@ class Surd:
 
     # -- comparisons -----------------------------------------------------
 
-    def _diff_sign(self, other) -> int:
-        diff = self - other
-        if isinstance(diff, Surd):
-            return diff.sign()
-        return (diff > 0) - (diff < 0)
-
     def __lt__(self, other):
-        return self._diff_sign(other) < 0
+        return exact_sign(self - other) < 0
 
     def __le__(self, other):
-        return self._diff_sign(other) <= 0
+        return exact_sign(self - other) <= 0
 
     def __gt__(self, other):
-        return self._diff_sign(other) > 0
+        return exact_sign(self - other) > 0
 
     def __ge__(self, other):
-        return self._diff_sign(other) >= 0
+        return exact_sign(self - other) >= 0
 
     def __eq__(self, other):
         if isinstance(other, Surd):

@@ -13,10 +13,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import floor
 from typing import Iterable, Optional, Sequence, Union
 
-from .exactnum import sqrt_exact
+from .exactnum import Exact, sign_sqrt, sqrt_exact
 from .lattice import (GeneratingSet, LatticePoint, bfs_distances, word_metric)
 
 PlanePoint = tuple[Fraction, Fraction]
@@ -69,12 +70,17 @@ class QIParams:
     def from_k_squared(cls, k_sq, c) -> "QIParams":
         return cls(Fraction(k_sq), Fraction(c))
 
+    @cached_property
+    def k(self) -> Exact:
+        """k = sqrt(k_sq) exactly, factored on first use only."""
+        return sqrt_exact(self.k_sq)
+
 
 @dataclass(frozen=True)
 class Violation:
     pair: Pair
     side: str  # "upper" or "lower"
-    margin: Fraction  # positive amount by which the squared comparison failed
+    margin: Exact  # L^2 - R^2 > 0 of the failed side L <= R (see _violations)
 
 
 @dataclass
@@ -90,21 +96,38 @@ class QIReport:
         return not self.violations
 
 
-def _check_graph_target_pair(d_graph: Fraction, sq_plane: Fraction,
-                             params: QIParams) -> list[tuple[str, Fraction]]:
-    """Exact check of 1/k d_X - c <= d_Y <= k d_X + c with d_Y the rational
-    graph distance and d_X = sqrt(sq_plane). Returns (side, margin) per
-    failure; margins are in the squared comparison domain."""
+def _violations(pair: Pair, params: QIParams, d: Fraction, sq: Fraction,
+                d_is_target: bool) -> list[Violation]:
+    """Upper d_Y <= k d_X + c and lower d_X <= k (d_Y + c) for distances d and
+    sqrt(sq). A side L <= R fails when L > 0 and L^2 > R^2. If d is d_Y, c
+    stays beside it and every term is rational; if d is d_X, c stays beside
+    d_X, and each sign of a + b*k is decided by sign_sqrt on k_sq unfactored.
+    """
     k_sq, c = params.k_sq, params.c
     out = []
-    # upper: d_Y - c <= k d_X, squared once the left side is positive
-    upper_lhs = d_graph - c
-    if upper_lhs > 0 and upper_lhs * upper_lhs > k_sq * sq_plane:
-        out.append(("upper", upper_lhs * upper_lhs - k_sq * sq_plane))
-    # lower: d_X <= k (d_Y + c), both sides nonnegative
-    lower_rhs = d_graph + c
-    if sq_plane > k_sq * lower_rhs * lower_rhs:
-        out.append(("lower", sq_plane - k_sq * lower_rhs * lower_rhs))
+    if d_is_target:
+        # upper: L = d_Y - c, R^2 = k^2 d_X^2
+        lhs = d - c
+        if lhs > 0:
+            l2, r2 = lhs * lhs, k_sq * sq
+            if l2 > r2:
+                out.append(Violation(pair, "upper", l2 - r2))
+        # lower: L^2 = d_X^2, R = k (d_Y + c)
+        rhs = d + c
+        r2 = k_sq * (rhs * rhs)
+        if sq > r2:
+            out.append(Violation(pair, "lower", sq - r2))
+        return out
+    # upper: L^2 = d_Y^2, R = k d_X + c, L^2 - R^2 = m0 + m1 k
+    m1 = -2 * c * d
+    m0 = sq - k_sq * (d * d) - c * c
+    if sign_sqrt(m0, m1, k_sq) > 0:
+        out.append(Violation(pair, "upper", m0 + m1 * params.k if m1 else m0))
+    # lower: L = d_X - c k, R^2 = k^2 d_Y^2, L^2 - R^2 = m0 + m1 k
+    if sign_sqrt(d, -c, k_sq) > 0:
+        m0 = d * d + c * c * k_sq - k_sq * sq
+        if sign_sqrt(m0, m1, k_sq) > 0:
+            out.append(Violation(pair, "lower", m0 + m1 * params.k if m1 else m0))
     return out
 
 
@@ -116,9 +139,7 @@ class FloorMap:
     def check_pair(self, p: PlanePoint, q: PlanePoint,
                    params: QIParams) -> list[Violation]:
         d_graph = Fraction(word_metric(floor_map(p), floor_map(q)))
-        sq = sq_euclidean(p, q)
-        return [Violation((p, q), side, margin)
-                for side, margin in _check_graph_target_pair(d_graph, sq, params)]
+        return _violations((p, q), params, d_graph, sq_euclidean(p, q), True)
 
 
 class InclusionMap:
@@ -129,21 +150,7 @@ class InclusionMap:
     def check_pair(self, p: LatticePoint, q: LatticePoint,
                    params: QIParams) -> list[Violation]:
         d_graph = Fraction(word_metric(p, q))
-        sq = sq_euclidean(p, q)
-        out = []
-        k_sq, c = params.k_sq, params.c
-        # k is an exact Fraction or quadratic surd, so both inequalities are
-        # decided exactly even for irrational constants like sqrt(2)
-        k = sqrt_exact(k_sq)
-        # upper: sqrt(sq) <= k*d_graph + c
-        bound = k * d_graph + c
-        if sq > bound * bound:
-            out.append(Violation((p, q), "upper", sq - bound * bound))
-        # lower: (1/k) d_graph - c <= sqrt(sq), i.e. d_graph - c*k <= k*sqrt(sq)
-        lhs = d_graph - c * k
-        if lhs > 0 and lhs * lhs > k_sq * sq:
-            out.append(Violation((p, q), "lower", lhs * lhs - k_sq * sq))
-        return out
+        return _violations((p, q), params, d_graph, sq_euclidean(p, q), False)
 
 
 class GensetMap:
@@ -160,9 +167,8 @@ class GensetMap:
     def _dist(self, S: GeneratingSet, p: LatticePoint, q: LatticePoint) -> int:
         delta = (q[0] - p[0], q[1] - p[1])
         table = self._dist_cache.get(S)
-        if table is None or delta not in table:
-            table = bfs_distances(S, self.radius_cap)
-            self._dist_cache[S] = table
+        if table is None:
+            table = self._dist_cache[S] = bfs_distances(S, self.radius_cap)
         if delta not in table:
             raise ValueError(f"pair {p}, {q} outside radius cap {self.radius_cap}")
         return table[delta]
@@ -171,18 +177,7 @@ class GensetMap:
                    params: QIParams) -> list[Violation]:
         dx = Fraction(self._dist(self.S, p, q))
         dy = Fraction(self._dist(self.S2, p, q))
-        k_sq, c = params.k_sq, params.c
-        out = []
-        # both distances rational; compare via squares only for k
-        upper_lhs = dy - c
-        if upper_lhs > 0 and upper_lhs * upper_lhs > k_sq * dx * dx:
-            out.append(Violation((p, q), "upper",
-                                 upper_lhs * upper_lhs - k_sq * dx * dx))
-        lower_rhs = dy + c
-        if dx * dx > k_sq * lower_rhs * lower_rhs:
-            out.append(Violation((p, q), "lower",
-                                 dx * dx - k_sq * lower_rhs * lower_rhs))
-        return out
+        return _violations((p, q), params, dy, dx * dx, True)
 
 
 Map = Union[FloorMap, InclusionMap, GensetMap]

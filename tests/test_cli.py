@@ -1,6 +1,7 @@
 """Command-line interface: envelopes, exit codes, determinism, coverage."""
 
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -103,6 +104,20 @@ def test_seeded_commands_deterministic(capsys):
                       "--map", "floor", "--count", "100"], capsys)
     assert json.loads(out1)["output"]["checked"] == 100
     assert out3 != out1
+
+
+def test_genset_qi_check_builds_only_count_pairs(capsys):
+    # a radius-25 ball has 1301 points, so all pairs would be 1.69 M tuples
+    tracemalloc.start()
+    try:
+        code, out, _ = run(["--format", "json", "qi-check", "--map", "genset",
+                            "--gens", "1,0;0,1", "--gens2", "1,0;1,1",
+                            "--radius", "25", "--count", "10"], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["output"]["checked"] == 10
+    assert peak < 16 * 2**20
 
 
 def test_qi_violate_exit_codes(capsys):

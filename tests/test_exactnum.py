@@ -2,12 +2,14 @@
 
 import math
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
+from gridrays import exactnum
 from gridrays.exactnum import (Surd, exact_ceil, exact_floor, exact_sign,
-                               is_rational, sqrt_exact)
+                               is_rational, sign_sqrt, sqrt_exact)
 
 
 def test_sqrt_of_perfect_square_is_rational():
@@ -83,3 +85,59 @@ def test_rational_results_collapse_to_fraction():
 def test_invalid_sqrt():
     with pytest.raises(ValueError):
         sqrt_exact(-1)
+
+
+def test_sqrt_exact_splits_numerator_and_denominator_once(monkeypatch):
+    calls = []
+    real = exactnum._split_square
+    want = Surd(0, Fraction(2, 3), 6)
+    monkeypatch.setattr(exactnum, "_split_square",
+                        lambda n: calls.append(n) or real(n))
+    # sqrt(8/3) = (2/3) sqrt(6): dn*dd = 2*3 is squarefree, no third split
+    assert sqrt_exact(Fraction(8, 3)) == want
+    assert calls == [8, 3]
+
+
+def test_surd_arithmetic_never_refactors(monkeypatch):
+    r = sqrt_exact(Fraction(7, 3))
+    one_plus = 1 + r
+
+    def boom(n):
+        raise AssertionError(f"refactored {n}")
+
+    monkeypatch.setattr(exactnum, "_split_square", boom)
+    assert -(-r) == r and abs(-r) == r
+    assert (r + 1) - 1 == r and 2 - r == -(r - 2)
+    assert r * r == Fraction(7, 3)
+    assert (r / one_plus) * one_plus == r and (1 / r) * r == 1
+    assert 1 < r < 2 and exact_floor(-r) == -2
+
+
+def test_sign_sqrt_exact_cases():
+    assert sign_sqrt(Fraction(-2), Fraction(1), Fraction(4)) == 0
+    assert sign_sqrt(Fraction(3, 2), Fraction(-1), Fraction(9, 4)) == 0
+    assert sign_sqrt(Fraction(-2), Fraction(1), Fraction(5)) == 1
+    assert sign_sqrt(Fraction(5), Fraction(-9), Fraction(0)) == 1
+    assert sign_sqrt(Fraction(0), Fraction(0), Fraction(2)) == 0
+    assert sign_sqrt(Fraction(0), Fraction(-1), Fraction(3)) == -1
+
+
+small = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@given(small, small, st.fractions(min_value=0, max_value=400,
+                                  max_denominator=30))
+def test_sign_sqrt_matches_enclosure(a, b, r):
+    n, m = r.numerator, r.denominator
+    if b == 0 or (isqrt(n) ** 2 == n and isqrt(m) ** 2 == m):
+        x = a + b * Fraction(isqrt(n), isqrt(m))
+        want = (x > 0) - (x < 0)
+    else:
+        # sqrt(r) = sqrt(n m) / m lies in [s, s+1] / (m 2^256); the value is
+        # irrational, hence nonzero, and the enclosure is far narrower
+        s = isqrt(n * m << 512)
+        lo = a + b * Fraction(s, m << 256)
+        hi = a + b * Fraction(s + 1, m << 256)
+        assert (lo > 0) == (hi > 0)
+        want = 1 if lo > 0 else -1
+    assert sign_sqrt(a, b, r) == want

@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gridrays.lattice import GeneratingSet, standard_generators
+from gridrays import exactnum, quasi
+from gridrays.exactnum import Surd, sqrt_exact
+from gridrays.lattice import GeneratingSet, standard_generators, word_metric
 from gridrays.quasi import (FloorMap, GensetMap, InclusionMap, QIParams,
-                            check_embedding, find_violation,
+                            Violation, check_embedding, find_violation,
                             floor_chain_holds, floor_map, lattice_ball,
                             quasi_surjectivity_bound, roundtrip_displacement,
                             sample_plane_pairs, sample_plane_points,
@@ -125,3 +127,158 @@ def test_sampling_is_deterministic():
 def test_sq_euclidean():
     assert sq_euclidean((Fraction(0), Fraction(0)),
                         (Fraction(3), Fraction(4))) == 25
+
+
+# ---------------------------------------------------------------------------
+# the one exact-inequality kernel, against the three per-map comparisons it
+# replaced (kept here verbatim as the oracle)
+
+
+def _oracle_graph_target(pair, d_graph, sq_plane, params):
+    k_sq, c = params.k_sq, params.c
+    out = []
+    upper_lhs = d_graph - c
+    if upper_lhs > 0 and upper_lhs * upper_lhs > k_sq * sq_plane:
+        out.append(Violation(pair, "upper",
+                             upper_lhs * upper_lhs - k_sq * sq_plane))
+    lower_rhs = d_graph + c
+    if sq_plane > k_sq * lower_rhs * lower_rhs:
+        out.append(Violation(pair, "lower",
+                             sq_plane - k_sq * lower_rhs * lower_rhs))
+    return out
+
+
+def oracle_floor(p, q, params):
+    d_graph = Fraction(word_metric(floor_map(p), floor_map(q)))
+    return _oracle_graph_target((p, q), d_graph, sq_euclidean(p, q), params)
+
+
+def oracle_inclusion(p, q, params):
+    d_graph = Fraction(word_metric(p, q))
+    sq = sq_euclidean(p, q)
+    out = []
+    k_sq, c = params.k_sq, params.c
+    k = sqrt_exact(k_sq)
+    bound = k * d_graph + c
+    if sq > bound * bound:
+        out.append(Violation((p, q), "upper", sq - bound * bound))
+    lhs = d_graph - c * k
+    if lhs > 0 and lhs * lhs > k_sq * sq:
+        out.append(Violation((p, q), "lower", lhs * lhs - k_sq * sq))
+    return out
+
+
+def oracle_genset(gm, p, q, params):
+    dx = Fraction(gm._dist(gm.S, p, q))
+    dy = Fraction(gm._dist(gm.S2, p, q))
+    k_sq, c = params.k_sq, params.c
+    out = []
+    upper_lhs = dy - c
+    if upper_lhs > 0 and upper_lhs * upper_lhs > k_sq * dx * dx:
+        out.append(Violation((p, q), "upper",
+                             upper_lhs * upper_lhs - k_sq * dx * dx))
+    lower_rhs = dy + c
+    if dx * dx > k_sq * lower_rhs * lower_rhs:
+        out.append(Violation((p, q), "lower",
+                             dx * dx - k_sq * lower_rhs * lower_rhs))
+    return out
+
+
+GENSET = GensetMap(standard_generators(), GeneratingSet([(1, 0), (1, 1)]),
+                   radius_cap=40)
+
+
+def assert_same(got, want):
+    assert got == want
+    assert [str(v.margin) for v in got] == [str(v.margin) for v in want]
+
+
+k_squares = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2), Fraction(4),
+                     Fraction(49, 25), Fraction(9, 4), Fraction(7),
+                     Fraction(10000000019)]),
+    st.fractions(min_value=1, max_value=12, max_denominator=16))
+constants = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=0, max_value=4, max_denominator=6))
+lattice_pts = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
+
+
+@given(fracs, fracs, fracs, fracs, k_squares, constants)
+def test_floor_kernel_matches_oracle(a, b, c, d, k_sq, const):
+    params = QIParams.from_k_squared(k_sq, const)
+    assert_same(FloorMap().check_pair((a, b), (c, d), params),
+                oracle_floor((a, b), (c, d), params))
+
+
+@given(st.one_of(lattice_pts, st.tuples(fracs, fracs)),
+       st.one_of(lattice_pts, st.tuples(fracs, fracs)), k_squares, constants)
+def test_inclusion_kernel_matches_oracle(p, q, k_sq, const):
+    params = QIParams.from_k_squared(k_sq, const)
+    assert_same(InclusionMap().check_pair(p, q, params),
+                oracle_inclusion(p, q, params))
+
+
+@given(lattice_pts, lattice_pts, k_squares, constants)
+def test_genset_kernel_matches_oracle(p, q, k_sq, const):
+    params = QIParams.from_k_squared(k_sq, const)
+    assert_same(GENSET.check_pair(p, q, params),
+                oracle_genset(GENSET, p, q, params))
+
+
+def test_kernel_matches_oracle_on_surd_margins():
+    pts = lattice_ball(3)
+    pairs = [(a, b) for a in pts for b in pts]
+    surds = 0
+    for k_sq, const in [(Fraction(3, 2), Fraction(1, 3)), (2, Fraction(1, 2)),
+                        (Fraction(5, 4), Fraction(1, 7)), (7, 1)]:
+        params = QIParams.from_k_squared(k_sq, const)
+        for p, q in pairs:
+            got = InclusionMap().check_pair(p, q, params)
+            assert_same(got, oracle_inclusion(p, q, params))
+            surds += sum(isinstance(v.margin, Surd) for v in got)
+    assert surds > 100
+
+
+def test_inclusion_never_factors_k_sq(monkeypatch):
+    def boom(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(exactnum, "_split_square", boom)
+    pts = lattice_ball(4)
+    pairs = [(a, b) for a in pts for b in pts]
+    for const in (Fraction(0), Fraction(1, 3)):
+        report = check_embedding(InclusionMap(),
+                                 QIParams.from_k_squared(10000000019, const),
+                                 pairs)
+        assert report.ok and report.pairs_checked == len(pairs)
+
+
+def test_sqrt_of_k_sq_taken_once_and_only_for_surd_margins(monkeypatch):
+    calls = []
+    monkeypatch.setattr(quasi, "sqrt_exact",
+                        lambda x: calls.append(x) or sqrt_exact(x))
+    pts = lattice_ball(4)
+    pairs = [(a, b) for a in pts for b in pts]
+    rational = check_embedding(InclusionMap(),
+                               QIParams.from_k_squared(Fraction(3, 2), 0), pairs)
+    assert rational.violations and calls == []
+    params = QIParams.from_k_squared(Fraction(3, 2), Fraction(1, 3))
+    report = check_embedding(InclusionMap(), params, pairs)
+    assert any(isinstance(v.margin, Surd) for v in report.violations)
+    assert calls == [Fraction(3, 2)]
+
+
+def test_genset_builds_each_distance_table_once(monkeypatch):
+    calls = []
+    real = quasi.bfs_distances
+    monkeypatch.setattr(quasi, "bfs_distances",
+                        lambda S, cap: calls.append(S) or real(S, cap))
+    gm = GensetMap(standard_generators(), GeneratingSet([(1, 0), (1, 1)]),
+                   radius_cap=3)
+    params = QIParams.from_k(2, 0)
+    for n in range(10, 15):
+        with pytest.raises(ValueError):
+            gm.check_pair((0, 0), (n, 0), params)
+    assert calls == [gm.S]
+    gm.check_pair((0, 0), (1, 1), params)
+    assert calls == [gm.S, gm.S2]
