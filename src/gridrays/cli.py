@@ -62,6 +62,13 @@ def _frac(text: str) -> Fraction:
         raise CliError(f"bad rational {text!r}: {exc}")
 
 
+def _count(text: str) -> int:
+    """argparse type: a count that is not an integer >= 0 exits with 2."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _fmt(value):
     """JSON-friendly rendering of exact values."""
     if isinstance(value, bool):
@@ -604,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=64)
         if name == "qi-check":
             p.add_argument("--box", default=None, help="sampling box lo,hi")
-            p.add_argument("--count", type=int, default=1000)
+            p.add_argument("--count", type=_count, default=1000)
             p.add_argument("--radius", type=int, default=10)
         else:
             p.add_argument("--strategy", default="diagonal-ray",
@@ -614,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roundtrip", help="displacement of floor-then-include")
     p.add_argument("--box", default=None)
-    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--count", type=_count, default=1000)
     p.set_defaults(func=_cmd_roundtrip)
 
     p = sub.add_parser("ell1-check", help="taxicab geodesy of a polyline")

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd
+from math import floor
 from typing import Optional, Sequence
 
-from .rays import RayCode, periodic_ray, WINDOW_DIGITS, _window_of_signs
+from .rays import (RayCode, Staircase, periodic_ray, WINDOW_DIGITS,
+                   _window_of_signs)
 from .quasi import PlanePoint
 
 Vec = tuple[Fraction, Fraction]
@@ -278,72 +279,13 @@ def project_to_lattice(ray: Polyline) -> RayCode:
     # reflected frame: both coordinates nondecreasing
     rverts = [(sx * x, sy * y) for x, y in ray.vertices]
     rdir = (sx * ray.direction[0], sy * ray.direction[1])
+    # a segment a -> c is its line's staircase from a, cut after the n grid
+    # lines crossed in (a, c]; the tail repeats every p+q steps, p/q reduced
     digits: list[int] = []
     for a, c in zip(rverts, rverts[1:]):
-        digits.extend(_segment_crossings(a, c, hdig, vdig))
-    per = _tail_period(rverts[-1], rdir, hdig, vdig)
+        n = floor(c[0]) - floor(a[0]) + floor(c[1]) - floor(a[1])
+        digits += Staircase(c[0] - a[0], c[1] - a[1], a).digits(n, hdig, vdig)
+    p, q = rdir
+    per = Staircase(p, q, rverts[-1]).digits((p / (p + q)).denominator,
+                                             hdig, vdig)
     return periodic_ray(digits, per)
-
-
-def _integer_crossings(lo: Fraction, hi: Fraction) -> list[int]:
-    """Integers i with lo < i <= hi (the floor increments passed moving up)."""
-    return list(range(floor(lo) + 1, floor(hi) + 1))
-
-
-def _segment_crossings(a: Vec, c: Vec, hdig: int, vdig: int) -> list[int]:
-    """Digits emitted while the (monotone, reflected) segment a -> c crosses
-    grid lines, merged along the segment, horizontal first on ties."""
-    dx, dy = c[0] - a[0], c[1] - a[1]
-    xs = _integer_crossings(a[0], c[0]) if dx > 0 else []
-    ys = _integer_crossings(a[1], c[1]) if dy > 0 else []
-    # merge by segment parameter: (i - a0)/dx vs (j - a1)/dy, cross-multiplied
-    out = []
-    ix = iy = 0
-    while ix < len(xs) or iy < len(ys):
-        if iy >= len(ys):
-            out.append(hdig)
-            ix += 1
-        elif ix >= len(xs):
-            out.append(vdig)
-            iy += 1
-        else:
-            lhs = (xs[ix] - a[0]) * dy
-            rhs = (ys[iy] - a[1]) * dx
-            if lhs <= rhs:
-                out.append(hdig)
-                ix += 1
-            else:
-                out.append(vdig)
-                iy += 1
-    return out
-
-
-def _tail_period(anchor: Vec, direction: Vec, hdig: int, vdig: int
-                 ) -> list[int]:
-    """One period of the staircase of the line from ``anchor`` with the
-    (reflected, nonnegative, rational) ``direction``."""
-    p = Fraction(direction[0])
-    q = Fraction(direction[1])
-    if q == 0:
-        return [hdig]
-    if p == 0:
-        return [vdig]
-    scale = Fraction(p.denominator * q.denominator // gcd(p.denominator, q.denominator))
-    pi, qi = int(p * scale), int(q * scale)
-    g = gcd(pi, qi)
-    pi, qi = pi // g, qi // g
-    # the crossing pattern from any anchor is periodic with period pi+qi
-    x0, y0 = anchor
-    out = []
-    i = floor(x0) + 1
-    j = floor(y0) + 1
-    while len(out) < pi + qi:
-        lhs = (i - x0) * qi
-        rhs = (j - y0) * pi
-        if lhs <= rhs:
-            out.append(hdig)
-            i += 1
-        else:
-            out.append(vdig)
-            j += 1
-    return out

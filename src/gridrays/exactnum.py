@@ -12,7 +12,7 @@ and keeps hashing consistent.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Union
 
 Exact = Union[int, Fraction, "Surd"]
@@ -76,6 +76,16 @@ def sign_sqrt(a: Fraction, b: Fraction, r: Fraction) -> int:
     # opposite signs: compare |b*sqrt(r)| with |a| via squares
     bb, aa = b * b * r, a * a
     return sb if bb > aa else -sb if aa > bb else 0
+
+
+def floor_sqrt(a: int, b: int, d: int, den: int) -> int:
+    """floor((a + b*sqrt(d)) / den) for integers a, b, d >= 0 and den > 0:
+    floor(b*sqrt(d)) is one isqrt, and floor(x/den) = floor(floor(x)/den)."""
+    if b:
+        bb = b * b * d
+        r = isqrt(bb)
+        a += r if b > 0 else -r - (r * r != bb)
+    return a // den
 
 
 class Surd:
@@ -209,14 +219,8 @@ class Surd:
         return self.a + self.b * root_hi, self.a + self.b * root_lo
 
     def __floor__(self) -> int:
-        bits = 32
-        while True:
-            lo, hi = self.bounds(bits)
-            flo = lo.numerator // lo.denominator
-            fhi = hi.numerator // hi.denominator
-            if flo == fhi:
-                return flo
-            bits *= 2
+        den = lcm(self.a.denominator, self.b.denominator)
+        return floor_sqrt(int(self.a * den), int(self.b * den), self.d, den)
 
     def __ceil__(self) -> int:
         return -((-self).__floor__())

@@ -19,10 +19,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from math import ceil, floor, lcm
 from typing import Optional, Union
 
-from .exactnum import Exact, exact_ceil, exact_sign, is_rational
+from .exactnum import (Exact, Surd, exact_ceil, exact_floor, exact_sign,
+                       floor_sqrt, is_rational)
 from .lattice import DISPLACEMENTS, ORIGIN, LatticePoint, word_metric
 
 #: (horizontal digit, vertical digit) for each quadrant window w, whose
@@ -68,6 +71,58 @@ def _realize(digit: int, w: int) -> int:
     return digit
 
 
+def _walk(digits) -> list[LatticePoint]:
+    """Positions after 0, 1, ..., len(digits) steps from the origin."""
+    return list(accumulate((DISPLACEMENTS[d] for d in digits),
+                           lambda p, s: (p[0] + s[0], p[1] + s[1]),
+                           initial=ORIGIN))
+
+
+# ---------------------------------------------------------------------------
+# the staircase kernel
+
+
+class Staircase:
+    """The staircase of the line leaving ``anchor`` with (reflected,
+    nonnegative) direction (dx, dy): one step per grid line crossed, in
+    order along the line, horizontal first on exact lattice hits.
+
+    Its first n steps hold H(n) = floor((n+1)*ux + rho) horizontal ones,
+    clamped to [0, n] (the lower mechanical word; Lothaire, Algebraic
+    Combinatorics on Words, ch. 2), ux being the l1-normalized horizontal
+    speed and rho = frac(x0)*uy - frac(y0)*ux. The floor is the tie rule,
+    the clamp covers axis-parallel lines. ux and rho are kept as integers
+    (P + Q*sqrt(d))/D, so H(n) costs integer ops and one isqrt.
+    """
+
+    __slots__ = ("_p", "_q", "_p0", "_q0", "_d", "_den")
+
+    def __init__(self, dx: Exact, dy: Exact, anchor=(0, 0)):
+        ux = (Fraction(dx) if is_rational(dx) else dx) / (dx + dy)
+        uy = 1 - ux
+        x0, y0 = anchor
+        rho = (x0 - exact_floor(x0)) * uy - (y0 - exact_floor(y0)) * ux
+        (a, b, d), (a0, b0, d0) = ((x.a, x.b, x.d) if isinstance(x, Surd)
+                                   else (Fraction(x), Fraction(0), 0)
+                                   for x in (ux, rho))
+        den = lcm(a.denominator, b.denominator, a0.denominator, b0.denominator)
+        self._p, self._q = int(a * den), int(b * den)
+        self._p0, self._q0 = int(a0 * den), int(b0 * den)
+        self._d, self._den = d or d0, den
+
+    def horizontal(self, n: int) -> int:
+        """H(n), the number of horizontal steps among the first n."""
+        k = n + 1
+        h = floor_sqrt(k * self._p + self._p0, k * self._q + self._q0,
+                       self._d, self._den)
+        return 0 if h < 0 else n if h > n else h
+
+    def digits(self, n: int, hdig: int, vdig: int) -> list[int]:
+        """The first n steps, written hdig (horizontal) or vdig (vertical)."""
+        hs = list(map(self.horizontal, range(n + 1)))
+        return [hdig if b > a else vdig for a, b in zip(hs, hs[1:])]
+
+
 # ---------------------------------------------------------------------------
 # tails
 
@@ -80,19 +135,39 @@ class PeriodicTail:
         if not self.period:
             raise ValueError("empty period")
 
+    @cached_property
+    def _table(self) -> list[LatticePoint]:
+        return _walk(self.period)
+
+    def displacement(self, k: int) -> LatticePoint:
+        """Sum of the first k tail steps: whole laps plus a table lookup."""
+        walk = self._table
+        laps, r = divmod(k, len(self.period))
+        (lx, ly), (rx, ry) = walk[-1], walk[r]
+        return laps * lx + rx, laps * ly + ry
+
+    def displacements(self, k0: int, k1: int) -> list[LatticePoint]:
+        """displacement(k) for k0 <= k < k1, one slice of the table a lap."""
+        walk, n = self._table, len(self.period)
+        (lx, ly), out = walk[-1], []
+        for lap in range(k0 // n, (k1 - 1) // n + 1):
+            bx, by = lap * lx, lap * ly
+            out += [(bx + x, by + y)
+                    for x, y in walk[max(k0 - lap * n, 0):min(k1 - lap * n, n)]]
+        return out
+
 
 class SturmianTail:
     """Digit stream of the staircase tracking a straight line.
 
     The line leaves the origin with (reflected, nonnegative) speeds
     ``ax`` horizontally and ``ay`` vertically, with ``ay/ax`` irrational.
-    Digits are read off grid-line crossings in order, horizontal before
-    vertical on exact lattice hits; ``offset`` digits of the stream have
-    already been consumed (splices advance it). ``window`` fixes the
-    quadrant and hence the concrete digit pair.
+    Digits are the steps of its :class:`Staircase`; ``offset`` digits of
+    the stream have already been consumed (splices advance it). ``window``
+    fixes the quadrant and hence the concrete digit pair.
     """
 
-    __slots__ = ("ux", "uy", "window", "offset", "_stream")
+    __slots__ = ("ux", "uy", "window", "offset", "_line", "_h0")
 
     def __init__(self, ax: Exact, ay: Exact, window: int, offset: int = 0):
         if window not in WINDOW_DIGITS:
@@ -109,34 +184,28 @@ class SturmianTail:
         self.uy = ay / total
         self.window = window
         self.offset = offset
-        self._stream: list[bool] = []  # True = horizontal step
+        self._line = Staircase(self.ux, self.uy)
+        self._h0 = self._line.horizontal(offset)
 
-    def _stream_step(self, n: int) -> bool:
-        """nth step (1-based) of the un-offset stream; True if horizontal."""
-        stream = self._stream
-        if n > len(stream):
-            i = 1 + sum(stream)
-            j = 1 + len(stream) - (i - 1)
-            while len(stream) < n:
-                # next horizontal event at i/ux vs vertical at j/uy
-                if i * self.uy <= j * self.ux:
-                    stream.append(True)
-                    i += 1
-                else:
-                    stream.append(False)
-                    j += 1
-        return stream[n - 1]
+    def horizontal(self, k: int) -> int:
+        """Horizontal steps among the first k digits of this tail."""
+        return self._line.horizontal(self.offset + k) - self._h0
 
     def digit(self, k: int) -> int:
         h, v = WINDOW_DIGITS[self.window]
-        return h if self._stream_step(self.offset + k) else v
+        return h if self.horizontal(k) > self.horizontal(k - 1) else v
+
+    def displacement(self, k: int) -> LatticePoint:
+        """Sum of the first k tail steps."""
+        h, v = WINDOW_DIGITS[self.window]
+        n = self.horizontal(k)
+        return DISPLACEMENTS[h][0] * n, DISPLACEMENTS[v][1] * (k - n)
+
+    def displacements(self, k0: int, k1: int) -> list[LatticePoint]:
+        return list(map(self.displacement, range(k0, k1)))
 
     def advanced(self, steps: int) -> "SturmianTail":
-        t = SturmianTail.__new__(SturmianTail)
-        t.ux, t.uy, t.window = self.ux, self.uy, self.window
-        t.offset = self.offset + steps
-        t._stream = self._stream  # shared prefix cache
-        return t
+        return SturmianTail(self.ux, self.uy, self.window, self.offset + steps)
 
     def __eq__(self, other):
         return (isinstance(other, SturmianTail)
@@ -166,7 +235,7 @@ class RayCode:
     this module always emit canonical codes.
     """
 
-    __slots__ = ("preamble", "tail", "_points")
+    __slots__ = ("preamble", "tail", "_pre", "_points")
 
     def __init__(self, preamble, tail: Tail):
         self.preamble = tuple(int(d) for d in preamble)
@@ -180,7 +249,8 @@ class RayCode:
         elif not isinstance(tail, SturmianTail):
             raise TypeError("tail must be PeriodicTail or SturmianTail")
         self.tail = tail
-        self._points: list[LatticePoint] = [ORIGIN]
+        self._pre = _walk(self.preamble)
+        self._points: list[LatticePoint] = [ORIGIN]  # prefix cache of points()
 
     # -- digits ----------------------------------------------------------
 
@@ -215,27 +285,33 @@ class RayCode:
     # -- geometry --------------------------------------------------------
 
     def point_at(self, t: int) -> LatticePoint:
-        """Position after t unit-speed steps; t=0 is the origin."""
+        """Position after t unit-speed steps (t=0 is the origin), in O(1)."""
         if t < 0:
             raise ValueError("time must be nonnegative")
-        pts = self._points
-        while len(pts) <= t:
-            x, y = pts[-1]
-            dx, dy = DISPLACEMENTS[self.digit_at(len(pts))]
-            pts.append((x + dx, y + dy))
-        return pts[t]
+        pre = self._pre
+        if t < len(pre):
+            return pre[t]
+        x, y = pre[-1]
+        dx, dy = self.tail.displacement(t - len(pre) + 1)
+        return x + dx, y + dy
 
     def points(self, t: int) -> list[LatticePoint]:
-        self.point_at(t)
-        return self._points[: t + 1]
+        """Positions at times 0..t, kept as a cached prefix for rescans."""
+        if t < 0:
+            raise ValueError("time must be nonnegative")
+        pts, pre = self._points, self._pre
+        pts += pre[len(pts):t + 1]
+        if len(pts) <= t:  # times len(pts)..t are past the preamble
+            (x, y), p = pre[-1], len(pre) - 1
+            pts += [(x + dx, y + dy) for dx, dy in
+                    self.tail.displacements(len(pts) - p, t - p + 1)]
+        return pts[: t + 1]
 
     def direction(self) -> tuple[Exact, Exact]:
         """Limiting l1-normalized direction vector, exact."""
         if isinstance(self.tail, PeriodicTail):
-            per = self.tail.period
-            dx = sum(DISPLACEMENTS[d][0] for d in per)
-            dy = sum(DISPLACEMENTS[d][1] for d in per)
-            return Fraction(dx, len(per)), Fraction(dy, len(per))
+            (dx, dy), n = self.tail._table[-1], len(self.tail.period)
+            return Fraction(dx, n), Fraction(dy, n)
         t = self.tail
         h, v = WINDOW_DIGITS[t.window]
         sx = DISPLACEMENTS[h][0]
@@ -352,7 +428,7 @@ def parse_ray(text: str) -> RayCode:
 # validation
 
 
-def validate(ray: RayCode, horizon: int = 64) -> bool:
+def validate(ray: RayCode) -> bool:
     """Check the quadrant digit constraint and the canonical-form rules."""
     realized = ray.realized_digits()
     if not digit_windows(realized):
@@ -362,18 +438,9 @@ def validate(ray: RayCode, horizon: int = 64) -> bool:
     if 0 in realized and 3 in realized:
         return False  # east digits must be written 4 inside quadrant IV
     if isinstance(ray.tail, PeriodicTail):
-        pre, per = _canonical_periodic(ray.preamble, ray.tail.period)
-        if (pre, per) != (ray.preamble, ray.tail.period):
-            return False
-    else:
-        t = ray.tail
-        if not digit_windows(realized | set(WINDOW_DIGITS[t.window])):
-            return False
-    # geodesic spot check (implied by the window constraint; kept cheap)
-    for t, p in enumerate(ray.points(min(horizon, 64))):
-        if word_metric(ORIGIN, p) != t:
-            return False
-    return True
+        code = (ray.preamble, ray.tail.period)
+        return _canonical_periodic(*code) == code
+    return bool(digit_windows(realized | set(WINDOW_DIGITS[ray.tail.window])))
 
 
 def _require_valid(ray: RayCode) -> None:
@@ -446,21 +513,6 @@ def n_map(ray: RayCode, width: Fraction = Fraction(1, 1 << 64)
 # digitization
 
 
-def _rational_period(p: int, q: int) -> tuple[int, ...]:
-    """Reflected staircase digits (horizontal=0, vertical=1) of direction
-    (p, q), p, q > 0 coprime; one full period of p+q steps."""
-    out = []
-    i = j = 1
-    while len(out) < p + q:
-        if i * q <= j * p:  # i/p <= j/q: horizontal crossing first (ties horizontal)
-            out.append(0)
-            i += 1
-        else:
-            out.append(1)
-            j += 1
-    return tuple(out)
-
-
 def _window_of_signs(sx: int, sy: int) -> int:
     if sx >= 0 and sy >= 0:
         return 0
@@ -502,9 +554,7 @@ def digitize(dx: Exact, dy: Exact) -> RayCode:
             raise ValueError(
                 f"rational direction {q}/{p} has period {p + q}; "
                 "reduce the fraction or pass an exact irrational")
-        steps = _rational_period(p, q)
-        per = tuple(h if s == 0 else v for s in steps)
-        return periodic_ray((), per)
+        return periodic_ray((), Staircase(p, q).digits(p + q, h, v))
     return RayCode((), SturmianTail(ax, ay, w))
 
 
@@ -570,16 +620,11 @@ def _sturmian_line_bound(ray: RayCode) -> Exact:
     ux, uy = ray.direction()
     p = len(ray.preamble)
     o = t.offset
-    # anchor error: ray(t) = A + S(o+t-p) - S(o) with S(n) within 2 of n*u
-    ax_, ay_ = ray.point_at(p)
-    h, v = WINDOW_DIGITS[t.window]
-    sx = DISPLACEMENTS[h][0]
-    sy = DISPLACEMENTS[v][1]
-    # S(o): the pure stream's lattice point after o steps
-    hsteps = sum(1 for n in range(1, o + 1) if t._stream_step(n))
-    sox, soy = sx * hsteps, sy * (o - hsteps)
-    cx = ax_ - sox + (o - p) * ux
-    cy = ay_ - soy + (o - p) * uy
+    # anchor error: ray(t) = A + S(o+t-p) - S(o) with S(n) within 2 of n*u,
+    # S(n) the pure stream's point after n steps; -S(o) = displacement(-o)
+    (ax_, ay_), (bx, by) = ray.point_at(p), t.displacement(-o)
+    cx = ax_ + bx + (o - p) * ux
+    cy = ay_ + by + (o - p) * uy
     bound = abs(cx) + abs(cy) + 2
     for tt in range(p + 1):
         x, y = ray.point_at(tt)

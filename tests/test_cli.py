@@ -174,3 +174,25 @@ def test_divergence_and_ball(capsys):
     code, out, _ = run(["ball", "(01)", "(01)", "--K", "0,5", "--eps", "1"],
                        capsys)
     assert code == 0 and out.strip() == "true"
+
+
+@pytest.mark.parametrize("argv", [
+    ["qi-check", "--count", "-5"],
+    ["qi-check", "--map", "inclusion", "--count", "-5"],
+    ["qi-check", "--map", "genset", "--gens", "1,0;0,1", "--gens2", "1,0;1,1",
+     "--count", "-5"],
+    ["roundtrip", "--count", "-3"],
+    ["roundtrip", "--count", "many"],
+])
+def test_negative_count_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--count" in capsys.readouterr().err
+
+
+def test_negative_time_is_a_library_error(capsys):
+    code, out, err = run(["render", "(01)", "--steps", "-1"], capsys)
+    assert code == 1 and out == "" and "ValueError" in err
+    code, out, err = run(["divergence", "(0)", "(1)", "--horizon", "-1"], capsys)
+    assert code == 1 and out == "" and "ValueError" in err

@@ -141,3 +141,31 @@ def test_sign_sqrt_matches_enclosure(a, b, r):
         assert (lo > 0) == (hi > 0)
         want = 1 if lo > 0 else -1
     assert sign_sqrt(a, b, r) == want
+
+
+def _floor_by_refinement(x):
+    """Surd floor as it used to be found: narrow [lo, hi] until both ends
+    share a floor."""
+    bits = 32
+    while True:
+        lo, hi = x.bounds(bits)
+        if lo.numerator // lo.denominator == hi.numerator // hi.denominator:
+            return lo.numerator // lo.denominator
+        bits *= 2
+
+
+@given(small, small.filter(bool), st.sampled_from([2, 3, 5, 6, 7, 10, 9973,
+                                                    10**12 + 39]))
+def test_floor_matches_bounds_refinement(a, b, d):
+    x = exactnum._make(a, b, d)  # unchecked, so the large d is not factored
+    assert exact_floor(x) == _floor_by_refinement(x)
+    assert exact_ceil(x) == -_floor_by_refinement(-x)
+
+
+def test_floor_sqrt_integer_cases():
+    assert exactnum.floor_sqrt(0, 1, 4, 1) == 2  # a square radicand is exact
+    assert exactnum.floor_sqrt(0, -1, 4, 1) == -2
+    assert exactnum.floor_sqrt(0, -1, 2, 1) == -2
+    assert exactnum.floor_sqrt(7, 0, 0, 2) == 3
+    assert exactnum.floor_sqrt(-7, 0, 0, 2) == -4
+    assert exactnum.floor_sqrt(1, 3, 2, 5) == 1  # (1 + 3*sqrt2)/5 = 1.05

@@ -64,6 +64,19 @@ def test_unit_speed_property():
         ray = make_periodic_ray(rng)
         for t in (0, 1, 2, 17, 64):
             assert word_metric(ORIGIN, ray.point_at(t)) == t
+    # Sturmian rays in every quadrant, with preambles and spliced offsets
+    for _ in range(20):
+        sx, sy = rng.choice((1, -1)), rng.choice((1, -1))
+        line = digitize(sx * rng.randint(1, 9),
+                        sy * rng.randint(1, 9) * sqrt_exact(rng.choice((2, 3, 5, 7))))
+        head = digitize(sx * rng.randint(1, 4), sy * rng.randint(1, 4))
+        s = rng.randrange(0, 200)
+        for ray in (line, splice(head, line, s), splice(line, line, s)):
+            assert validate(ray)
+            pts = ray.points(70)
+            assert all(word_metric(ORIGIN, p) == t for t, p in enumerate(pts))
+            for t in (s, s + 1, 10 ** 6):
+                assert word_metric(ORIGIN, ray.point_at(t)) == t
 
 
 def test_point_at_east():

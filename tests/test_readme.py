@@ -1,0 +1,13 @@
+"""The README's library tour, run as a doctest."""
+
+import doctest
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_tour():
+    result = doctest.testfile(str(README), module_relative=False,
+                              optionflags=doctest.ELLIPSIS)
+    assert result.failed == 0
+    assert result.attempted >= 15

@@ -1,0 +1,346 @@
+"""The staircase kernel against the crossing loops it replaced.
+
+The oracles below are the merge loops that used to live in ``rays`` and
+``ell1``: they walk grid-line crossings one at a time, horizontal first on
+ties. The kernel computes the same digits in closed form, so digits,
+positions, ``n_map`` enclosures and Sturmian line bounds must agree exactly.
+"""
+
+import random
+import tracemalloc
+from fractions import Fraction
+from math import floor, gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gridrays import rays
+from gridrays.ell1 import Polyline, project_to_lattice
+from gridrays.exactnum import sqrt_exact
+from gridrays.lattice import DISPLACEMENTS, word_metric
+from gridrays.rays import (Enclosure, RayCode, Staircase, SturmianTail,
+                           WINDOW_DIGITS, digitize, n_map, periodic_ray)
+
+from conftest import make_monotone_polyline
+
+F = Fraction
+
+
+# -- oracles: the crossing loops, as they were ---------------------------------
+
+
+def rational_period_oracle(p, q):
+    out = []
+    i = j = 1
+    while len(out) < p + q:
+        if i * q <= j * p:  # i/p <= j/q: horizontal crossing first (ties horizontal)
+            out.append(0)
+            i += 1
+        else:
+            out.append(1)
+            j += 1
+    return tuple(out)
+
+
+class StreamOracle:
+    """The growing stream that ``SturmianTail`` used to keep."""
+
+    def __init__(self, ux, uy):
+        self.ux, self.uy = ux, uy
+        self._stream = []
+
+    def _stream_step(self, n):
+        stream = self._stream
+        if n > len(stream):
+            i = 1 + sum(stream)
+            j = 1 + len(stream) - (i - 1)
+            while len(stream) < n:
+                # next horizontal event at i/ux vs vertical at j/uy
+                if i * self.uy <= j * self.ux:
+                    stream.append(True)
+                    i += 1
+                else:
+                    stream.append(False)
+                    j += 1
+        return stream[n - 1]
+
+
+def integer_crossings_oracle(lo, hi):
+    return list(range(floor(lo) + 1, floor(hi) + 1))
+
+
+def segment_crossings_oracle(a, c, hdig, vdig):
+    dx, dy = c[0] - a[0], c[1] - a[1]
+    xs = integer_crossings_oracle(a[0], c[0]) if dx > 0 else []
+    ys = integer_crossings_oracle(a[1], c[1]) if dy > 0 else []
+    out = []
+    ix = iy = 0
+    while ix < len(xs) or iy < len(ys):
+        if iy >= len(ys):
+            out.append(hdig)
+            ix += 1
+        elif ix >= len(xs):
+            out.append(vdig)
+            iy += 1
+        else:
+            lhs = (xs[ix] - a[0]) * dy
+            rhs = (ys[iy] - a[1]) * dx
+            if lhs <= rhs:
+                out.append(hdig)
+                ix += 1
+            else:
+                out.append(vdig)
+                iy += 1
+    return out
+
+
+def tail_period_oracle(anchor, direction, hdig, vdig):
+    p = Fraction(direction[0])
+    q = Fraction(direction[1])
+    if q == 0:
+        return [hdig]
+    if p == 0:
+        return [vdig]
+    scale = Fraction(p.denominator * q.denominator // gcd(p.denominator, q.denominator))
+    pi, qi = int(p * scale), int(q * scale)
+    g = gcd(pi, qi)
+    pi, qi = pi // g, qi // g
+    x0, y0 = anchor
+    out = []
+    i = floor(x0) + 1
+    j = floor(y0) + 1
+    while len(out) < pi + qi:
+        lhs = (i - x0) * qi
+        rhs = (j - y0) * pi
+        if lhs <= rhs:
+            out.append(hdig)
+            i += 1
+        else:
+            out.append(vdig)
+            j += 1
+    return out
+
+
+def project_oracle(ray):
+    """``project_to_lattice`` built from the two ell1 loops."""
+    moves = ray.moves()
+    sx = 1 if all(m[0] >= 0 for m in moves) else -1
+    sy = 1 if all(m[1] >= 0 for m in moves) else -1
+    w = rays._window_of_signs(sx if any(m[0] != 0 for m in moves) else 0,
+                              sy if any(m[1] != 0 for m in moves) else 0)
+    hdig, vdig = WINDOW_DIGITS[w]
+    rverts = [(sx * x, sy * y) for x, y in ray.vertices]
+    rdir = (sx * ray.direction[0], sy * ray.direction[1])
+    digits = []
+    for a, c in zip(rverts, rverts[1:]):
+        digits.extend(segment_crossings_oracle(a, c, hdig, vdig))
+    return periodic_ray(digits, tail_period_oracle(rverts[-1], rdir, hdig, vdig))
+
+
+class SturmianRayOracle:
+    """A preamble plus the offset stream, walked one digit at a time."""
+
+    def __init__(self, preamble, tail):
+        self.preamble, self.tail = tuple(preamble), tail
+        self.stream = StreamOracle(tail.ux, tail.uy)
+
+    def digit_at(self, n):
+        pre = self.preamble
+        if n <= len(pre):
+            return pre[n - 1]
+        h, v = WINDOW_DIGITS[self.tail.window]
+        return h if self.stream._stream_step(self.tail.offset + n - len(pre)) else v
+
+    def points(self, t):
+        pts = [(0, 0)]
+        for n in range(1, t + 1):
+            dx, dy = DISPLACEMENTS[self.digit_at(n)]
+            pts.append((pts[-1][0] + dx, pts[-1][1] + dy))
+        return pts
+
+    def n_map(self):
+        m = min(set(self.preamble) | set(WINDOW_DIGITS[self.tail.window]))
+        k = max(len(self.preamble), 64)
+        bits = [self.digit_at(n) - m for n in range(1, k + 1)]
+        lo = Fraction(sum(b << (k - 1 - i) for i, b in enumerate(bits)), 1 << k)
+        return Enclosure(m + lo, m + lo + Fraction(1, 1 << k))
+
+    def line_bound(self, ux, uy):
+        t, p, o = self.tail, len(self.preamble), self.tail.offset
+        h, v = WINDOW_DIGITS[t.window]
+        sx, sy = DISPLACEMENTS[h][0], DISPLACEMENTS[v][1]
+        pts = self.points(p)
+        hsteps = sum(1 for n in range(1, o + 1) if self.stream._stream_step(n))
+        cx = pts[p][0] - sx * hsteps + (o - p) * ux
+        cy = pts[p][1] - sy * (o - hsteps) + (o - p) * uy
+        bound = abs(cx) + abs(cy) + 2
+        for tt, (x, y) in enumerate(pts):
+            dev = abs(x - tt * ux) + abs(y - tt * uy)
+            if dev > bound:
+                bound = dev
+        return bound
+
+
+# -- strategies -----------------------------------------------------------------
+
+NON_SQUARES = [d for d in range(2, 200) if int(d ** 0.5) ** 2 != d]
+positive = st.fractions(min_value=F(1, 16), max_value=40, max_denominator=16)
+anchors = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+lengths = st.fractions(min_value=0, max_value=12, max_denominator=12)
+
+
+@st.composite
+def irrational_directions(draw):
+    """(ax, ay) with one rational speed and one q*sqrt(d), d non-square."""
+    root = draw(positive) * sqrt_exact(draw(st.sampled_from(NON_SQUARES)))
+    a = draw(positive)
+    return (a, root) if draw(st.booleans()) else (root, a)
+
+
+# -- rational periods -------------------------------------------------------------
+
+
+def test_rational_period_matches_oracle_below_40():
+    for p in range(1, 40):
+        for q in range(1, 40):
+            if gcd(p, q) == 1:
+                assert tuple(Staircase(p, q).digits(p + q, 0, 1)) == \
+                    rational_period_oracle(p, q)
+
+
+@given(st.integers(1, 3000), st.integers(1, 3000), st.sampled_from(range(4)))
+def test_digitize_rational_matches_oracle(p, q, w):
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    h, v = WINDOW_DIGITS[w]
+    sx, sy = DISPLACEMENTS[h][0], DISPLACEMENTS[v][1]
+    want = periodic_ray((), [h if s == 0 else v
+                             for s in rational_period_oracle(p, q)])
+    assert digitize(sx * p, sy * q) == want
+
+
+# -- Sturmian tails ----------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=60)
+@given(irrational_directions(), st.sampled_from(range(4)),
+       st.integers(0, 300), st.data())
+def test_sturmian_ray_matches_stream_oracle(direction, w, offset, data):
+    tail = SturmianTail(*direction, w, offset)
+    pre = data.draw(st.lists(st.sampled_from(WINDOW_DIGITS[w]), max_size=6))
+    ray = RayCode(pre, tail).canonical()
+    oracle = SturmianRayOracle(ray.preamble, tail)
+    n = 80
+    assert ray.digits(n) == tuple(oracle.digit_at(k) for k in range(1, n + 1))
+    assert ray.points(n) == oracle.points(n)
+    assert [ray.point_at(t) for t in range(n, -1, -1)] == oracle.points(n)[::-1]
+    assert n_map(ray) == oracle.n_map()
+    assert rays._sturmian_line_bound(ray) == oracle.line_bound(*ray.direction())
+
+
+@settings(deadline=None, max_examples=30)
+@given(irrational_directions(), st.integers(0, 200), st.integers(0, 200))
+def test_advanced_tail_is_the_offset_tail(direction, offset, steps):
+    tail = SturmianTail(*direction, 0, offset)
+    moved = tail.advanced(steps)
+    assert moved == SturmianTail(*direction, 0, offset + steps)
+    stream = StreamOracle(tail.ux, tail.uy)
+    for k in range(1, 40):
+        want = 0 if stream._stream_step(offset + steps + k) else 1
+        assert moved.digit(k) == want
+
+
+def test_forty_irrational_slopes_match_stream():
+    rng = random.Random(7)
+    for _ in range(40):
+        d = rng.choice(NON_SQUARES)
+        ax = F(rng.randrange(1, 30), rng.randrange(1, 9))
+        ay = F(rng.randrange(1, 30), rng.randrange(1, 9)) * sqrt_exact(d)
+        tail = SturmianTail(ax, ay, 0)
+        stream = StreamOracle(tail.ux, tail.uy)
+        got = RayCode((), tail).digits(600)
+        assert got == tuple(0 if stream._stream_step(n) else 1
+                            for n in range(1, 601))
+
+
+@given(st.sampled_from(range(4)), st.data(),
+       st.lists(st.integers(0, 120), min_size=1, max_size=4))
+def test_periodic_points_match_digit_walk(w, data, horizons):
+    digits = st.sampled_from(WINDOW_DIGITS[w])
+    pre = data.draw(st.lists(digits, max_size=8))
+    per = data.draw(st.lists(digits, min_size=1, max_size=9))
+    ray = RayCode(pre, rays.PeriodicTail(tuple(per)))
+    walk = [(0, 0)]
+    for n in range(1, max(horizons) + 1):
+        dx, dy = DISPLACEMENTS[ray.digit_at(n)]
+        walk.append((walk[-1][0] + dx, walk[-1][1] + dy))
+    for t in horizons:  # the prefix cache grows in uneven steps
+        assert ray.points(t) == walk[:t + 1]
+        assert [ray.point_at(u) for u in range(t + 1)] == walk[:t + 1]
+
+
+# -- anchored segments and tails (ell1) ---------------------------------------------
+
+
+@given(anchors, anchors, lengths, lengths, st.sampled_from(range(4)))
+def test_segment_staircase_matches_crossing_merge(x0, y0, dx, dy, w):
+    if dx == dy == 0:
+        dx = F(1)
+    a, c = (x0, y0), (x0 + dx, y0 + dy)
+    h, v = WINDOW_DIGITS[w]
+    n = floor(c[0]) - floor(a[0]) + floor(c[1]) - floor(a[1])
+    assert Staircase(dx, dy, a).digits(n, h, v) == \
+        segment_crossings_oracle(a, c, h, v)
+
+
+@given(anchors, anchors, lengths, lengths, st.integers(0, 60))
+def test_horizontal_counts_the_horizontal_digits(x0, y0, dx, dy, n):
+    if dx == dy == 0:
+        dx = F(1)
+    line = Staircase(dx, dy, (x0, y0))  # axis-parallel lines included
+    assert 0 <= line.horizontal(n) <= n
+    assert line.horizontal(n) == line.digits(n, 0, 1).count(0)
+
+
+@given(anchors, anchors, st.integers(0, 30), st.integers(0, 30),
+       st.sampled_from(range(4)))
+def test_tail_staircase_matches_period_loop(x0, y0, p, q, w):
+    if p == q == 0:
+        p = 1
+    p, q = F(p, 3), F(q, 2)
+    h, v = WINDOW_DIGITS[w]
+    period = (p / (p + q)).denominator
+    assert Staircase(p, q, (x0, y0)).digits(period, h, v) == \
+        tail_period_oracle((x0, y0), (p, q), h, v)
+
+
+def test_project_to_lattice_matches_crossing_loops():
+    rng = random.Random(43)
+    for _ in range(200):
+        path = make_monotone_polyline(rng, with_direction=True)
+        assert project_to_lattice(path) == project_oracle(path)
+    axis = Polyline([(F(0), F(0)), (F(5, 2), F(0)), (F(5, 2), F(7, 3))], (0, 1))
+    assert project_to_lattice(axis) == project_oracle(axis)
+
+
+# -- edges ---------------------------------------------------------------------------
+
+
+def test_points_rejects_negative_time():
+    for ray in (periodic_ray("0", "01"), digitize(1, sqrt_exact(2))):
+        for bad in (-1, -5):
+            with pytest.raises(ValueError):
+                ray.points(bad)
+
+
+def test_far_sturmian_read_is_constant_memory():
+    ray = rays.splice(periodic_ray("", "01"), digitize(1, sqrt_exact(2)), 7)
+    t = 10 ** 12
+    tracemalloc.start()
+    try:
+        x, y = ray.point_at(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert word_metric((0, 0), (x, y)) == t
