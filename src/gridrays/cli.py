@@ -63,9 +63,9 @@ def _frac(text: str) -> Fraction:
 
 
 def _count(text: str) -> int:
-    """argparse type: a count that is not an integer >= 0 exits with 2."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    """argparse type: a count that is not an integer >= 1 exits with 2."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
 
 

@@ -19,13 +19,19 @@ Exact = Union[int, Fraction, "Surd"]
 
 
 def _split_square(n: int) -> tuple[int, int]:
-    """Return (s, d) with n = s*s*d and d squarefree."""
+    """Return (s, d) with n = s*s*d and d squarefree.
+
+    Trial division runs only while f^3 <= m, so it costs about n^(1/3)
+    steps. The cofactor m left over has no prime factor below f and is
+    below f^3, so it is 1, p, p^2 or p*q with p != q: a square exactly when
+    isqrt(m)^2 == m, and squarefree otherwise.
+    """
     if n <= 0:
         raise ValueError("expected a positive integer")
     s, d = 1, 1
     f = 2
     m = n
-    while f * f <= m:
+    while f * f * f <= m:
         k = 0
         while m % f == 0:
             m //= f
@@ -34,8 +40,10 @@ def _split_square(n: int) -> tuple[int, int]:
         if k % 2:
             d *= f
         f += 1
-    d *= m
-    return s, d
+    r = isqrt(m)
+    if r * r == m:
+        return s * r, d
+    return s, d * m
 
 
 def sqrt_exact(x) -> Exact:

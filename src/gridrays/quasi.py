@@ -5,7 +5,9 @@ the grid, the inclusion of the grid back into the plane, and the identity
 between two word metrics from different generating sets. All verdicts are
 exact: Euclidean distances are compared through their squared rational
 values, so a multiplicative constant k enters only as k^2 (which lets the
-boundary case k = sqrt(2) be tested exactly).
+boundary case k = sqrt(2) be tested exactly). Every verdict is an integer
+cross-multiplication; a Fraction or Surd is built only for the margin of a
+side that fails.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from math import floor
 from typing import Iterable, Optional, Sequence, Union
 
 from .exactnum import Exact, sign_sqrt, sqrt_exact
-from .lattice import (GeneratingSet, LatticePoint, bfs_distances, word_metric)
+from .lattice import GeneratingSet, LatticePoint, bfs_distances
 
 PlanePoint = tuple[Fraction, Fraction]
 
@@ -41,6 +43,20 @@ def sq_euclidean(p: PlanePoint, q: PlanePoint) -> Fraction:
     return dx * dx + dy * dy
 
 
+def _pair_terms(p, q) -> tuple[int, int, int, int]:
+    """Integers (X, Y, t, g) for two rational points (int or Fraction
+    coordinates): p - q = (X/t, Y/t) with t > 0, and g is the word metric
+    between floor(p) and floor(q)."""
+    a, b, e, f = p[0].numerator, p[0].denominator, p[1].numerator, p[1].denominator
+    h, i, m, n = q[0].numerator, q[0].denominator, q[1].numerator, q[1].denominator
+    g = abs(a // b - h // i) + abs(e // f - m // n)
+    X, tx = a * i - h * b, b * i
+    Y, ty = e * n - m * f, f * n
+    if tx == ty:
+        return X, Y, tx, g
+    return X * ty, Y * tx, tx * ty, g
+
+
 @dataclass(frozen=True)
 class QIParams:
     """Constants (k, c) of a quasi-isometric embedding, k >= 1, c >= 0.
@@ -60,6 +76,12 @@ class QIParams:
             raise ValueError("need k >= 1 and c >= 0")
         if not self.k_label:
             object.__setattr__(self, "k_label", f"sqrt({self.k_sq})")
+        # k^2 = K/Kd and c = C/Cd, plus K*Cd^2, Kd*Cd^2 and K*Kd, for
+        # _violations
+        K, Kd = self.k_sq.numerator, self.k_sq.denominator
+        C, Cd = self.c.numerator, self.c.denominator
+        object.__setattr__(self, "_ints", (K, Kd, C, Cd, K * Cd * Cd,
+                                           Kd * Cd * Cd, K * Kd))
 
     @classmethod
     def from_k(cls, k, c) -> "QIParams":
@@ -96,39 +118,51 @@ class QIReport:
         return not self.violations
 
 
-def _violations(pair: Pair, params: QIParams, d: Fraction, sq: Fraction,
+def _violations(pair: Pair, params: QIParams, d: int, sq: int, t: int,
                 d_is_target: bool) -> list[Violation]:
-    """Upper d_Y <= k d_X + c and lower d_X <= k (d_Y + c) for distances d and
-    sqrt(sq). A side L <= R fails when L > 0 and L^2 > R^2. If d is d_Y, c
-    stays beside it and every term is rational; if d is d_X, c stays beside
-    d_X, and each sign of a + b*k is decided by sign_sqrt on k_sq unfactored.
+    """Upper d_Y <= k d_X + c and lower d_X <= k (d_Y + c) for the distances
+    d/t and sqrt(sq)/t (integers, t > 0). A side L <= R fails when L > 0 and
+    L^2 > R^2; with k^2 = K/Kd and c = C/Cd, each test is one comparison of
+    integers scaled by D = Kd Cd^2 t^2, and a margin (L^2 - R^2) is built
+    only for a side that fails. If d is d_Y, c stays beside it and every term
+    is rational; if d is d_X, c stays beside d_X, and each sign of a + b*k,
+    that is of a*Kd + b*sqrt(K*Kd), is decided by sign_sqrt unfactored.
     """
-    k_sq, c = params.k_sq, params.c
+    K, Kd, C, Cd, KC2, KdC2, KKd = params._ints
     out = []
     if d_is_target:
-        # upper: L = d_Y - c, R^2 = k^2 d_X^2
-        lhs = d - c
-        if lhs > 0:
-            l2, r2 = lhs * lhs, k_sq * sq
-            if l2 > r2:
-                out.append(Violation(pair, "upper", l2 - r2))
-        # lower: L^2 = d_X^2, R = k (d_Y + c)
-        rhs = d + c
-        r2 = k_sq * (rhs * rhs)
-        if sq > r2:
-            out.append(Violation(pair, "lower", sq - r2))
+        # upper: L = d_Y - c = u / (t Cd), R^2 = k^2 d_X^2
+        u = d * Cd - C * t
+        if u > 0:
+            m = u * u * Kd - KC2 * sq
+            if m > 0:
+                out.append(Violation(pair, "upper", Fraction(m, KdC2 * t * t)))
+        # lower: L^2 = d_X^2, R = k (d_Y + c) = k w / (t Cd)
+        w = d * Cd + C * t
+        m = sq * KdC2 - K * w * w
+        if m > 0:
+            out.append(Violation(pair, "lower", Fraction(m, KdC2 * t * t)))
         return out
-    # upper: L^2 = d_Y^2, R = k d_X + c, L^2 - R^2 = m0 + m1 k
-    m1 = -2 * c * d
-    m0 = sq - k_sq * (d * d) - c * c
-    if sign_sqrt(m0, m1, k_sq) > 0:
-        out.append(Violation(pair, "upper", m0 + m1 * params.k if m1 else m0))
-    # lower: L = d_X - c k, R^2 = k^2 d_Y^2, L^2 - R^2 = m0 + m1 k
-    if sign_sqrt(d, -c, k_sq) > 0:
-        m0 = d * d + c * c * k_sq - k_sq * sq
-        if sign_sqrt(m0, m1, k_sq) > 0:
-            out.append(Violation(pair, "lower", m0 + m1 * params.k if m1 else m0))
+    # upper: L^2 = d_Y^2, R = k d_X + c, D (L^2 - R^2) = m0 + m1 k
+    m1 = -2 * C * Cd * Kd * d * t
+    m0 = sq * KdC2 - KC2 * d * d - C * C * Kd * t * t
+    if sign_sqrt(m0 * Kd, m1, KKd) > 0:
+        out.append(Violation(pair, "upper", _margin(params, m0, m1, t)))
+    # lower: L = d_X - c k, R^2 = k^2 d_Y^2, D (L^2 - R^2) = m0 + m1 k
+    if sign_sqrt(d * Cd * Kd, -C * t, KKd) > 0:
+        m0 = KdC2 * d * d + C * C * K * t * t - KC2 * sq
+        if sign_sqrt(m0 * Kd, m1, KKd) > 0:
+            out.append(Violation(pair, "lower", _margin(params, m0, m1, t)))
     return out
+
+
+def _margin(params: QIParams, m0: int, m1: int, t: int) -> Exact:
+    """(m0 + m1 k) / D as a Fraction, or a Surd when m1 != 0 and k is
+    irrational."""
+    D = params._ints[5] * t * t
+    if not m1:
+        return Fraction(m0, D)
+    return Fraction(m0, D) + Fraction(m1, D) * params.k
 
 
 class FloorMap:
@@ -138,8 +172,8 @@ class FloorMap:
 
     def check_pair(self, p: PlanePoint, q: PlanePoint,
                    params: QIParams) -> list[Violation]:
-        d_graph = Fraction(word_metric(floor_map(p), floor_map(q)))
-        return _violations((p, q), params, d_graph, sq_euclidean(p, q), True)
+        X, Y, t, g = _pair_terms(p, q)
+        return _violations((p, q), params, g * t, X * X + Y * Y, t, True)
 
 
 class InclusionMap:
@@ -149,8 +183,9 @@ class InclusionMap:
 
     def check_pair(self, p: LatticePoint, q: LatticePoint,
                    params: QIParams) -> list[Violation]:
-        d_graph = Fraction(word_metric(p, q))
-        return _violations((p, q), params, d_graph, sq_euclidean(p, q), False)
+        X, Y, t, _ = _pair_terms(p, q)
+        return _violations((p, q), params, abs(X) + abs(Y), X * X + Y * Y, t,
+                           False)
 
 
 class GensetMap:
@@ -175,9 +210,9 @@ class GensetMap:
 
     def check_pair(self, p: LatticePoint, q: LatticePoint,
                    params: QIParams) -> list[Violation]:
-        dx = Fraction(self._dist(self.S, p, q))
-        dy = Fraction(self._dist(self.S2, p, q))
-        return _violations((p, q), params, dy, dx * dx, True)
+        dx = self._dist(self.S, p, q)
+        dy = self._dist(self.S2, p, q)
+        return _violations((p, q), params, dy, dx * dx, 1, True)
 
 
 Map = Union[FloorMap, InclusionMap, GensetMap]
@@ -194,13 +229,16 @@ def sample_plane_points(box: tuple[Fraction, Fraction], count: int,
                         seed: int) -> list[PlanePoint]:
     """Seeded rational points in [lo, hi]^2 with small denominators."""
     lo, hi = Fraction(box[0]), Fraction(box[1])
+    # numerator range per denominator, truncated toward zero
+    span = {den: (int(lo * den), int(hi * den)) for den in _DENOMINATORS}
     rng = random.Random(seed)
+    choice, randint = rng.choice, rng.randint
     pts = []
     for _ in range(count):
-        den = rng.choice(_DENOMINATORS)
-        nlo, nhi = int(lo * den), int(hi * den)
-        pts.append((Fraction(rng.randint(nlo, nhi), den),
-                    Fraction(rng.randint(nlo, nhi), den)))
+        den = choice(_DENOMINATORS)
+        nlo, nhi = span[den]
+        pts.append((Fraction(randint(nlo, nhi), den),
+                    Fraction(randint(nlo, nhi), den)))
     return pts
 
 
@@ -240,11 +278,19 @@ def find_violation(qmap: Map, params: QIParams, strategy: str,
     points near the origin; ``random`` draws seeded pairs from the box.
     """
     if strategy == "diagonal-ray":
+        # on the lattice diagonal both plane maps see d = 2n and d^2 = 2n^2
+        lattice_pair = isinstance(qmap, (FloorMap, InclusionMap))
+        target = not isinstance(qmap, InclusionMap)
+        zero = Fraction(0)
         for n in range(1, budget + 1):
-            pair = ((Fraction(0), Fraction(0)), (Fraction(n), Fraction(n)))
-            found = qmap.check_pair(*pair, params)
+            if lattice_pair:
+                found = _violations(None, params, 2 * n, 2 * n * n, 1, target)
+            else:
+                found = qmap.check_pair((zero, zero), (Fraction(n), Fraction(n)),
+                                        params)
             if found:
-                return found[0]
+                pair = ((zero, zero), (Fraction(n), Fraction(n)))
+                return Violation(pair, found[0].side, found[0].margin)
         return None
     if strategy == "grid":
         pts = [(Fraction(i, 2), Fraction(j, 2))
@@ -281,14 +327,16 @@ def roundtrip_displacement(samples: Sequence[PlanePoint]) -> RoundtripReport:
     The supremum over the whole plane is 2 (displacement sqrt(2)), never
     attained.
     """
-    best = Fraction(0)
+    best_n, best_d = 0, 1
     arg = samples[0] if samples else (Fraction(0), Fraction(0))
     for p in samples:
-        fp = floor_map(p)
-        sq = sq_euclidean(p, (Fraction(fp[0]), Fraction(fp[1])))
-        if sq > best:
-            best, arg = sq, p
-    return RoundtripReport(best, arg, len(samples))
+        b, f = p[0].denominator, p[1].denominator
+        # p - floor(p) = (x/(b f), y/(b f)), with numerators mod b and mod f
+        x, y = p[0].numerator % b * f, p[1].numerator % f * b
+        sn, sd = x * x + y * y, b * b * f * f
+        if sn * best_d > best_n * sd:
+            best_n, best_d, arg = sn, sd, p
+    return RoundtripReport(Fraction(best_n, best_d), arg, len(samples))
 
 
 @dataclass(frozen=True)
@@ -307,24 +355,27 @@ def quasi_surjectivity_bound(qmap: Map,
     sqrt(1/2) of a lattice point, so D = 1 certifies both maps; the report
     carries the exact squared distances observed.
     """
-    max_sq = Fraction(0)
+    best_n, best_d = 0, 1
     if isinstance(qmap, FloorMap):
         for t in targets:
             # lattice targets are hit exactly: floor of the point itself
-            if floor_map((Fraction(t[0]), Fraction(t[1]))) != (t[0], t[1]):
+            if t[0].denominator != 1 or t[1].denominator != 1:
                 raise ValueError(f"target {t} is not a lattice point")
     elif isinstance(qmap, InclusionMap):
         for t in targets:
-            x, y = Fraction(t[0]), Fraction(t[1])
-            cands = [(floor(x) + i, floor(y) + j) for i in (0, 1) for j in (0, 1)]
-            sq = min(sq_euclidean((x, y), (Fraction(a), Fraction(b)))
-                     for a, b in cands)
-            max_sq = max(max_sq, sq)
-        if max_sq >= 1:
+            b, f = t[0].denominator, t[1].denominator
+            # nearest corner of the cell: min(frac, 1 - frac) per axis
+            x, y = t[0].numerator % b, t[1].numerator % f
+            x, y = min(x, b - x) * f, min(y, f - y) * b
+            sn, sd = x * x + y * y, b * b * f * f
+            if sn * best_d > best_n * sd:
+                best_n, best_d = sn, sd
+        if best_n >= best_d:
             raise AssertionError("cell geometry bound exceeded")
     else:
         raise ValueError("surjectivity probing supports floor and inclusion")
-    return SurjectivityReport(qmap.name, Fraction(1), max_sq, len(targets))
+    return SurjectivityReport(qmap.name, Fraction(1), Fraction(best_n, best_d),
+                              len(targets))
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +386,13 @@ def floor_chain_holds(p: PlanePoint, q: PlanePoint) -> bool:
     """Exact per-pair check of the displayed upper and lower chains:
     d_grid <= 2 max(|dx|, |dy|) + 2 <= 2 d_plane + 2 and
     d_grid >= d_plane - 2 >= (1/2) d_plane - 2."""
-    d_grid = word_metric(floor_map(p), floor_map(q))
-    adx, ady = abs(p[0] - q[0]), abs(p[1] - q[1])
-    mx = max(adx, ady)
-    sq = adx * adx + ady * ady
-    if d_grid > 2 * mx + 2:
+    X, Y, t, g = _pair_terms(p, q)
+    mx = max(abs(X), abs(Y))
+    sq = X * X + Y * Y
+    if g * t > 2 * mx + 2 * t:
         return False
     if mx * mx > sq:  # 2 max + 2 <= 2 sqrt(sq) + 2
         return False
     # lower: d_grid >= sqrt(sq) - 2, i.e. sqrt(sq) <= d_grid + 2
-    lhs = d_grid + 2
+    lhs = (g + 2) * t
     return sq <= lhs * lhs

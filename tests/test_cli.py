@@ -1,5 +1,6 @@
 """Command-line interface: envelopes, exit codes, determinism, coverage."""
 
+import hashlib
 import json
 import tracemalloc
 from collections import Counter
@@ -189,6 +190,86 @@ def test_negative_count_is_a_usage_error(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "--count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["qi-check", "--count", "0"],
+    ["qi-check", "--map", "inclusion", "--count", "0"],
+    ["qi-check", "--map", "genset", "--gens", "1,0;0,1", "--gens2", "1,0;1,1",
+     "--count", "0"],
+    ["roundtrip", "--count", "0"],
+    ["roundtrip", "--count", "000"],
+])
+def test_zero_count_is_a_usage_error(argv, capsys):
+    # a certificate over no samples is vacuous: "checked": 0, "below_two"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--count" in capsys.readouterr().err
+
+
+GENSET_ARGS = ["--map", "genset", "--gens", "1,0;0,1", "--gens2", "1,0;1,1",
+               "--radius", "4", "--count", "300"]
+
+# sha256 of stdout (text, json) and the exit code, frozen from the Fraction
+# implementation of the certificates; the integer kernel must match byte
+# for byte, margins (Fraction and Surd) included
+GOLDEN = [
+    (["qi-check", "--count", "300"], 0,
+     "fac11af2d750a45449c34bc1d8a16b9af824228fe0cd89ce29fe778da3a96045",
+     "14cd374e02f7bd7d806a7384fc71b58b400d0a9b11328ac355df4c2ab63acce5"),
+    (["qi-check", "--k", "7/5", "--c", "2", "--count", "300", "--seed", "3"], 1,
+     "59c8f3fb2ea2f5c603fa1969c6f5ba558a74a2979d0059ee0c357b2fb39a3304",
+     "ce7d5109b8c89a5ae92543b28be26ffecbccaf53698e39144ee8c275641d6ad6"),
+    (["qi-check", "--map", "inclusion", "--k2", "2", "--c", "0",
+      "--count", "300"], 0,
+     "555f2a68c5549213872eee0e76f6293478e7720aee5f313b33db38c617fa0aa5",
+     "8ff39d2377321a8d71eea3b94dffc148d1752a310986bf1b05a42245d79d177f"),
+    (["qi-check", "--map", "inclusion", "--k2", "3/2", "--c", "1/3",
+      "--count", "300"], 1,
+     "fd15999e7a9bc740fc3643d44b552a1512bf38ffceacd8ece2783e7d0bea15af",
+     "eb064cfa88015f5933d6c1f383106cb2adb27781ea62506d7818300dac735d05"),
+    (["qi-check", "--map", "inclusion", "--k2", "1000000000039/1000000000000",
+      "--c", "1/3", "--count", "100"], 1,
+     "f4648a935a6f6bdcea052cbcae35d9f0d82e2ed75908756e80add5e6b6b416c5",
+     "69130d3eac5e6d35c9887d84bee9c2dc423c800cfb50044d5676e880f2a8fe01"),
+    (["qi-check", *GENSET_ARGS, "--k", "2", "--c", "0"], 0,
+     "4ce9bb840901f4ffb5fdd3e886c78ebf6bfe2c2c29f3f0887dcaa2d7ed6c290b",
+     "c596899885c60978122dcfc7e6f65433132df2d4cb9160419db0e2b869ab88de"),
+    (["qi-check", *GENSET_ARGS, "--k", "1", "--c", "1/2"], 1,
+     "f593d4d0eeddf6f48348d17a5b09a9042930ee28ab883af10c74ee67392398b1",
+     "391b00dbc821a4b93df10801d0afc25b38e7a5ab25c74c923a4d59e8e568f357"),
+    (["qi-violate", "--k", "7/5", "--c", "2", "--strategy", "diagonal-ray"], 0,
+     "6dec30eca099889781319ee0048c4af2e47e9d3804638ffe3d652458b33444cd",
+     "2c761f4c51b7114074dfd91336cb1faf32be04d80cbde4dd20d6872e18b59915"),
+    (["qi-violate", "--map", "inclusion", "--k", "7/5", "--c", "0",
+      "--strategy", "diagonal-ray"], 0,
+     "3b7ff2a04f9fd40c6dcb2939249732549680d967b2fdd8d7d54bbb8ce411d22a",
+     "2f33b65a20d866a636a56ffaeed098adce5f813ec2488941cd86123f6240db62"),
+    (["qi-violate", "--k", "1", "--c", "0", "--strategy", "grid"], 0,
+     "20a79c8cba4955a89f6da6e46fbb6d537a775b1da8a137ac1052f417f86bce44",
+     "1db6191a8df3e255105cd376edb3299bb510b685fbeb117c34fb318e1fcc2c45"),
+    (["qi-violate", "--k", "1", "--c", "0", "--strategy", "random",
+      "--seed", "3"], 0,
+     "240749fad05cb468dd94b370b55d4dcf59b3dad0aa70fb6dc57ee737fde873cb",
+     "a5f48490e561d20fb0c895287510ef0d8248a6ac14f53aa944283bd3ed600e1c"),
+    (["roundtrip"], 0,
+     "8c5055f5cf6c448ef3d69a57a9d0b777fe942f3ebdfed7536b5fa340c88e02d5",
+     "9e03d5af275018b5d1e584ae2037d6a4a625af52bbe509cf8efe1e9da9d0cd79"),
+    (["roundtrip", "--box=-7/3,5/2", "--count", "300", "--seed", "4"], 0,
+     "e0d2dd4585d6c0d603ff6f8d9b080adae38527d4ec7f0db32cf3364ed82f5b7f",
+     "44ff06c784ffc41e082cc3a9e5b3f15f15ed47b387c5b65b3295539fe92d10ea"),
+]
+
+
+@pytest.mark.parametrize("argv, code, text_sha, json_sha", GOLDEN,
+                         ids=[" ".join(g[0]) for g in GOLDEN])
+def test_certificate_output_is_byte_identical(argv, code, text_sha, json_sha,
+                                              capsys):
+    for fmt, want in (("text", text_sha), ("json", json_sha)):
+        got_code, out, _ = run(["--format", fmt, *argv], capsys)
+        assert got_code == code
+        assert hashlib.sha256(out.encode()).hexdigest() == want, fmt
 
 
 def test_negative_time_is_a_library_error(capsys):

@@ -169,3 +169,58 @@ def test_floor_sqrt_integer_cases():
     assert exactnum.floor_sqrt(7, 0, 0, 2) == 3
     assert exactnum.floor_sqrt(-7, 0, 0, 2) == -4
     assert exactnum.floor_sqrt(1, 3, 2, 5) == 1  # (1 + 3*sqrt2)/5 = 1.05
+
+
+def _split_square_by_sqrt_trial(n):
+    """The square split as it used to be found: trial division up to sqrt."""
+    s, d = 1, 1
+    f = 2
+    m = n
+    while f * f <= m:
+        k = 0
+        while m % f == 0:
+            m //= f
+            k += 1
+        s *= f ** (k // 2)
+        if k % 2:
+            d *= f
+        f += 1
+    d *= m
+    return s, d
+
+
+# primes up to ~10^5 keep the sqrt-trial oracle fast; the cube-root loop
+# must still classify their squares and products from the cofactor alone
+PRIMES = [2, 3, 5, 7, 11, 13, 97, 101, 997, 1009, 9973, 10007, 65521, 65537,
+          99989, 99991]
+
+
+@given(st.sampled_from(PRIMES), st.sampled_from(PRIMES),
+       st.integers(1, 3), st.integers(0, 3), st.integers(1, 60))
+def test_split_square_matches_sqrt_trial(p, q, a, b, small_factor):
+    # covers p^2, p*q and p^2*q (a = 2, b = 1) with large primes
+    n = p ** a * q ** b * small_factor
+    assert exactnum._split_square(n) == _split_square_by_sqrt_trial(n)
+
+
+@given(st.integers(1, 10 ** 7))
+def test_split_square_matches_sqrt_trial_on_integers(n):
+    assert exactnum._split_square(n) == _split_square_by_sqrt_trial(n)
+
+
+def test_split_square_large_prime_cofactors():
+    p, q = 999983, 1000003  # primes near 10^6
+    assert exactnum._split_square(p * p) == (p, 1)
+    assert exactnum._split_square(p * q) == (1, p * q)
+    assert exactnum._split_square(12 * p * p) == (2 * p, 3)
+    assert exactnum._split_square(1000000000039) == (1, 1000000000039)
+    k = sqrt_exact(Fraction(1000000000039, 1000000000000))
+    assert (k.a, k.b, k.d) == (0, Fraction(1, 1000000), 1000000000039)
+
+
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(0, 10 ** 4), st.integers(1, 10 ** 4))
+def test_sign_sqrt_integer_form_matches_rational_form(a, b, r, rd):
+    # a + b sqrt(r/rd) has the sign of a*rd + b sqrt(r*rd), all integers
+    assert sign_sqrt(a * rd, b, r * rd) == sign_sqrt(Fraction(a), Fraction(b),
+                                                     Fraction(r, rd))

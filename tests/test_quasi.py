@@ -287,3 +287,217 @@ def test_genset_builds_each_distance_table_once(monkeypatch):
     assert calls == [gm.S]
     gm.check_pair((0, 0), (1, 1), params)
     assert calls == [gm.S, gm.S2]
+
+
+# ---------------------------------------------------------------------------
+# the integer forms of the plane-side layer, against the Fraction bodies
+# they replaced (kept here verbatim as the oracle)
+
+
+def oracle_sample_plane_points(box, count, seed):
+    lo, hi = Fraction(box[0]), Fraction(box[1])
+    rng = random.Random(seed)
+    pts = []
+    for _ in range(count):
+        den = rng.choice(quasi._DENOMINATORS)
+        nlo, nhi = int(lo * den), int(hi * den)
+        pts.append((Fraction(rng.randint(nlo, nhi), den),
+                    Fraction(rng.randint(nlo, nhi), den)))
+    return pts
+
+
+def oracle_floor_chain_holds(p, q):
+    d_grid = word_metric(floor_map(p), floor_map(q))
+    adx, ady = abs(p[0] - q[0]), abs(p[1] - q[1])
+    mx = max(adx, ady)
+    sq = adx * adx + ady * ady
+    if d_grid > 2 * mx + 2:
+        return False
+    if mx * mx > sq:  # 2 max + 2 <= 2 sqrt(sq) + 2
+        return False
+    # lower: d_grid >= sqrt(sq) - 2, i.e. sqrt(sq) <= d_grid + 2
+    lhs = d_grid + 2
+    return sq <= lhs * lhs
+
+
+def oracle_roundtrip_displacement(samples):
+    best = Fraction(0)
+    arg = samples[0] if samples else (Fraction(0), Fraction(0))
+    for p in samples:
+        fp = floor_map(p)
+        sq = sq_euclidean(p, (Fraction(fp[0]), Fraction(fp[1])))
+        if sq > best:
+            best, arg = sq, p
+    return quasi.RoundtripReport(best, arg, len(samples))
+
+
+def oracle_quasi_surjectivity_bound(qmap, targets):
+    max_sq = Fraction(0)
+    if isinstance(qmap, FloorMap):
+        for t in targets:
+            # lattice targets are hit exactly: floor of the point itself
+            if floor_map((Fraction(t[0]), Fraction(t[1]))) != (t[0], t[1]):
+                raise ValueError(f"target {t} is not a lattice point")
+    elif isinstance(qmap, InclusionMap):
+        for t in targets:
+            x, y = Fraction(t[0]), Fraction(t[1])
+            cands = [(math.floor(x) + i, math.floor(y) + j)
+                     for i in (0, 1) for j in (0, 1)]
+            sq = min(sq_euclidean((x, y), (Fraction(a), Fraction(b)))
+                     for a, b in cands)
+            max_sq = max(max_sq, sq)
+        if max_sq >= 1:
+            raise AssertionError("cell geometry bound exceeded")
+    else:
+        raise ValueError("surjectivity probing supports floor and inclusion")
+    return quasi.SurjectivityReport(qmap.name, Fraction(1), max_sq, len(targets))
+
+
+def oracle_diagonal(check, params, budget):
+    for n in range(1, budget + 1):
+        pair = ((Fraction(0), Fraction(0)), (Fraction(n), Fraction(n)))
+        found = check(*pair, params)
+        if found:
+            return found[0]
+    return None
+
+
+# denominators up to 10^6 and negative coordinates, where // and truncation
+# disagree
+wide_fracs = st.tuples(st.integers(-10**9, 10**9),
+                      st.integers(1, 10**6)).map(lambda nd: Fraction(*nd))
+BOXES = [(Fraction(-7, 3), Fraction(5, 2)), (Fraction(-1000), Fraction(1000)),
+         (Fraction(0), Fraction(1)), (Fraction(-9, 2), Fraction(-1, 7)),
+         (Fraction(1, 3), Fraction(1, 3)), (Fraction(-5), Fraction(-5))]
+
+
+@given(wide_fracs, wide_fracs, wide_fracs, wide_fracs, k_squares, constants)
+def test_floor_kernel_matches_oracle_on_wide_denominators(a, b, c, d, k_sq, const):
+    params = QIParams.from_k_squared(k_sq, const)
+    assert_same(FloorMap().check_pair((a, b), (c, d), params),
+                oracle_floor((a, b), (c, d), params))
+
+
+def test_floor_kernel_floors_negative_coordinates():
+    # floor(-1/3) = -1 but int(-1/3) = 0: the pair is 2 grid steps apart
+    p, q = (Fraction(-1, 3), Fraction(0)), (Fraction(1), Fraction(0))
+    params = QIParams.from_k(1, 0)
+    got = FloorMap().check_pair(p, q, params)
+    assert got == oracle_floor(p, q, params)
+    assert [(v.side, v.margin) for v in got] == [("upper", Fraction(20, 9))]
+
+
+@given(st.one_of(fracs, wide_fracs), st.one_of(fracs, wide_fracs),
+       st.one_of(fracs, wide_fracs), st.one_of(fracs, wide_fracs))
+def test_floor_chain_matches_oracle(a, b, c, d):
+    assert floor_chain_holds((a, b), (c, d)) == oracle_floor_chain_holds((a, b), (c, d))
+
+
+def test_floor_chain_matches_oracle_near_cell_corners():
+    # pairs inside one cell or its neighbours, where the chains are tightest
+    # (sqrt(2) * 63/64 > 0 + 1 inside a single cell)
+    coords = [Fraction(v, 64) for v in (-65, -64, -1, 0, 1, 32, 63, 64, 129)]
+    pts = [(x, y) for x in coords for y in coords]
+    for p in pts:
+        for q in pts:
+            assert floor_chain_holds(p, q) == oracle_floor_chain_holds(p, q)
+
+
+@pytest.mark.parametrize("box", BOXES)
+def test_sampler_matches_oracle_point_for_point(box):
+    for seed in (0, 5, 11):
+        got = sample_plane_points(box, 300, seed)
+        assert got == oracle_sample_plane_points(box, 300, seed)
+        assert all(type(c) is Fraction for p in got for c in p)
+    assert sample_plane_pairs(box, 7, 3) == list(zip(*[iter(
+        oracle_sample_plane_points(box, 14, 3))] * 2))
+
+
+def test_sampler_rejects_an_empty_box_like_the_oracle():
+    box = (Fraction(5, 2), Fraction(-7, 3))
+    with pytest.raises(ValueError):
+        oracle_sample_plane_points(box, 3, 0)
+    with pytest.raises(ValueError):
+        sample_plane_points(box, 3, 0)
+
+
+@given(st.lists(st.tuples(st.one_of(fracs, wide_fracs),
+                          st.one_of(fracs, wide_fracs)), max_size=8))
+def test_roundtrip_matches_oracle(samples):
+    got = roundtrip_displacement(samples)
+    want = oracle_roundtrip_displacement(samples)
+    assert got == want and type(got.max_sq_displacement) is Fraction
+    if samples:
+        assert got.argmax is want.argmax
+
+
+@pytest.mark.parametrize("box", BOXES)
+def test_roundtrip_matches_oracle_on_sampled_boxes(box):
+    samples = sample_plane_points(box, 500, 9)
+    got = roundtrip_displacement(samples)
+    assert got == oracle_roundtrip_displacement(samples)
+    assert got.argmax is oracle_roundtrip_displacement(samples).argmax
+
+
+@given(st.lists(st.tuples(st.one_of(fracs, wide_fracs, st.integers(-9, 9)),
+                          st.one_of(fracs, wide_fracs, st.integers(-9, 9))),
+                max_size=8))
+def test_inclusion_surjectivity_matches_oracle(targets):
+    got = quasi_surjectivity_bound(InclusionMap(), targets)
+    assert got == oracle_quasi_surjectivity_bound(InclusionMap(), targets)
+    assert type(got.max_sq_distance) is Fraction
+
+
+@given(st.lists(st.tuples(st.one_of(fracs, st.integers(-9, 9)),
+                          st.one_of(fracs, st.integers(-9, 9))), max_size=8))
+def test_floor_surjectivity_matches_oracle(targets):
+    try:
+        want = oracle_quasi_surjectivity_bound(FloorMap(), targets)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match="not a lattice point") as got:
+            quasi_surjectivity_bound(FloorMap(), targets)
+        assert str(got.value) == str(exc)
+        return
+    assert quasi_surjectivity_bound(FloorMap(), targets) == want
+
+
+def test_surjectivity_rejects_other_maps():
+    with pytest.raises(ValueError, match="supports floor and inclusion"):
+        quasi_surjectivity_bound(GENSET, [(0, 0)])
+
+
+@pytest.mark.parametrize("k", [Fraction(7, 5), Fraction(3, 2), Fraction(141, 100),
+                               Fraction(1), Fraction(2)])
+@pytest.mark.parametrize("c", [Fraction(0), Fraction(1, 3), Fraction(2)])
+def test_diagonal_scan_matches_oracle(k, c):
+    params = QIParams.from_k(k, c)
+    for qmap, check in ((FloorMap(), oracle_floor),
+                        (InclusionMap(), oracle_inclusion)):
+        got = find_violation(qmap, params, "diagonal-ray", 400)
+        want = oracle_diagonal(check, params, 400)
+        if want is None:
+            assert got is None
+        else:
+            assert_same([got], [want])
+            assert all(type(x) is Fraction for pt in got.pair for x in pt)
+    gm = GensetMap(standard_generators(), GeneratingSet([(1, 0), (1, 1)]),
+                   radius_cap=40)
+    got = find_violation(gm, params, "diagonal-ray", 20)
+    want = oracle_diagonal(lambda p, q, prm: oracle_genset(gm, p, q, prm),
+                           params, 20)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert_same([got], [want])
+
+
+def test_diagonal_scan_matches_oracle_at_irrational_k():
+    for k_sq, c in [(2, 0), (2, Fraction(1, 2)), (Fraction(3, 2), 1),
+                    (Fraction(19, 10), 2)]:
+        params = QIParams.from_k_squared(k_sq, c)
+        for qmap, check in ((FloorMap(), oracle_floor),
+                            (InclusionMap(), oracle_inclusion)):
+            got = find_violation(qmap, params, "diagonal-ray", 300)
+            want = oracle_diagonal(check, params, 300)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert_same([got], [want])
