@@ -69,6 +69,18 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _box(text: str) -> tuple[Fraction, Fraction]:
+    """argparse type: a box "lo,hi" not of two rationals lo <= hi exits with 2."""
+    try:
+        lo, hi = map(Fraction, text.split(","))
+        if lo <= hi:
+            return lo, hi
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected two rationals lo,hi with lo <= hi, got {text!r}")
+
+
 def _fmt(value):
     """JSON-friendly rendering of exact values."""
     if isinstance(value, bool):
@@ -304,8 +316,6 @@ def _violations_payload(violations) -> list:
 def _cmd_qi_check(args) -> int:
     qmap = _qi_map(args)
     params = _qi_params(args)
-    lo, hi = (args.box.split(",") + ["1000"])[:2] if args.box else ("-1000", "1000")
-    box = (_frac(lo), _frac(hi))
     if args.map == "genset":
         pts = quasi.lattice_ball(args.radius)
         pairs = list(islice(product(pts, pts), args.count))
@@ -315,14 +325,14 @@ def _cmd_qi_check(args) -> int:
         rng = random.Random(args.seed)
         pairs = [(rng.choice(ball), rng.choice(ball)) for _ in range(args.count)]
     else:
-        pairs = quasi.sample_plane_pairs(box, args.count, args.seed)
+        pairs = quasi.sample_plane_pairs(args.box, args.count, args.seed)
     report = quasi.check_embedding(qmap, params, pairs)
     if args.map == "floor":
         targets = [quasi.floor_map(p) for p, _ in pairs[:256]]
         surj = quasi.quasi_surjectivity_bound(qmap, targets)
         report.surjectivity_bound = surj.bound
     elif args.map == "inclusion":
-        targets = quasi.sample_plane_points(box, 256, args.seed + 1)
+        targets = quasi.sample_plane_points(args.box, 256, args.seed + 1)
         surj = quasi.quasi_surjectivity_bound(qmap, targets)
         report.surjectivity_bound = surj.bound
     payload = {
@@ -357,9 +367,7 @@ def _cmd_qi_violate(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
-    lo, hi = args.box.split(",") if args.box else ("-1000", "1000")
-    samples = quasi.sample_plane_points((_frac(lo), _frac(hi)),
-                                        args.count, args.seed)
+    samples = quasi.sample_plane_points(args.box, args.count, args.seed)
     report = quasi.roundtrip_displacement(samples)
     payload = {"max_sq_displacement": str(report.max_sq_displacement),
                "argmax": [_fmt(c) for c in report.argmax],
@@ -610,7 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gens2")
         p.add_argument("--cap", type=int, default=64)
         if name == "qi-check":
-            p.add_argument("--box", default=None, help="sampling box lo,hi")
+            p.add_argument("--box", type=_box, default="-1000,1000",
+                           help="sampling box lo,hi")
             p.add_argument("--count", type=_count, default=1000)
             p.add_argument("--radius", type=int, default=10)
         else:
@@ -620,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p = sub.add_parser("roundtrip", help="displacement of floor-then-include")
-    p.add_argument("--box", default=None)
+    p.add_argument("--box", type=_box, default="-1000,1000")
     p.add_argument("--count", type=_count, default=1000)
     p.set_defaults(func=_cmd_roundtrip)
 

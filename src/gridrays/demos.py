@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import mpmath
-
 from . import rays
+from .exactnum import Surd
 from .rays import (BallQuery, Enclosure, RayCode, n_map, parse_ray,
                    trivial_topology_demo, validate)
 
@@ -45,18 +44,6 @@ class DemoReport:
         return all(a.passed for a in self.assertions)
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
-    val = Fraction(-man if sign else man)
-    if exp >= 0:
-        return val * (1 << exp)
-    return val / (1 << -exp)
-
-
-def _iv_to_enclosure(ival) -> Enclosure:
-    return Enclosure(_mpf_to_fraction(ival.a), _mpf_to_fraction(ival.b))
-
-
 def precision_bits() -> int:
     raw = os.environ.get(PRECISION_ENV)
     if raw:
@@ -65,6 +52,23 @@ def precision_bits() -> int:
             raise ValueError(f"{PRECISION_ENV} must be at least 8")
         return bits
     return DEFAULT_PRECISION_BITS
+
+
+def _pi_bounds(bits: int) -> tuple[Fraction, Fraction]:
+    """pi = 16*atan(1/5) - 4*atan(1/239) in fixed point: each floored term is
+    off by < 1 and the dropped tail is < 1, so the error is below the weighted
+    term counts + 1; the guard bits keep the width at most 2^(1-bits)."""
+    one = 1 << (bits + bits.bit_length() + 8)
+    total = err = 0
+    for weight, x in ((16, 5), (-4, 239)):
+        power, k, acc = one // x, 0, 0
+        while power:
+            acc += (-1) ** k * (power // (2 * k + 1))
+            power //= x * x
+            k += 1
+        total += weight * acc
+        err += abs(weight) * (k + 1)
+    return Fraction(total - err, one), Fraction(total + err, one)
 
 
 @dataclass(frozen=True)
@@ -86,15 +90,10 @@ def cone_lengths(epsilon: Fraction,
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     bits = bits if bits is not None else precision_bits()
-    iv = mpmath.iv
-    old = iv.prec
-    try:
-        iv.prec = bits + 16
-        eps_iv = iv.mpf(epsilon.numerator) / iv.mpf(epsilon.denominator)
-        through = _iv_to_enclosure(2 * iv.sqrt(26) * eps_iv)
-        around = _iv_to_enclosure(iv.pi * eps_iv)
-    finally:
-        iv.prec = old
+    lo, hi = Surd(0, 2, 26).bounds(bits)
+    through = Enclosure(lo * epsilon, hi * epsilon)
+    lo, hi = _pi_bounds(bits)
+    around = Enclosure(lo * epsilon, hi * epsilon)
     if through.lo > around.hi:
         extendable = False
     elif through.hi < around.lo:

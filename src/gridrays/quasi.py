@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import floor
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .exactnum import Exact, sign_sqrt, sqrt_exact
 from .lattice import GeneratingSet, LatticePoint, bfs_distances
@@ -225,26 +225,30 @@ Map = Union[FloorMap, InclusionMap, GensetMap]
 _DENOMINATORS = (1, 2, 3, 4, 5, 7, 8, 16, 32, 64)
 
 
-def sample_plane_points(box: tuple[Fraction, Fraction], count: int,
-                        seed: int) -> list[PlanePoint]:
-    """Seeded rational points in [lo, hi]^2 with small denominators."""
+def _plane_points(box, seed: int) -> Iterator[PlanePoint]:
+    """Endless seeded stream of points in [lo, hi]^2 with small denominators."""
     lo, hi = Fraction(box[0]), Fraction(box[1])
     # numerator range per denominator, truncated toward zero
     span = {den: (int(lo * den), int(hi * den)) for den in _DENOMINATORS}
     rng = random.Random(seed)
     choice, randint = rng.choice, rng.randint
-    pts = []
-    for _ in range(count):
+    while True:
         den = choice(_DENOMINATORS)
         nlo, nhi = span[den]
-        pts.append((Fraction(randint(nlo, nhi), den),
-                    Fraction(randint(nlo, nhi), den)))
-    return pts
+        yield (Fraction(randint(nlo, nhi), den),
+               Fraction(randint(nlo, nhi), den))
+
+
+def sample_plane_points(box: tuple[Fraction, Fraction], count: int,
+                        seed: int) -> list[PlanePoint]:
+    """Seeded rational points in [lo, hi]^2 with small denominators."""
+    pts = _plane_points(box, seed)
+    return [next(pts) for _ in range(count)]
 
 
 def sample_plane_pairs(box, count, seed) -> list[tuple[PlanePoint, PlanePoint]]:
-    pts = sample_plane_points(box, 2 * count, seed)
-    return list(zip(pts[::2], pts[1::2]))
+    pts = _plane_points(box, seed)
+    return [(next(pts), next(pts)) for _ in range(count)]
 
 
 def lattice_ball(radius: int) -> list[LatticePoint]:
@@ -306,8 +310,10 @@ def find_violation(qmap: Map, params: QIParams, strategy: str,
                     return found[0]
         return None
     if strategy == "random":
-        for pair in sample_plane_pairs(box, budget, seed):
-            found = qmap.check_pair(*pair, params)
+        # pairs are checked as they are drawn, so an early witness is cheap
+        pts = _plane_points(box, seed)
+        for _ in range(budget):
+            found = qmap.check_pair(next(pts), next(pts), params)
             if found:
                 return found[0]
         return None

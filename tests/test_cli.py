@@ -2,12 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from gridrays.cli import REGISTRY, build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SUBCOMMANDS = [
     "metric", "bfs-metric", "count", "enumerate", "is-geodesic",
@@ -206,6 +212,32 @@ def test_zero_count_is_a_usage_error(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "--count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("box", ["--box=5", "--box=1,2,3", "--box=5/2,-7/3",
+                                 "--box=1/0,2", "--box=a,b"])
+@pytest.mark.parametrize("command", ["qi-check", "roundtrip"])
+def test_malformed_box_is_a_usage_error(command, box, capsys):
+    # a box is exactly two rationals lo <= hi, on both subcommands alike
+    with pytest.raises(SystemExit) as exc:
+        main([command, box, "--count", "5"])
+    assert exc.value.code == 2
+    assert "--box" in capsys.readouterr().err
+
+
+def test_no_runtime_dependencies():
+    # the package and the cone demo run with mpmath unimportable
+    code = ("import sys; sys.modules['mpmath'] = None\n"
+            "import gridrays, gridrays.cli\n"
+            "sys.exit(gridrays.cli.main(['demo', 'cone', '--eps', '1/7']))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "OK"
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []
 
 
 GENSET_ARGS = ["--map", "genset", "--gens", "1,0;0,1", "--gens2", "1,0;1,1",

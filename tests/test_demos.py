@@ -25,6 +25,35 @@ def test_cone_lengths_precision_scales(monkeypatch):
     assert not fine.extendable
 
 
+# pi to 100 decimals, truncated: PI_100 < pi < PI_100 + 10^-100
+PI_100 = Fraction(
+    "3.1415926535897932384626433832795028841971693993751"
+    "058209749445923078164062862089986280348253421170679")
+
+
+@pytest.mark.parametrize("bits", [8, 32, 64, 96, 300])
+@pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 10), Fraction(1, 7),
+                                 Fraction(3, 2), Fraction(1, 10**9)])
+def test_cone_enclosures_contain_their_values(eps, bits):
+    result = cone_lengths(eps, bits=bits)
+    through, around = result.through_cone, result.around_cone
+    # lo < 2*sqrt(26)*eps < hi, decided on squares: (2*sqrt(26)*eps)^2 = 104*eps^2
+    assert 0 < through.lo and through.lo ** 2 < 104 * eps ** 2 < through.hi ** 2
+    assert around.lo <= PI_100 * eps
+    assert (PI_100 + Fraction(1, 10**100)) * eps <= around.hi
+    for enc in (through, around):
+        assert 0 < enc.width <= 4 * eps / 2**bits
+
+
+def test_precision_env_narrows_cone_enclosures(monkeypatch):
+    monkeypatch.setenv(demos.PRECISION_ENV, "64")
+    coarse = cone_lengths(Fraction(1))
+    monkeypatch.setenv(demos.PRECISION_ENV, "128")
+    fine = cone_lengths(Fraction(1))
+    for attr in ("through_cone", "around_cone"):
+        assert 0 < getattr(fine, attr).width < getattr(coarse, attr).width
+
+
 def test_demo_cone_ok():
     report = demo_cone(Fraction(1, 10))
     assert report.ok

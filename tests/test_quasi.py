@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -501,3 +502,47 @@ def test_diagonal_scan_matches_oracle_at_irrational_k():
             assert (got is None) == (want is None)
             if want is not None:
                 assert_same([got], [want])
+
+
+def oracle_random_search(qmap, params, budget, seed, box):
+    # the eager search: sample all pairs, then check them in order
+    pts = oracle_sample_plane_points(box, 2 * budget, seed)
+    for pair in zip(pts[::2], pts[1::2]):
+        found = qmap.check_pair(*pair, params)
+        if found:
+            return found[0]
+    return None
+
+
+DEFAULT_SEARCH_BOX = (Fraction(-100), Fraction(100))
+
+
+# witnesses at pairs 0, 40 and 227, a budget that stops one pair short of
+# 227, and a certificate that holds
+@pytest.mark.parametrize("qmap, k, c, budget, box", [
+    (FloorMap(), 1, 0, 500, DEFAULT_SEARCH_BOX),
+    (FloorMap(), Fraction(3, 2), 1, 500, (Fraction(-5), Fraction(5))),
+    (InclusionMap(), Fraction(7, 5), 2, 500, DEFAULT_SEARCH_BOX),
+    (InclusionMap(), Fraction(7, 5), 2, 227, DEFAULT_SEARCH_BOX),
+    (FloorMap(), 2, 2, 300, DEFAULT_SEARCH_BOX),
+])
+def test_random_search_matches_eager_oracle(qmap, k, c, budget, box):
+    params = QIParams.from_k(k, c)
+    got = find_violation(qmap, params, "random", budget, seed=3, box=box)
+    want = oracle_random_search(qmap, params, budget, 3, box)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert_same([got], [want])
+
+
+def test_random_search_checks_pairs_as_drawn():
+    params = QIParams.from_k(1, 0)
+    want = oracle_random_search(FloorMap(), params, 10, 3, DEFAULT_SEARCH_BOX)
+    tracemalloc.start()
+    try:
+        got = find_violation(FloorMap(), params, "random", 10**5, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same([got], [want])
+    assert peak < 1 << 20
