@@ -625,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--strategy", default="diagonal-ray",
                            choices=("diagonal-ray", "grid", "random"))
-            p.add_argument("--budget", type=int, default=1000)
+            p.add_argument("--budget", type=_count, default=1000)
         p.set_defaults(func=func)
 
     p = sub.add_parser("roundtrip", help="displacement of floor-then-include")

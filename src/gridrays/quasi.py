@@ -27,11 +27,6 @@ PlanePoint = tuple[Fraction, Fraction]
 Pair = tuple[tuple, tuple]
 
 
-def parse_plane_point(text: str) -> PlanePoint:
-    x, y = text.split(",")
-    return Fraction(x), Fraction(y)
-
-
 def floor_map(p: PlanePoint) -> LatticePoint:
     """Componentwise floor, the quasi-isometry from the plane to the grid."""
     return (floor(p[0]), floor(p[1]))

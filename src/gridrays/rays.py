@@ -20,12 +20,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, count
 from math import ceil, floor, lcm
 from typing import Optional, Union
 
-from .exactnum import (Exact, Surd, exact_ceil, exact_floor, exact_sign,
-                       floor_sqrt, is_rational)
+from .exactnum import (Exact, Surd, _make, exact_ceil, exact_floor,
+                       exact_sign, floor_sqrt, is_rational, sign_sqrt)
 from .lattice import DISPLACEMENTS, ORIGIN, LatticePoint, word_metric
 
 #: (horizontal digit, vertical digit) for each quadrant window w, whose
@@ -484,9 +484,6 @@ class Enclosure:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def midpoint_float(self) -> float:
-        return float((self.lo + self.hi) / 2)
-
 
 def n_map(ray: RayCode, width: Fraction = Fraction(1, 1 << 64)
           ) -> Union[Fraction, Enclosure]:
@@ -592,26 +589,123 @@ class Unknown:
 Verdict = Union[Asymptotic, Divergent, Unknown]
 
 
+def _mechanical(ray: RayCode):
+    """The ray's tail as a line, or None when the tail is no mechanical word.
+
+    The line is (sx, sy, A, B, C, E, d, den): among the first n tail steps,
+    h(n) = floor((A*n + B + (C*n + E)*sqrt(d)) / den) move sx horizontally
+    and the rest move sy vertically. A Sturmian tail is its staircase read
+    from its offset; the clamp to [0, n] never acts there, as 0 < ux < 1
+    and the line leaves the origin. A periodic tail with a horizontal steps
+    per period P is mechanical iff h(n) = floor((a*n + e) / P) for some
+    integer e, i.e. iff it is balanced (Lothaire, Algebraic Combinatorics
+    on Words, ch. 2): step n < P confines e to the interval
+    [h(n)*P - a*n, (h(n)+1)*P - a*n - 1], and these intervals must meet.
+    """
+    tail = ray.tail
+    if isinstance(tail, SturmianTail):
+        h, v = WINDOW_DIGITS[tail.window]
+        line, o = tail._line, tail.offset + 1
+        return (DISPLACEMENTS[h][0], DISPLACEMENTS[v][1], line._p,
+                line._p * o + line._p0 - tail._h0 * line._den,
+                line._q, line._q * o + line._q0, line._d, line._den)
+    steps = [DISPLACEMENTS[d] for d in tail.period]
+    period = len(steps)
+    a = sum(1 for dx, _ in steps if dx)
+    lo, hi, h = 0, period - 1, 0
+    for n, (dx, _) in enumerate(steps):
+        lo = max(lo, h * period - a * n)
+        hi = min(hi, (h + 1) * period - a * n - 1)
+        h += dx != 0
+    if lo > hi:
+        return None
+    sx = next((dx for dx, _ in steps if dx), 1)
+    sy = next((dy for _, dy in steps if dy), 1)
+    return sx, sy, a, lo, 0, 0, 0, period
+
+
+def _first_k(a1: int, b1: int, a0: int, b0: int, d: int, strict: bool) -> int:
+    """Least k >= 0 with (a1 + b1*sqrt(d))*k + a0 + b0*sqrt(d) >= 0 (> 0 if
+    strict), given a positive slope: the ceiling of the root, checked
+    exactly, as the root -(a0 + b0*sqrt(d))/(a1 + b1*sqrt(d)) may be an
+    integer."""
+    u, v, w = b0 * b1 * d - a0 * a1, a0 * b1 - a1 * b0, a1 * a1 - b1 * b1 * d
+    if w < 0:
+        u, v, w = -u, -v, -w
+    k = max(floor_sqrt(u, v, d, w), 0)
+    s = sign_sqrt(a1 * k + a0, b1 * k + b0, d)
+    return k if s > 0 or (s == 0 and not strict) else k + 1
+
+
+def _first_passage(f: RayCode, g: RayCode, M: int,
+                   horizon: Optional[int] = None) -> Optional[int]:
+    """Smallest t (<= horizon, if given) with d(f(t), g(t)) > M, or None.
+
+    Lap residues: if f has a periodic tail (period P, lap vector L) and g a
+    mechanical one, write t = T0 + r + k*P past both preambles (T0), with
+    0 <= r < P. Then f(t) = f(T0 + r) + k*L, and g(t) moves by the floor
+    of a line in k. d > M iff one of the four forms s1*dx + s2*dy exceeds
+    M, and each form reads lin(k) + c*floor(y(k)) with c in {-2, 0, 2} and
+    lin integer-linear in k. Both points lie at word length t, so every
+    form is even: halved, it exceeds M // 2, and floor(y) >= m iff y >= m,
+    floor(y) < m iff y < m make it one linear inequality in k, solved by
+    a ceiling. Times below T0 + P (the preambles and k = 0) are evaluated
+    directly; a form whose slope in k is not positive then never holds.
+    The answer is the least over residues and forms, in O(T0 + P) exact
+    operations and O(1) memory. Other pairs get a streamed scan.
+    """
+    line = None
+    for a, b in ((f, g), (g, f)):
+        if isinstance(a.tail, PeriodicTail) and (line := _mechanical(b)):
+            f, g = a, b
+            break
+    end = None
+    if line is not None:
+        period = len(f.tail.period)
+        t0 = max(len(f.preamble), len(g.preamble))
+        end = t0 + period
+    if horizon is not None:
+        end = horizon + 1 if end is None else min(end, horizon + 1)
+    for t in count() if end is None else range(end):
+        if word_metric(f.point_at(t), g.point_at(t)) > M:
+            return t
+    if line is None or end < t0 + period:
+        return None
+    sx, sy, A, B, C, E, d, den = line
+    lx, ly = f.tail._table[-1]
+    gx, gy = g._pre[-1]
+    pg, m = len(g.preamble), M // 2
+    forms = []
+    for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        c = (s2 * sy - s1 * sx) // 2
+        e1 = (s1 * lx + s2 * ly - s2 * sy * period) // 2
+        a1, b1 = den * e1 + c * A * period, c * C * period
+        if sign_sqrt(a1, b1, d) > 0:
+            forms.append((s1, s2, c, a1, b1))
+    best = None
+    for t in range(t0, t0 + period):
+        if best is not None and t + period >= best:
+            break
+        (x, y), n = f.point_at(t), t - pg
+        for s1, s2, c, a1, b1 in forms:
+            e0 = (s1 * (x - gx) + s2 * (y - gy - sy * n)) // 2
+            a0 = den * (e0 - m) + c * (A * n + B) - (den if c > 0 else 0)
+            k = _first_k(a1, b1, a0, c * (C * n + E), d, strict=c <= 0)
+            if best is None or t + k * period < best:
+                best = t + k * period
+    if horizon is not None and best is not None and best > horizon:
+        return None
+    return best
+
+
 def divergence_time(f: RayCode, g: RayCode, M: int,
                     horizon: int) -> Optional[int]:
     """Smallest t <= horizon with d(f(t), g(t)) > M, or None."""
     _require_valid(f)
     _require_valid(g)
-    pf = f.points(horizon)
-    pg = g.points(horizon)
-    for t in range(horizon + 1):
-        if word_metric(pf[t], pg[t]) > M:
-            return t
-    return None
-
-
-def _divergence_witness(f: RayCode, g: RayCode) -> tuple[int, int]:
-    horizon = 64
-    while True:
-        t = divergence_time(f, g, DIVERGENCE_PROBE, horizon)
-        if t is not None:
-            return t, word_metric(f.point_at(t), g.point_at(t))
-        horizon *= 4
+    if horizon < 0:
+        raise ValueError("time must be nonnegative")
+    return _first_passage(f, g, M, horizon)
 
 
 def _sturmian_line_bound(ray: RayCode) -> Exact:
@@ -626,12 +720,20 @@ def _sturmian_line_bound(ray: RayCode) -> Exact:
     cx = ax_ + bx + (o - p) * ux
     cy = ay_ + by + (o - p) * uy
     bound = abs(cx) + abs(cy) + 2
-    for tt in range(p + 1):
-        x, y = ray.point_at(tt)
-        dev = abs(x - tt * ux) + abs(y - tt * uy)
-        if dev > bound:
-            bound = dev
-    return bound
+    # a valid preamble stays in the tail's quadrant, so its deviation at
+    # step s is 2*|X - s*a| with X = |x| and a = |ux| = (P + Q*sqrt(d))/D;
+    # the largest is kept as integers: 2*(top_a + top_b*sqrt(d))/D
+    line = t._line
+    P, Q, d, D = line._p, line._q, line._d, line._den
+    top_a = top_b = 0
+    for s, (x, _) in enumerate(ray._pre):
+        a, b = D * abs(x) - s * P, -s * Q
+        if sign_sqrt(a, b, d) < 0:
+            a, b = -a, -b
+        if sign_sqrt(a - top_a, b - top_b, d) > 0:
+            top_a, top_b = a, b
+    dev = _make(Fraction(2 * top_a, D), Fraction(2 * top_b, D), d)
+    return dev if dev > bound else bound
 
 
 def are_asymptotic(f: RayCode, g: RayCode) -> Verdict:
@@ -646,8 +748,8 @@ def are_asymptotic(f: RayCode, g: RayCode) -> Verdict:
     _require_valid(f)
     _require_valid(g)
     if f.direction() != g.direction():
-        t, d = _divergence_witness(f, g)
-        return Divergent(t, d)
+        t = _first_passage(f, g, DIVERGENCE_PROBE)
+        return Divergent(t, word_metric(f.point_at(t), g.point_at(t)))
     if isinstance(f.tail, PeriodicTail) and isinstance(g.tail, PeriodicTail):
         transient = max(len(f.preamble), len(g.preamble))
         L = lcm(len(f.tail.period), len(g.tail.period))

@@ -214,6 +214,18 @@ def test_zero_count_is_a_usage_error(argv, capsys):
     assert "--count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("strategy", ["random", "grid", "diagonal-ray"])
+def test_vacuous_budget_is_a_usage_error(strategy, budget, capsys):
+    # a search over no pairs would print "none" for a certificate that
+    # fails on nearly every pair
+    with pytest.raises(SystemExit) as exc:
+        main(["qi-violate", "--k", "1", "--c", "0", "--strategy", strategy,
+              "--budget", budget])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("box", ["--box=5", "--box=1,2,3", "--box=5/2,-7/3",
                                  "--box=1/0,2", "--box=a,b"])
 @pytest.mark.parametrize("command", ["qi-check", "roundtrip"])
@@ -294,14 +306,68 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv, code, text_sha, json_sha", GOLDEN,
-                         ids=[" ".join(g[0]) for g in GOLDEN])
-def test_certificate_output_is_byte_identical(argv, code, text_sha, json_sha,
-                                              capsys):
+# the same for ray classification, frozen from the list-building scans and
+# the Surd line bound; "0101(010)" and "222122212(221)" are `splice` output
+# (`splice (01) (001) 7`, `splice slope:3/1@2 slope:2/1@2 9`)
+RAY_GOLDEN = [
+    (["asymptotic", "(01)", "1(01)"], 0,
+     "b084e18934767290536ba07854b52f55d3ee4e49592053ea1a77a71bb5b3eb56",
+     "a334a52597056f35422fdcface2707328adf47a38198c87ba977ea1431dac279"),
+    (["asymptotic", "0101(010)", "(001)"], 0,
+     "b084e18934767290536ba07854b52f55d3ee4e49592053ea1a77a71bb5b3eb56",
+     "4a7f6993ba8d50208bfd23f6b43fd096bd1be187f5f5dfb6b3cfef57cb05d28e"),
+    (["asymptotic", "222122212(221)", "slope:2/1@2"], 0,
+     "b084e18934767290536ba07854b52f55d3ee4e49592053ea1a77a71bb5b3eb56",
+     "26cb9a4b7d95b3ec7635b3095e11fc992378d15cba096709e18cfd6e6235193a"),
+    (["asymptotic", "slope:30/1@1", "slope:29/1@1"], 0,
+     "ba31f872023ebe4c5a0a56c0bbfc64919d36295db9253555d317521d9cb9d2c1",
+     "a1dd7f6e2459976e51f1b128e04e311afafc321b4d20694c24e4f454dabf87e5"),
+    (["asymptotic", "slope:7/3@3", "slope:3/7@3"], 0,
+     "74c159265e64983fd0fb19cdb654072f982543e1b6bc39244193c4b05412e64a",
+     "aa56f248d154b1858f392e97b79015b0cb16146e8d21bd05f1eda43cc562770f"),
+    (["asymptotic", "(0)", "(1)"], 0,
+     "07bc682289ecb18e389c593902570fa4e188f0f54aa3238d943e6f7db36c5476",
+     "e67364703255281351bbd3806b9c040ae09a00f4d48889d40b8f2d530a2b322d"),
+    (["divergence", "(0)", "(1)", "--M", "10"], 0,
+     "06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7",
+     "94fa723f27a63569bfdde12a0423e5c81222ffb78efdbaff9f6e09faedf7431e"),
+    (["divergence", "slope:3/2@4", "slope:2/3@4", "--M", "25"], 0,
+     "2a62cf402cd3396aa00f55f892f4545f308f74d01c8caa0f2837b1982f821595",
+     "79bd6a74903ed5db4668d082f1cb29453f5ba9d5b0249982070a2faa0d0fbd4a"),
+    (["divergence", "(01)", "1(01)"], 0,
+     "391bc413c3044926b4afa41806bf4a5c4fad68a3165b8563fe1bffec0792fc76",
+     "c8dd2a90faf93f0be1c2c08ca3605bbe79390e8919dd63db08d42ffaa6ee7dc8"),
+    (["divergence", "slope:5/1@1", "slope:4/1@1", "--horizon", "50"], 0,
+     "391bc413c3044926b4afa41806bf4a5c4fad68a3165b8563fe1bffec0792fc76",
+     "c3bd70de95748ff1dda2f4ad49adbe8c308c72cbdd0fa973d12c67beb954e5c8"),
+    (["demo", "trivial-topology"], 0,
+     "865b9be521fd74b003096a0d804ba61335d67bd17a824c9faa962062eeef4b2e",
+     "629ff98d6055daf7f0d68e94619bae92ff76ff7a103f916b185ccc30e2a36b80"),
+    (["demo", "trivial-topology", "--f", "(001)", "--g", "(011)",
+      "--K", "0,12"], 0,
+     "865b9be521fd74b003096a0d804ba61335d67bd17a824c9faa962062eeef4b2e",
+     "83f3df9091169e89ca5c6008563059246d00ab8332e2ed396cc99fc5c3da2435"),
+]
+
+
+def _assert_golden(argv, code, text_sha, json_sha, capsys):
     for fmt, want in (("text", text_sha), ("json", json_sha)):
         got_code, out, _ = run(["--format", fmt, *argv], capsys)
         assert got_code == code
         assert hashlib.sha256(out.encode()).hexdigest() == want, fmt
+
+
+@pytest.mark.parametrize("argv, code, text_sha, json_sha", GOLDEN,
+                         ids=[" ".join(g[0]) for g in GOLDEN])
+def test_certificate_output_is_byte_identical(argv, code, text_sha, json_sha,
+                                              capsys):
+    _assert_golden(argv, code, text_sha, json_sha, capsys)
+
+
+@pytest.mark.parametrize("argv, code, text_sha, json_sha", RAY_GOLDEN,
+                         ids=[" ".join(g[0]) for g in RAY_GOLDEN])
+def test_ray_output_is_byte_identical(argv, code, text_sha, json_sha, capsys):
+    _assert_golden(argv, code, text_sha, json_sha, capsys)
 
 
 def test_negative_time_is_a_library_error(capsys):

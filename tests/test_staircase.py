@@ -12,11 +12,11 @@ from fractions import Fraction
 from math import floor, gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from gridrays import rays
+from gridrays import exactnum, rays
 from gridrays.ell1 import Polyline, project_to_lattice
-from gridrays.exactnum import sqrt_exact
+from gridrays.exactnum import exact_floor, sqrt_exact
 from gridrays.lattice import DISPLACEMENTS, word_metric
 from gridrays.rays import (Enclosure, RayCode, Staircase, SturmianTail,
                            WINDOW_DIGITS, digitize, n_map, periodic_ray)
@@ -181,6 +181,27 @@ class SturmianRayOracle:
         return bound
 
 
+def line_bound_oracle(ray):
+    """``rays._sturmian_line_bound`` as it was: Surd deviations per preamble
+    step."""
+    t = ray.tail
+    ux, uy = ray.direction()
+    p = len(ray.preamble)
+    o = t.offset
+    # anchor error: ray(t) = A + S(o+t-p) - S(o) with S(n) within 2 of n*u,
+    # S(n) the pure stream's point after n steps; -S(o) = displacement(-o)
+    (ax_, ay_), (bx, by) = ray.point_at(p), t.displacement(-o)
+    cx = ax_ + bx + (o - p) * ux
+    cy = ay_ + by + (o - p) * uy
+    bound = abs(cx) + abs(cy) + 2
+    for tt in range(p + 1):
+        x, y = ray.point_at(tt)
+        dev = abs(x - tt * ux) + abs(y - tt * uy)
+        if dev > bound:
+            bound = dev
+    return bound
+
+
 # -- strategies -----------------------------------------------------------------
 
 NON_SQUARES = [d for d in range(2, 200) if int(d ** 0.5) ** 2 != d]
@@ -236,6 +257,69 @@ def test_sturmian_ray_matches_stream_oracle(direction, w, offset, data):
     assert [ray.point_at(t) for t in range(n, -1, -1)] == oracle.points(n)[::-1]
     assert n_map(ray) == oracle.n_map()
     assert rays._sturmian_line_bound(ray) == oracle.line_bound(*ray.direction())
+
+
+@st.composite
+def spliced_sturmian_rays(draw):
+    """A Sturmian line in any window, spliced after a periodic ray at s."""
+    w = draw(st.sampled_from(range(4)))
+    h, v = WINDOW_DIGITS[w]
+    sx, sy = DISPLACEMENTS[h][0], DISPLACEMENTS[v][1]
+    ax, ay = draw(irrational_directions())
+    digits = st.sampled_from((h, v))
+    # runs of one digit take the preamble far from the line and back, so
+    # its largest deviation can beat the anchor term, on either side
+    runs = st.lists(st.tuples(digits, st.integers(1, 30)), max_size=4)
+    pre = [d for d, n in draw(runs) for _ in range(n)]
+    head = periodic_ray(pre, draw(st.lists(digits, min_size=1, max_size=7)))
+    assume(rays.validate(head))
+    return rays.splice(head, digitize(sx * ax, sy * ay),
+                       draw(st.integers(0, 700)))
+
+
+@st.composite
+def detour_rays(draw):
+    """A Sturmian line spliced after a detour of n steps one way and then as
+    many steps the other way as bring it back to the line, so the largest
+    deviation sits inside the preamble, above or below the line."""
+    w = draw(st.sampled_from(range(4)))
+    h, v = WINDOW_DIGITS[w]
+    sx, sy = DISPLACEMENTS[h][0], DISPLACEMENTS[v][1]
+    ax, ay = draw(irrational_directions())
+    line = digitize(sx * ax, sy * ay)
+    a, n = line.tail.ux, draw(st.integers(1, 350))
+    out, back = (v, h) if draw(st.booleans()) else (h, v)
+    ratio = a / (1 - a) if out == v else (1 - a) / a
+    pre = [out] * n + [back] * exact_floor(n * ratio)
+    assume(len(pre) <= 700)
+    return rays.splice(periodic_ray(pre, [back]), line, len(pre))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(spliced_sturmian_rays(), detour_rays()))
+def test_line_bound_matches_oracle_at_long_preambles(ray):
+    got, want = rays._sturmian_line_bound(ray), line_bound_oracle(ray)
+    assert got == want and type(got) is type(want)
+
+
+def test_line_bound_builds_constant_many_surds(monkeypatch):
+    made = []
+
+    def counting_make(a, b, d):
+        made.append(d)
+        return make(a, b, d)
+
+    make = exactnum._make
+    monkeypatch.setattr(exactnum, "_make", counting_make)
+    monkeypatch.setattr(rays, "_make", counting_make)
+    head, line = periodic_ray("", "001"), digitize(1, sqrt_exact(3))
+    counts = []
+    for s in (20, 200, 700):
+        ray = rays.splice(head, line, s)
+        made.clear()
+        rays._sturmian_line_bound(ray)
+        counts.append(len(made))
+    assert counts[0] == counts[1] == counts[2] < 40
 
 
 @settings(deadline=None, max_examples=30)
