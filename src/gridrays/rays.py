@@ -117,6 +117,10 @@ class Staircase:
                        self._d, self._den)
         return 0 if h < 0 else n if h > n else h
 
+    def speed(self) -> tuple[int, int, int, int]:
+        """ux as integers (P, Q, d, D), ux = (P + Q*sqrt(d))/D."""
+        return self._p, self._q, self._d, self._den
+
     def digits(self, n: int, hdig: int, vdig: int) -> list[int]:
         """The first n steps, written hdig (horizontal) or vdig (vertical)."""
         hs = list(map(self.horizontal, range(n + 1)))
@@ -190,6 +194,10 @@ class SturmianTail:
     def horizontal(self, k: int) -> int:
         """Horizontal steps among the first k digits of this tail."""
         return self._line.horizontal(self.offset + k) - self._h0
+
+    def speed(self) -> tuple[int, int, int, int]:
+        """ux as integers (P, Q, d, D), ux = (P + Q*sqrt(d))/D."""
+        return self._line.speed()
 
     def digit(self, k: int) -> int:
         h, v = WINDOW_DIGITS[self.window]
@@ -590,26 +598,19 @@ Verdict = Union[Asymptotic, Divergent, Unknown]
 
 
 def _mechanical(ray: RayCode):
-    """The ray's tail as a line, or None when the tail is no mechanical word.
+    """The ray's tail as a line, or None when the tail is no balanced period.
 
-    The line is (sx, sy, A, B, C, E, d, den): among the first n tail steps,
-    h(n) = floor((A*n + B + (C*n + E)*sqrt(d)) / den) move sx horizontally
-    and the rest move sy vertically. A Sturmian tail is its staircase read
-    from its offset; the clamp to [0, n] never acts there, as 0 < ux < 1
-    and the line leaves the origin. A periodic tail with a horizontal steps
-    per period P is mechanical iff h(n) = floor((a*n + e) / P) for some
-    integer e, i.e. iff it is balanced (Lothaire, Algebraic Combinatorics
-    on Words, ch. 2): step n < P confines e to the interval
-    [h(n)*P - a*n, (h(n)+1)*P - a*n - 1], and these intervals must meet.
+    The line is (sx, sy, a, e, P): among the first n tail steps,
+    h(n) = floor((a*n + e) / P) move sx horizontally and the rest move sy
+    vertically. A periodic tail with a horizontal steps per period P is
+    mechanical iff such an integer e exists, i.e. iff it is balanced
+    (Lothaire, Algebraic Combinatorics on Words, ch. 2): step n < P
+    confines e to the interval [h(n)*P - a*n, (h(n)+1)*P - a*n - 1], and
+    these intervals must meet.
     """
-    tail = ray.tail
-    if isinstance(tail, SturmianTail):
-        h, v = WINDOW_DIGITS[tail.window]
-        line, o = tail._line, tail.offset + 1
-        return (DISPLACEMENTS[h][0], DISPLACEMENTS[v][1], line._p,
-                line._p * o + line._p0 - tail._h0 * line._den,
-                line._q, line._q * o + line._q0, line._d, line._den)
-    steps = [DISPLACEMENTS[d] for d in tail.period]
+    if not isinstance(ray.tail, PeriodicTail):
+        return None
+    steps = [DISPLACEMENTS[d] for d in ray.tail.period]
     period = len(steps)
     a = sum(1 for dx, _ in steps if dx)
     lo, hi, h = 0, period - 1, 0
@@ -621,20 +622,7 @@ def _mechanical(ray: RayCode):
         return None
     sx = next((dx for dx, _ in steps if dx), 1)
     sy = next((dy for _, dy in steps if dy), 1)
-    return sx, sy, a, lo, 0, 0, 0, period
-
-
-def _first_k(a1: int, b1: int, a0: int, b0: int, d: int, strict: bool) -> int:
-    """Least k >= 0 with (a1 + b1*sqrt(d))*k + a0 + b0*sqrt(d) >= 0 (> 0 if
-    strict), given a positive slope: the ceiling of the root, checked
-    exactly, as the root -(a0 + b0*sqrt(d))/(a1 + b1*sqrt(d)) may be an
-    integer."""
-    u, v, w = b0 * b1 * d - a0 * a1, a0 * b1 - a1 * b0, a1 * a1 - b1 * b1 * d
-    if w < 0:
-        u, v, w = -u, -v, -w
-    k = max(floor_sqrt(u, v, d, w), 0)
-    s = sign_sqrt(a1 * k + a0, b1 * k + b0, d)
-    return k if s > 0 or (s == 0 and not strict) else k + 1
+    return sx, sy, a, lo, period
 
 
 def _first_passage(f: RayCode, g: RayCode, M: int,
@@ -642,17 +630,18 @@ def _first_passage(f: RayCode, g: RayCode, M: int,
     """Smallest t (<= horizon, if given) with d(f(t), g(t)) > M, or None.
 
     Lap residues: if f has a periodic tail (period P, lap vector L) and g a
-    mechanical one, write t = T0 + r + k*P past both preambles (T0), with
-    0 <= r < P. Then f(t) = f(T0 + r) + k*L, and g(t) moves by the floor
-    of a line in k. d > M iff one of the four forms s1*dx + s2*dy exceeds
-    M, and each form reads lin(k) + c*floor(y(k)) with c in {-2, 0, 2} and
-    lin integer-linear in k. Both points lie at word length t, so every
-    form is even: halved, it exceeds M // 2, and floor(y) >= m iff y >= m,
-    floor(y) < m iff y < m make it one linear inequality in k, solved by
-    a ceiling. Times below T0 + P (the preambles and k = 0) are evaluated
-    directly; a form whose slope in k is not positive then never holds.
-    The answer is the least over residues and forms, in O(T0 + P) exact
-    operations and O(1) memory. Other pairs get a streamed scan.
+    balanced periodic one, write t = T0 + r + k*P past both preambles
+    (T0), with 0 <= r < P. Then f(t) = f(T0 + r) + k*L, and g(t) moves by
+    the floor of a line in k. d > M iff one of the four forms
+    s1*dx + s2*dy exceeds M, and each form reads lin(k) + c*floor(y(k))
+    with c in {-2, 0, 2} and lin integer-linear in k. Both points lie at
+    word length t, so every form is even: halved, it exceeds M // 2, and
+    floor(y) >= m iff y >= m, floor(y) < m iff y < m make it one integer
+    linear inequality in k, solved by a ceiling. Times below T0 + P (the
+    preambles and k = 0) are evaluated directly; a form whose slope in k
+    is not positive then never holds. The answer is the least over
+    residues and forms, in O(T0 + P) integer operations and O(1) memory.
+    Other pairs get a streamed scan.
     """
     line = None
     for a, b in ((f, g), (g, f)):
@@ -671,26 +660,28 @@ def _first_passage(f: RayCode, g: RayCode, M: int,
             return t
     if line is None or end < t0 + period:
         return None
-    sx, sy, A, B, C, E, d, den = line
-    lx, ly = f.tail._table[-1]
-    gx, gy = g._pre[-1]
+    sx, sy, A, B, den = line
+    lx, ly = f.tail.displacement(period)
     pg, m = len(g.preamble), M // 2
+    gx, gy = g.point_at(pg)
     forms = []
     for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         c = (s2 * sy - s1 * sx) // 2
         e1 = (s1 * lx + s2 * ly - s2 * sy * period) // 2
-        a1, b1 = den * e1 + c * A * period, c * C * period
-        if sign_sqrt(a1, b1, d) > 0:
-            forms.append((s1, s2, c, a1, b1))
+        a1 = den * e1 + c * A * period
+        if a1 > 0:
+            forms.append((s1, s2, c, a1))
     best = None
     for t in range(t0, t0 + period):
         if best is not None and t + period >= best:
             break
         (x, y), n = f.point_at(t), t - pg
-        for s1, s2, c, a1, b1 in forms:
+        for s1, s2, c, a1 in forms:
+            # the form holds iff a1*k + a0 >= 0, a strict inequality
+            # (c <= 0) taking a0 one lower; -(a0 // a1) is the ceiling
             e0 = (s1 * (x - gx) + s2 * (y - gy - sy * n)) // 2
-            a0 = den * (e0 - m) + c * (A * n + B) - (den if c > 0 else 0)
-            k = _first_k(a1, b1, a0, c * (C * n + E), d, strict=c <= 0)
+            a0 = den * (e0 - m) + c * (A * n + B) - (den if c > 0 else 1)
+            k = max(-(a0 // a1), 0)
             if best is None or t + k * period < best:
                 best = t + k * period
     if horizon is not None and best is not None and best > horizon:
@@ -723,8 +714,7 @@ def _sturmian_line_bound(ray: RayCode) -> Exact:
     # a valid preamble stays in the tail's quadrant, so its deviation at
     # step s is 2*|X - s*a| with X = |x| and a = |ux| = (P + Q*sqrt(d))/D;
     # the largest is kept as integers: 2*(top_a + top_b*sqrt(d))/D
-    line = t._line
-    P, Q, d, D = line._p, line._q, line._d, line._den
+    P, Q, d, D = t.speed()
     top_a = top_b = 0
     for s, (x, _) in enumerate(ray._pre):
         a, b = D * abs(x) - s * P, -s * Q
