@@ -20,8 +20,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, count
-from math import ceil, floor, lcm
+from itertools import accumulate, count, repeat
+from math import ceil, floor, gcd, lcm
+from operator import add, floordiv, mul, sub
 from typing import Optional, Union
 
 from .exactnum import (Exact, Surd, _make, exact_ceil, exact_floor,
@@ -122,9 +123,26 @@ class Staircase:
         return self._p, self._q, self._d, self._den
 
     def digits(self, n: int, hdig: int, vdig: int) -> list[int]:
-        """The first n steps, written hdig (horizontal) or vdig (vertical)."""
-        hs = list(map(self.horizontal, range(n + 1)))
-        return [hdig if b > a else vdig for a, b in zip(hs, hs[1:])]
+        """The first n steps of a rational line, written hdig (horizontal)
+        or vdig (vertical).
+
+        With ux = P/D and rho = P0/D, h(m) = floor(((m+1)*P + P0)/D) has
+        increments 0 or 1, and step i is horizontal iff h(i+1) > h(i): the
+        j-th horizontal crossing, j = h(i+1), sits at
+        i = ceil((j*D - P0)/P) - 2. The clamp of :meth:`horizontal` never
+        changes an increment: h(0) >= 0, and h(m) > m only on the line
+        uy = rho = 0, where h(m) = m + 1 steps by 1 like the clamped m.
+        """
+        if self._q:
+            raise ValueError("closed-form digits need a rational line")
+        P, P0, D = self._p, self._p0, self._den
+        out = [vdig] * n
+        first, last = (P + P0) // D + 1, ((n + 1) * P + P0) // D + 1
+        start = first * D - P0 - 1 - P  # floor((j*D - P0 - 1)/P) - 1
+        for i in map(floordiv, range(start, start + (last - first) * D, D),
+                     repeat(P)):
+            out[i] = hdig
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +231,15 @@ class SturmianTail:
         return list(map(self.displacement, range(k0, k1)))
 
     def advanced(self, steps: int) -> "SturmianTail":
-        return SturmianTail(self.ux, self.uy, self.window, self.offset + steps)
+        """The same line with ``steps`` more digits consumed."""
+        offset = self.offset + steps
+        if offset < 0:
+            raise ValueError("offset must be nonnegative")
+        out = object.__new__(SturmianTail)
+        out.ux, out.uy, out.window, out._line = (self.ux, self.uy,
+                                                 self.window, self._line)
+        out.offset, out._h0 = offset, self._line.horizontal(offset)
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, SturmianTail)
@@ -246,14 +272,10 @@ class RayCode:
     __slots__ = ("preamble", "tail", "_pre", "_points")
 
     def __init__(self, preamble, tail: Tail):
-        self.preamble = tuple(int(d) for d in preamble)
-        for d in self.preamble:
-            if d not in DISPLACEMENTS:
-                raise ValueError(f"invalid digit {d}")
+        self.preamble = tuple(map(int, preamble))
+        _check_digits(self.preamble)
         if isinstance(tail, PeriodicTail):
-            for d in tail.period:
-                if d not in DISPLACEMENTS:
-                    raise ValueError(f"invalid digit {d}")
+            _check_digits(tail.period)
         elif not isinstance(tail, SturmianTail):
             raise TypeError("tail must be PeriodicTail or SturmianTail")
         self.tail = tail
@@ -276,7 +298,18 @@ class RayCode:
         return self.tail.digit(k)
 
     def digits(self, n: int) -> tuple[int, ...]:
-        return tuple(self.digit_at(i) for i in range(1, n + 1))
+        """Digits 1..n (none for n <= 0): a preamble slice, then whole
+        periods or one list of the line's horizontal counts."""
+        pre, tail = self.preamble, self.tail
+        k = n - len(pre)
+        if k <= 0:
+            return pre[:max(n, 0)]
+        if isinstance(tail, PeriodicTail):
+            laps, r = divmod(k, len(tail.period))
+            return pre + tail.period * laps + tail.period[:r]
+        hs = list(map(tail.horizontal, range(k + 1)))
+        h, v = WINDOW_DIGITS[tail.window]
+        return pre + tuple(map((v, h).__getitem__, map(sub, hs[1:], hs)))
 
     def realized_digits(self) -> set[int]:
         s = set(self.preamble)
@@ -363,29 +396,36 @@ class RayCode:
         return f"RayCode({self.literal()!r})"
 
 
+def _check_digits(digits) -> None:
+    bad = set(digits) - DISPLACEMENTS.keys()
+    if bad:
+        raise ValueError(f"invalid digit {next(d for d in digits if d in bad)}")
+
+
 def _primitive(per: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(per)
-    for k in range(1, n):
-        if n % k == 0 and per == per[:k] * (n // k):
-            return per[:k]
-    return per
+    """The shortest word whose repetition is per: its first return in per+per."""
+    b = bytes(per)
+    return per[:(b + b).find(b, 1)]
 
 
 def _canonical_periodic(pre, per) -> tuple[tuple[int, ...], tuple[int, ...]]:
     pre, per = tuple(pre), tuple(per)
     realized = set(pre) | set(per)
-    if 3 not in realized:
+    if not realized <= DISPLACEMENTS.keys():  # _primitive reads per as bytes
+        _check_digits(pre + per)
+    if 4 in realized and 3 not in realized:
         pre = tuple(0 if d == 4 else d for d in pre)
         per = tuple(0 if d == 4 else d for d in per)
-    if set(pre) | set(per) <= {0, 4}:
+        realized = (realized - {4}) | {0}
+    if realized <= {0, 4}:
         return (), (0,)  # the east ray
     per = _primitive(per)
-    pre = list(pre)
-    per = list(per)
-    while pre and pre[-1] == per[-1]:
-        pre.pop()
-        per = [per[-1]] + per[:-1]
-    return tuple(pre), tuple(per)
+    # pop preamble digits that repeat the period's end, rotating it once
+    n, k = len(per), 0
+    while k < len(pre) and pre[-1 - k] == per[-1 - k % n]:
+        k += 1
+    r = k % n
+    return pre[:len(pre) - k], per[n - r:] + per[:n - r]
 
 
 # -- constructors -----------------------------------------------------------
@@ -393,8 +433,8 @@ def _canonical_periodic(pre, per) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def periodic_ray(preamble, period) -> RayCode:
     """Canonical eventually periodic ray from digit sequences."""
-    pre, per = _canonical_periodic(tuple(int(d) for d in preamble),
-                                   tuple(int(d) for d in period))
+    pre, per = _canonical_periodic(tuple(map(int, preamble)),
+                                   tuple(map(int, period)))
     return RayCode(pre, PeriodicTail(per))
 
 
@@ -460,20 +500,28 @@ def _require_valid(ray: RayCode) -> None:
 # the B and N maps
 
 
+def _bits(digits, m: int) -> int:
+    """The digits d - m, each 0 or 1, read as one binary numeral (0 if none)."""
+    if not set(digits) <= {m, m + 1}:
+        raise ValueError("binary digits required")
+    table = bytes.maketrans(bytes((m, m + 1)), b"01")
+    return int(bytes(digits).translate(table) or b"0", 2)
+
+
 def b_map(preamble, period) -> Fraction:
     """Value of an eventually periodic binary expansion 0.d1 d2 d3 ...
 
     Computed exactly via the geometric series over the period.
     """
-    pre = tuple(int(d) for d in preamble)
-    per = tuple(int(d) for d in period)
+    pre, per = tuple(map(int, preamble)), tuple(map(int, period))
     if not per:
         raise ValueError("empty period")
-    if any(d not in (0, 1) for d in pre + per):
-        raise ValueError("binary digits required")
+    return _b_value(pre, per, 0)
+
+
+def _b_value(pre, per, m: int) -> Fraction:
     p, q = len(pre), len(per)
-    pval = sum(d << (p - 1 - i) for i, d in enumerate(pre))
-    qval = sum(d << (q - 1 - i) for i, d in enumerate(per))
+    pval, qval = _bits(pre, m), _bits(per, m)
     return Fraction(pval, 1 << p) + Fraction(qval, ((1 << q) - 1) << p)
 
 
@@ -503,14 +551,11 @@ def n_map(ray: RayCode, width: Fraction = Fraction(1, 1 << 64)
     _require_valid(ray)
     m = ray.m()
     if isinstance(ray.tail, PeriodicTail):
-        pre = tuple(d - m for d in ray.preamble)
-        per = tuple(d - m for d in ray.tail.period)
-        return m + b_map(pre, per)
+        return m + _b_value(ray.preamble, ray.tail.period, m)
     k = len(ray.preamble)
     while Fraction(1, 1 << k) > width:
         k += 1
-    bits = tuple(d - m for d in ray.digits(k))
-    lo = Fraction(sum(b << (k - 1 - i) for i, b in enumerate(bits)), 1 << k)
+    lo = Fraction(_bits(ray.digits(k), m), 1 << k)
     return Enclosure(m + lo, m + lo + Fraction(1, 1 << k))
 
 
@@ -726,6 +771,48 @@ def _sturmian_line_bound(ray: RayCode) -> Exact:
     return dev if dev > bound else bound
 
 
+def _deviation_classes(ray: RayCode, n: int, g: int, s: int):
+    """(max, min) of E(t) = n*(x + s*y)(t) - t*n*(ux + s*uy) over the tail's
+    times t, for each class t = c (mod g), c = 0..g-1.
+
+    n is a multiple of the period P, so n*u is an integer vector and E has
+    period P past the preamble; its P values are read off the lap table.
+    """
+    per, p = len(ray.tail.period), len(ray.preamble)
+    walk = ray.tail._table
+    (lx, ly), (x0, y0) = walk[-1], ray._pre[-1]
+    slope = n // per * (lx + s * ly)
+    xs, ys = zip(*walk[:-1])
+    vals = list(map(add, map(mul, map(add if s > 0 else sub, xs, ys), repeat(n)),
+                    count(n * (x0 + s * y0) - p * slope, -slope)))
+    # the value at index j belongs to time p + j, of class (p + j) mod g
+    return [(max(v), min(v)) for v in
+            (vals[(c - p) % g::g] for c in range(g))]
+
+
+def _periodic_supremum(f: RayCode, g: RayCode) -> int:
+    """max over t of d(f(t), g(t)) for periodic tails of equal direction u.
+
+    Past T0, the longer preamble, N*f(t) - N*g(t) = E_f(t) - E_g(t) with
+    E(t) = N*ray(t) - t*N*u, N = lcm(P_f, P_g). E_f has period P_f and E_g
+    period P_g, and residues r_f, r_g of one time t >= T0 meet iff
+    r_f = r_g (mod G), G = gcd(P_f, P_g) (Chinese remainders). The l1
+    distance is the largest of +-(x + y) and +-(x - y), so per class mod G
+    and form its supremum is max(max E_f - min E_g, max E_g - min E_f) / N,
+    attained. Times below T0 are scanned: O(T0 + P_f + P_g) in all.
+    """
+    t0 = max(len(f.preamble), len(g.preamble))
+    top = max((word_metric(f.point_at(t), g.point_at(t)) for t in range(t0)),
+              default=0)
+    pf, pg = len(f.tail.period), len(g.tail.period)
+    n, k = lcm(pf, pg), gcd(pf, pg)
+    for s in (1, -1):
+        for (fmax, fmin), (gmax, gmin) in zip(_deviation_classes(f, n, k, s),
+                                              _deviation_classes(g, n, k, s)):
+            top = max(top, (fmax - gmin) // n, (gmax - fmin) // n)
+    return top
+
+
 def are_asymptotic(f: RayCode, g: RayCode) -> Verdict:
     """Classify a pair of valid rays as asymptotic or divergent.
 
@@ -741,13 +828,7 @@ def are_asymptotic(f: RayCode, g: RayCode) -> Verdict:
         t = _first_passage(f, g, DIVERGENCE_PROBE)
         return Divergent(t, word_metric(f.point_at(t), g.point_at(t)))
     if isinstance(f.tail, PeriodicTail) and isinstance(g.tail, PeriodicTail):
-        transient = max(len(f.preamble), len(g.preamble))
-        L = lcm(len(f.tail.period), len(g.tail.period))
-        horizon = transient + L
-        pf = f.points(horizon)
-        pg = g.points(horizon)
-        M = max(word_metric(pf[t], pg[t]) for t in range(horizon + 1))
-        return Asymptotic(M, attained=True)
+        return Asymptotic(_periodic_supremum(f, g), attained=True)
     if isinstance(f.tail, SturmianTail) and isinstance(g.tail, SturmianTail):
         c = _sturmian_line_bound(f) + _sturmian_line_bound(g)
         return Asymptotic(exact_ceil(c), attained=False)

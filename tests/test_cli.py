@@ -347,6 +347,28 @@ RAY_GOLDEN = [
       "--K", "0,12"], 0,
      "865b9be521fd74b003096a0d804ba61335d67bd17a824c9faa962062eeef4b2e",
      "83f3df9091169e89ca5c6008563059246d00ab8332e2ed396cc99fc5c3da2435"),
+    # frozen from the point-list supremum, the per-digit staircase, the
+    # shift-sum b_map and the loop canonical form: equal-direction periodic
+    # pairs with other periods and preambles, and periods near 3000
+    (["asymptotic", "(0011)", "110(010110)"], 0,
+     "318aecb631dbfab0b420ef12972ae79d935fd62db5e1c00e43138f33da509797",
+     "75c5221f092f40c6df09d64ce1b52a66195e47f2589076d3a105174efb59b406"),
+    (["asymptotic", "33(223232)", "2323(232)"], 0,
+     "b084e18934767290536ba07854b52f55d3ee4e49592053ea1a77a71bb5b3eb56",
+     "f5da91223e5ddf4c5ecb01a1299eee2afef1a2b8781510c6c9b4822d1bd1e203"),
+    (["asymptotic", "0" * 7 + "(" + "0" * 50 + "1" * 50 + ")",
+      "(" + "0" * 49 + "1" * 49 + ")"], 0,
+     "1ae3a61b649b679f998c316242c01ed0aa996e674a9eb73a0c47ab166b19d183",
+     "388af7cb5bc0b6515ab6e9f3e42d1a9f545ea3d60ec603d63b3fd189ccbb99dc"),
+    (["nmap", "slope:1499/1498@3"], 0,
+     "7f0c37db586aef3f5041248db7c01df39aeb9b3b00647edf4563b6d95cdc0c34",
+     "2639fe66e3cae256693ebbf127267d8c45731bb5236c438d82b9398123dd2504"),
+    (["bmap", "01" * 30 + "(" + "0110" * 200 + "1)"], 0,
+     "4eb52b636df12e42a3ce0ead7b7d3e77e1621a42f37be3e3151c51a0e6425664",
+     "71fdbb4655b19e742ad6d291247f0224cef25fd95ca68303758ef66f54fe31ff"),
+    (["digitize", "1499", "-1498", "--steps", "3000"], 0,
+     "d6480ad921026e6758ffcded81e30a2cb1a02869807777e4dbf194c534e0626c",
+     "76d1df60a9671564ced2318e0034d7b0bc450c5cce2effe9af70f7dea6e7d780"),
 ]
 
 
@@ -365,7 +387,7 @@ def test_certificate_output_is_byte_identical(argv, code, text_sha, json_sha,
 
 
 @pytest.mark.parametrize("argv, code, text_sha, json_sha", RAY_GOLDEN,
-                         ids=[" ".join(g[0]) for g in RAY_GOLDEN])
+                         ids=[" ".join(g[0])[:60] for g in RAY_GOLDEN])
 def test_ray_output_is_byte_identical(argv, code, text_sha, json_sha, capsys):
     _assert_golden(argv, code, text_sha, json_sha, capsys)
 
