@@ -166,6 +166,11 @@ def test_periodic_supremum_matches_at_coprime_period_multiples(pair):
         Asymptotic(periodic_supremum_oracle(f, g), attained=True)
 
 
+def _split(literal):
+    pre, per = literal.rstrip(")").split("(")
+    return pre, per
+
+
 def test_axis_rays_with_preambles_in_other_windows():
     # "1110(1)" against "000(1)" peaks only at T0 - 1 = 3, the last time
     # before both tails run
@@ -177,11 +182,6 @@ def test_axis_rays_with_preambles_in_other_windows():
         assert validate(f) and validate(g) and f.direction() == g.direction()
         assert are_asymptotic(f, g) == \
             Asymptotic(periodic_supremum_oracle(f, g), attained=True)
-
-
-def _split(literal):
-    pre, per = literal.rstrip(")").split("(")
-    return pre, per
 
 
 def test_block_periods_give_twice_half_k():
