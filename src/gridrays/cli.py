@@ -89,9 +89,7 @@ def _fmt(value):
         return str(value)
     if isinstance(value, Surd):
         return str(value)
-    if isinstance(value, tuple):
-        return [_fmt(v) for v in value]
-    if isinstance(value, list):
+    if isinstance(value, (tuple, list)):
         return [_fmt(v) for v in value]
     return value
 
@@ -249,8 +247,7 @@ def _cmd_asymptotic(args) -> int:
     g = _parse_ray_arg(args.g)
     verdict = rays.are_asymptotic(f, g)
     payload = _verdict_payload(verdict)
-    _emit(args, "asymptotic", {"f": args.f, "g": args.g}, payload,
-          [json.dumps(payload, sort_keys=True)])
+    _emit(args, "asymptotic", {"f": args.f, "g": args.g}, payload)
     return 0
 
 
@@ -293,12 +290,10 @@ def _qi_map(args):
         return quasi.FloorMap()
     if args.map == "inclusion":
         return quasi.InclusionMap()
-    if args.map == "genset":
-        if not args.gens or not args.gens2:
-            raise CliError("--map genset needs --gens and --gens2")
-        return quasi.GensetMap(_parse_gens(args.gens), _parse_gens(args.gens2),
-                               radius_cap=args.cap)
-    raise CliError(f"unknown map {args.map!r}")
+    if not args.gens or not args.gens2:
+        raise CliError("--map genset needs --gens and --gens2")
+    return quasi.GensetMap(_parse_gens(args.gens), _parse_gens(args.gens2),
+                           radius_cap=args.cap)
 
 
 def _qi_params(args) -> quasi.QIParams:
@@ -348,7 +343,7 @@ def _cmd_qi_check(args) -> int:
     }
     _emit(args, "qi-check",
           {"map": args.map, "count": args.count, "seed": args.seed},
-          payload, [json.dumps(payload, sort_keys=True)])
+          payload)
     return 0 if report.ok else 1
 
 
@@ -361,8 +356,7 @@ def _cmd_qi_violate(args) -> int:
         _emit(args, "qi-violate", {"strategy": args.strategy}, "none", ["none"])
         return 0
     payload = _violations_payload([found])[0]
-    _emit(args, "qi-violate", {"strategy": args.strategy}, payload,
-          [json.dumps(payload, sort_keys=True)])
+    _emit(args, "qi-violate", {"strategy": args.strategy}, payload)
     return 0
 
 
@@ -373,8 +367,7 @@ def _cmd_roundtrip(args) -> int:
                "argmax": [_fmt(c) for c in report.argmax],
                "samples": report.samples,
                "below_two": report.max_sq_displacement < 2}
-    _emit(args, "roundtrip", {"count": args.count, "seed": args.seed},
-          payload, [json.dumps(payload, sort_keys=True)])
+    _emit(args, "roundtrip", {"count": args.count, "seed": args.seed}, payload)
     return 0 if report.max_sq_displacement < 2 else 1
 
 
@@ -391,8 +384,7 @@ def _cmd_ell1_check(args) -> int:
     if first == (Fraction(0), Fraction(0)):
         t = ell1.check_monotone_commitment(path)
         payload["monotone_commitment"] = True if t is None else str(t)
-    _emit(args, "ell1-check", {"path": args.path}, payload,
-          [json.dumps(payload, sort_keys=True)])
+    _emit(args, "ell1-check", {"path": args.path}, payload)
     return 0
 
 
@@ -403,8 +395,7 @@ def _cmd_ell1_splice(args) -> int:
     payload = {"path": result.path.literal(),
                "bound": str(result.bound),
                "handoff_gap": str(result.handoff_gap)}
-    _emit(args, "ell1-splice", {"f": args.f, "g": args.g, "b": args.b},
-          payload, [json.dumps(payload, sort_keys=True)])
+    _emit(args, "ell1-splice", {"f": args.f, "g": args.g, "b": args.b}, payload)
     return 0
 
 
@@ -537,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p")
     p.add_argument("q")
     p.add_argument("--gens", default="1,0;0,1", help="semicolon-separated vectors")
-    p.add_argument("--cap", type=int, default=64)
+    p.add_argument("--cap", type=_count, default=64)
     p.set_defaults(func=_cmd_bfs_metric)
 
     p = sub.add_parser("count", help="number of geodesics between two points")
@@ -559,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bi-Lipschitz constants between two word metrics")
     p.add_argument("--gens", required=True)
     p.add_argument("--gens2", required=True)
-    p.add_argument("--cap", type=int, default=64)
+    p.add_argument("--cap", type=_count, default=64)
     p.set_defaults(func=_cmd_genset_lipschitz)
 
     p = sub.add_parser("nmap", help="boundary value N of a ray")
@@ -616,12 +607,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c", default="2")
         p.add_argument("--gens")
         p.add_argument("--gens2")
-        p.add_argument("--cap", type=int, default=64)
+        p.add_argument("--cap", type=_count, default=64)
         if name == "qi-check":
             p.add_argument("--box", type=_box, default="-1000,1000",
                            help="sampling box lo,hi")
             p.add_argument("--count", type=_count, default=1000)
-            p.add_argument("--radius", type=int, default=10)
+            p.add_argument("--radius", type=_count, default=10)
         else:
             p.add_argument("--strategy", default="diagonal-ray",
                            choices=("diagonal-ray", "grid", "random"))

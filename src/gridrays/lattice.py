@@ -8,9 +8,8 @@ Python integers are unbounded, so all arithmetic here is exact.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 from typing import Iterable, Iterator, Optional
 
 LatticePoint = tuple[int, int]
@@ -25,8 +24,6 @@ DISPLACEMENTS: dict[int, LatticePoint] = {
     3: (0, -1),
     4: (1, 0),
 }
-
-DEFAULT_GENERATION_RADIUS = 64
 
 
 class GenerationError(ValueError):
@@ -52,15 +49,17 @@ def word_metric(p: LatticePoint, q: LatticePoint) -> int:
 
 
 class GeneratingSet:
-    """A finite symmetric generating set of the grid.
+    """A finite symmetric generating set of the grid, owner of its word metric.
 
-    The symmetric closure is applied on construction, and the set is
-    rejected unless a BFS from the origin reaches both (1,0) and (0,1)
-    within ``radius_cap`` steps.
+    The symmetric closure is applied on construction. The set is rejected
+    unless the gcd of its 2x2 minors is 1: by the Smith normal form that
+    is exactly when the vectors generate the grid, and a set of rank 1
+    has gcd 0. Distances from the origin live in one BFS table per set,
+    grown a layer at a time and only as far as a query needs; every
+    distance in this package reads it.
     """
 
-    def __init__(self, generators: Iterable[LatticePoint],
-                 radius_cap: int = DEFAULT_GENERATION_RADIUS):
+    def __init__(self, generators: Iterable[LatticePoint]):
         vecs = set()
         for g in generators:
             v = (int(g[0]), int(g[1]))
@@ -71,11 +70,37 @@ class GeneratingSet:
         if not vecs:
             raise GenerationError("empty generating set")
         self.vectors: tuple[LatticePoint, ...] = tuple(sorted(vecs))
-        dists = bfs_distances(self, radius_cap, targets={(1, 0), (0, 1)})
-        if (1, 0) not in dists or (0, 1) not in dists:
-            raise GenerationError(
-                f"{self.vectors} does not generate the grid within radius {radius_cap}"
-            )
+        if gcd(*(ax * by - ay * bx for (ax, ay), (bx, by)
+                 in combinations(self.vectors, 2))) != 1:
+            raise GenerationError(f"{self.vectors} does not generate the grid")
+        self.radius = 0
+        self._table: dict[LatticePoint, int] = {ORIGIN: 0}
+        self._frontier: list[LatticePoint] = [ORIGIN]  # the last layer
+
+    def _grow_layer(self) -> None:
+        table, d = self._table, self.radius + 1
+        frontier = []
+        for (px, py) in self._frontier:
+            for (gx, gy) in self.vectors:
+                q = (px + gx, py + gy)
+                if q not in table:
+                    table[q] = d
+                    frontier.append(q)
+        self._frontier = frontier
+        self.radius = d
+
+    def grow(self, radius: int) -> dict[LatticePoint, int]:
+        """The shared table, grown to at least ``radius``; do not mutate it."""
+        while self.radius < radius:
+            self._grow_layer()
+        return self._table
+
+    def distance(self, v: LatticePoint, cap: int) -> Optional[int]:
+        """Word length of v, or None if it exceeds ``cap``."""
+        while v not in self._table and self.radius < cap:
+            self._grow_layer()
+        d = self._table.get(v)
+        return d if d is not None and d <= cap else None
 
     def __eq__(self, other):
         return isinstance(other, GeneratingSet) and self.vectors == other.vectors
@@ -91,48 +116,23 @@ def standard_generators() -> GeneratingSet:
     return GeneratingSet([(1, 0), (0, 1)])
 
 
-def bfs_distances(S: GeneratingSet, radius_cap: int,
-                  targets: Optional[set[LatticePoint]] = None
-                  ) -> dict[LatticePoint, int]:
-    """Distances from the origin out to ``radius_cap`` in Cay(Z^2, S).
-
-    If ``targets`` is given, the search stops early once every target has
-    been reached.
-    """
+def bfs_distances(S: GeneratingSet, radius_cap: int) -> dict[LatticePoint, int]:
+    """Distances from the origin out to ``radius_cap`` in Cay(Z^2, S), as a
+    fresh dict the caller may keep or change."""
     if radius_cap < 0:
         raise ValueError("radius_cap must be nonnegative")
-    dist: dict[LatticePoint, int] = {ORIGIN: 0}
-    queue: deque[LatticePoint] = deque([ORIGIN])
-    remaining = set(targets) - {ORIGIN} if targets is not None else None
-    while queue:
-        p = queue.popleft()
-        d = dist[p]
-        if d == radius_cap:
-            continue
-        for (gx, gy) in S.vectors:
-            q = (p[0] + gx, p[1] + gy)
-            if q not in dist:
-                dist[q] = d + 1
-                queue.append(q)
-                if remaining is not None:
-                    remaining.discard(q)
-                    if not remaining:
-                        return dist
-    return dist
+    return {p: d for p, d in S.grow(radius_cap).items() if d <= radius_cap}
 
 
 def bfs_metric(S: GeneratingSet, p: LatticePoint, q: LatticePoint,
                radius_cap: int) -> Optional[int]:
     """Graph distance from p to q in Cay(Z^2, S), or None if > radius_cap.
 
-    Independent oracle for word metrics under arbitrary generating sets;
-    uses translation invariance and searches from the origin.
+    Uses translation invariance and reads S's table from the origin.
     """
     if radius_cap < 1:
         raise ValueError("radius_cap must be >= 1")
-    target = (q[0] - p[0], q[1] - p[1])
-    dist = bfs_distances(S, radius_cap, targets={target})
-    return dist.get(target)
+    return S.distance((q[0] - p[0], q[1] - p[1]), radius_cap)
 
 
 def _axis_digits(dx: int, dy: int) -> tuple[str, int, str, int]:
@@ -200,8 +200,7 @@ def iter_geodesics(p: LatticePoint, q: LatticePoint) -> Iterator[str]:
 
 
 def generating_set_lipschitz(S: GeneratingSet, S2: GeneratingSet,
-                             radius_cap: int = DEFAULT_GENERATION_RADIUS
-                             ) -> tuple[int, int]:
+                             radius_cap: int = 64) -> tuple[int, int]:
     """Bi-Lipschitz constants between two word metrics.
 
     Returns (m, n): m bounds d_{S2} by m*d_S, and n bounds d_S by n*d_{S2},

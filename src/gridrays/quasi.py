@@ -20,7 +20,7 @@ from math import floor
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .exactnum import Exact, sign_sqrt, sqrt_exact
-from .lattice import GeneratingSet, LatticePoint, bfs_distances
+from .lattice import GeneratingSet, LatticePoint
 
 PlanePoint = tuple[Fraction, Fraction]
 
@@ -192,16 +192,12 @@ class GensetMap:
         self.S2 = S2
         self.radius_cap = radius_cap
         self.name = "genset"
-        self._dist_cache: dict[GeneratingSet, dict] = {}
 
     def _dist(self, S: GeneratingSet, p: LatticePoint, q: LatticePoint) -> int:
-        delta = (q[0] - p[0], q[1] - p[1])
-        table = self._dist_cache.get(S)
-        if table is None:
-            table = self._dist_cache[S] = bfs_distances(S, self.radius_cap)
-        if delta not in table:
+        d = S.distance((q[0] - p[0], q[1] - p[1]), self.radius_cap)
+        if d is None:
             raise ValueError(f"pair {p}, {q} outside radius cap {self.radius_cap}")
-        return table[delta]
+        return d
 
     def check_pair(self, p: LatticePoint, q: LatticePoint,
                    params: QIParams) -> list[Violation]:

@@ -58,7 +58,7 @@ def _digit_matches_window(digit: int, w: int) -> bool:
 def digit_windows(digits) -> set[int]:
     """Quadrant windows consistent with every digit of the iterable."""
     ws = {0, 1, 2, 3}
-    for d in digits:
+    for d in set(digits):
         ws = {w for w in ws if _digit_matches_window(d, w)}
         if not ws:
             break
@@ -433,8 +433,10 @@ def _canonical_periodic(pre, per) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def periodic_ray(preamble, period) -> RayCode:
     """Canonical eventually periodic ray from digit sequences."""
-    pre, per = _canonical_periodic(tuple(map(int, preamble)),
-                                   tuple(map(int, period)))
+    pre, per = tuple(map(int, preamble)), tuple(map(int, period))
+    if not per:
+        raise ValueError("empty period")
+    pre, per = _canonical_periodic(pre, per)
     return RayCode(pre, PeriodicTail(per))
 
 

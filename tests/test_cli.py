@@ -190,12 +190,22 @@ def test_divergence_and_ball(capsys):
      "--count", "-5"],
     ["roundtrip", "--count", "-3"],
     ["roundtrip", "--count", "many"],
+    ["qi-check", "--map", "genset", "--gens", "1,0;0,1", "--gens2", "1,0;1,1",
+     "--radius", "-1"],
+    ["qi-check", "--map", "inclusion", "--radius", "-1"],
+    ["qi-check", "--map", "genset", "--gens", "1,0;0,1", "--gens2", "1,0;1,1",
+     "--cap", "-1"],
+    ["qi-violate", "--map", "genset", "--gens", "1,0;0,1", "--gens2",
+     "1,0;1,1", "--cap", "-2"],
+    ["bfs-metric", "0,0", "1,1", "--cap", "-3"],
+    ["genset-lipschitz", "--gens", "1,0;0,1", "--gens2", "1,0;1,1",
+     "--cap", "-1"],
 ])
 def test_negative_count_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "--count" in capsys.readouterr().err
+    assert argv[-2] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -205,13 +215,23 @@ def test_negative_count_is_a_usage_error(argv, capsys):
      "--count", "0"],
     ["roundtrip", "--count", "0"],
     ["roundtrip", "--count", "000"],
+    ["qi-check", "--map", "genset", "--gens", "1,0;0,1", "--gens2", "1,0;1,1",
+     "--radius", "0"],
+    ["qi-check", "--map", "genset", "--gens", "1,0;0,1", "--gens2", "1,0;1,1",
+     "--cap", "0"],
+    ["qi-violate", "--map", "genset", "--gens", "1,0;0,1", "--gens2",
+     "1,0;1,1", "--cap", "0"],
+    ["bfs-metric", "0,0", "1,1", "--cap", "0"],
+    ["genset-lipschitz", "--gens", "1,0;0,1", "--gens2", "1,0;1,1",
+     "--cap", "0"],
 ])
 def test_zero_count_is_a_usage_error(argv, capsys):
-    # a certificate over no samples is vacuous: "checked": 0, "below_two"
+    # a certificate over no samples is vacuous: "checked": 0, "below_two";
+    # a radius of 0 checks only the zero-distance pair, which cannot fail
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "--count" in capsys.readouterr().err
+    assert argv[-2] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

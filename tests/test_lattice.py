@@ -5,14 +5,15 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gridrays import lattice
 from gridrays.lattice import (BallExceeded, GeneratingSet, GenerationError,
-                              bfs_metric, enumerate_geodesics,
+                              bfs_distances, bfs_metric, enumerate_geodesics,
                               generating_set_lipschitz, geodesic_count,
                               is_geodesic_word, iter_geodesics,
                               standard_generators, word_endpoint, word_metric)
+from gridrays.quasi import GensetMap
 
 coords = st.integers(min_value=-200, max_value=200)
 points = st.tuples(coords, coords)
@@ -76,8 +77,130 @@ def test_bfs_metric_exceeded_is_none():
 
 
 def test_generating_set_rejects_non_generating():
-    with pytest.raises(GenerationError):
-        GeneratingSet([(2, 0), (0, 2)])
+    for gens in ([(2, 0), (0, 2)], [(1, 0)], [(1, 1), (2, 2)]):
+        with pytest.raises(GenerationError, match="does not generate the grid$"):
+            GeneratingSet(gens)
+
+
+# -- one lazily grown table per set, against the deque BFS it replaced --------
+
+
+def _oracle_bfs_distances(vectors, radius_cap, targets=None):
+    """The library's deque BFS with its early exit, as it was."""
+    dist = {(0, 0): 0}
+    queue = deque([(0, 0)])
+    remaining = set(targets) - {(0, 0)} if targets is not None else None
+    while queue:
+        p = queue.popleft()
+        d = dist[p]
+        if d == radius_cap:
+            continue
+        for (gx, gy) in vectors:
+            q = (p[0] + gx, p[1] + gy)
+            if q not in dist:
+                dist[q] = d + 1
+                queue.append(q)
+                if remaining is not None:
+                    remaining.discard(q)
+                    if not remaining:
+                        return dist
+    return dist
+
+
+def _oracle_generates(generators, radius_cap=64):
+    """The constructor's check as it was: BFS reaches both unit vectors."""
+    vecs = {v for x, y in generators for v in ((x, y), (-x, -y))}
+    dists = _oracle_bfs_distances(sorted(vecs), radius_cap,
+                                  targets={(1, 0), (0, 1)})
+    return (1, 0) in dists and (0, 1) in dists
+
+
+def _accepts(generators) -> bool:
+    try:
+        GeneratingSet(generators)
+    except GenerationError:
+        return False
+    return True
+
+
+def _small_vectors(bound):
+    return st.tuples(st.integers(-bound, bound),
+                     st.integers(-bound, bound)).filter(lambda v: v != (0, 0))
+
+
+@settings(deadline=None)
+@given(st.lists(_small_vectors(4), min_size=1, max_size=4))
+def test_gcd_of_minors_matches_bfs_generation(gens):
+    assert _accepts(gens) == _oracle_generates(gens)
+
+
+def test_generation_beyond_the_old_search_radius():
+    # (0, 1) = (100, 1) - 100 (1, 0) is 101 steps out, past the radius-64
+    # search the constructor used to run
+    assert not _oracle_generates([(1, 0), (100, 1)])
+    S = GeneratingSet([(1, 0), (100, 1)])
+    assert bfs_metric(S, (0, 0), (0, 1), 100) is None
+    assert S.radius == 100
+    assert bfs_metric(S, (0, 0), (0, 1), 101) == 101
+    assert bfs_metric(S, (0, 0), (0, 1), 100) is None
+    assert S.radius == 101
+
+
+query = st.one_of(
+    st.tuples(st.just("metric"), st.tuples(st.integers(-9, 9),
+                                           st.integers(-9, 9)),
+              st.integers(1, 6)),
+    st.tuples(st.just("distances"), st.none(), st.integers(0, 10)),
+    st.tuples(st.just("genset"), st.tuples(st.integers(-9, 9),
+                                           st.integers(-9, 9)),
+              st.integers(0, 5)))
+
+
+@settings(deadline=None)
+@given(st.lists(_small_vectors(3), min_size=2, max_size=3),
+       st.lists(query, min_size=1, max_size=8))
+def test_queries_in_any_order_match_a_fresh_bfs(gens, queries):
+    assume(_accepts(gens))
+    S = GeneratingSet(gens)
+    for kind, q, cap in queries:
+        want = _oracle_bfs_distances(S.vectors, cap)
+        if kind == "metric":
+            assert bfs_metric(S, (1, -2), (q[0] + 1, q[1] - 2), cap) == \
+                want.get(q)
+        elif kind == "distances":
+            assert bfs_distances(S, cap) == want
+        else:
+            gm = GensetMap(S, S, radius_cap=cap)
+            if q in want:
+                assert gm._dist(S, (0, 0), q) == want[q]
+            else:
+                with pytest.raises(ValueError, match="outside radius cap"):
+                    gm._dist(S, (0, 0), q)
+
+
+def test_bfs_distances_hands_out_a_fresh_dict():
+    S = GeneratingSet([(1, 0), (1, 1)])
+    got = bfs_distances(S, 6)
+    assert S.radius == 6  # grown only as far as asked
+    got[(1, 0)] = 99
+    got[(40, 40)] = 1
+    del got[(1, 1)]
+    assert bfs_distances(S, 2) == _oracle_bfs_distances(S.vectors, 2)
+    assert bfs_distances(S, 6) == _oracle_bfs_distances(S.vectors, 6)
+    assert bfs_metric(S, (0, 0), (1, 0), 6) == 1
+    assert bfs_metric(S, (0, 0), (1, 1), 6) == 1
+    assert bfs_metric(S, (0, 0), (40, 40), 6) is None
+
+
+def test_caps_below_the_range_raise():
+    S = standard_generators()
+    with pytest.raises(ValueError):
+        bfs_metric(S, (0, 0), (0, 0), 0)
+    with pytest.raises(ValueError):
+        bfs_distances(S, -1)
+    gm = GensetMap(S, S, radius_cap=-1)
+    with pytest.raises(ValueError):
+        gm._dist(S, (0, 0), (0, 0))
 
 
 def test_geodesic_count_values():

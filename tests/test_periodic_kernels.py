@@ -3,8 +3,9 @@
 The oracles below are the bodies that used to live in ``rays``: the
 point-list supremum of ``are_asymptotic`` over transient + lcm, the
 per-digit ``Staircase.digits``, the shift-sum ``b_map``, the loop
-``_primitive`` and ``_canonical_periodic``, and ``RayCode.digits`` by
-``digit_at``. The kernels must give the same verdicts, digits and values.
+``_primitive`` and ``_canonical_periodic``, ``RayCode.digits`` by
+``digit_at``, and ``digit_windows`` once per digit. The kernels must give
+the same verdicts, digits and values.
 """
 
 import tracemalloc
@@ -40,6 +41,15 @@ def periodic_supremum_oracle(f, g):
 def staircase_digits_oracle(line, n, hdig, vdig):
     hs = list(map(line.horizontal, range(n + 1)))
     return [hdig if b > a else vdig for a, b in zip(hs, hs[1:])]
+
+
+def digit_windows_oracle(digits):
+    ws = {0, 1, 2, 3}
+    for d in digits:
+        ws = {w for w in ws if rays._digit_matches_window(d, w)}
+        if not ws:
+            break
+    return ws
 
 
 def b_map_oracle(preamble, period):
@@ -315,6 +325,18 @@ def test_invalid_digits_name_the_first_one():
                           ((1, 2), (0, 8, 0), 8)]:
         with pytest.raises(ValueError, match=f"invalid digit {bad}$"):
             periodic_ray(pre, per)
+
+
+def test_empty_period_is_refused():
+    for pre in [(), (1,), (0, 3)]:
+        with pytest.raises(ValueError, match="^empty period$"):
+            periodic_ray(pre, ())
+
+
+@given(st.lists(st.integers(-2, 6), max_size=40))
+def test_digit_windows_over_distinct_digits(digits):
+    assert rays.digit_windows(digits) == digit_windows_oracle(digits)
+    assert rays.digit_windows(iter(digits)) == digit_windows_oracle(digits)
 
 
 # -- RayCode.digits in bulk ---------------------------------------------------------------

@@ -275,19 +275,22 @@ def test_sqrt_of_k_sq_taken_once_and_only_for_surd_margins(monkeypatch):
 
 
 def test_genset_builds_each_distance_table_once(monkeypatch):
-    calls = []
-    real = quasi.bfs_distances
-    monkeypatch.setattr(quasi, "bfs_distances",
-                        lambda S, cap: calls.append(S) or real(S, cap))
+    # each set grows its own table, one BFS layer at a time and only as far
+    # as a pair needs: repeated out-of-cap pairs grow no layer twice, and
+    # S2's table stays untouched until a pair reaches it
+    grown = []
+    real = GeneratingSet._grow_layer
+    monkeypatch.setattr(GeneratingSet, "_grow_layer",
+                        lambda S: grown.append((S, S.radius + 1)) or real(S))
     gm = GensetMap(standard_generators(), GeneratingSet([(1, 0), (1, 1)]),
                    radius_cap=3)
     params = QIParams.from_k(2, 0)
     for n in range(10, 15):
         with pytest.raises(ValueError):
             gm.check_pair((0, 0), (n, 0), params)
-    assert calls == [gm.S]
+    assert grown == [(gm.S, 1), (gm.S, 2), (gm.S, 3)]
     gm.check_pair((0, 0), (1, 1), params)
-    assert calls == [gm.S, gm.S2]
+    assert grown == [(gm.S, 1), (gm.S, 2), (gm.S, 3), (gm.S2, 1)]
 
 
 # ---------------------------------------------------------------------------
