@@ -14,7 +14,8 @@ import io
 import json
 import sys
 from fractions import Fraction
-from itertools import islice, product
+from functools import partial
+from itertools import islice
 from typing import Optional
 
 from . import demos, ell1, lattice, quasi, rays, svgfig
@@ -312,8 +313,10 @@ def _cmd_qi_check(args) -> int:
     qmap = _qi_map(args)
     params = _qi_params(args)
     if args.map == "genset":
-        pts = quasi.lattice_ball(args.radius)
-        pairs = list(islice(product(pts, pts), args.count))
+        # product order, streamed: O(count) memory for any radius
+        ball = partial(quasi.iter_lattice_ball, args.radius)
+        pairs = list(islice(((p, q) for p in ball() for q in ball()),
+                            args.count))
     elif args.map == "inclusion":
         ball = quasi.lattice_ball(args.radius)
         import random

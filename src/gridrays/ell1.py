@@ -14,14 +14,13 @@ from fractions import Fraction
 from math import floor
 from typing import Optional, Sequence
 
-from .rays import (RayCode, Staircase, periodic_ray, WINDOW_DIGITS,
-                   _window_of_signs)
-from .quasi import PlanePoint
+from .lattice import WINDOW_SIGNS, quadrant_windows
+from .rays import RayCode, Staircase, periodic_ray, WINDOW_DIGITS
 
 Vec = tuple[Fraction, Fraction]
 
 
-def ell1_distance(p: PlanePoint, q: PlanePoint) -> Fraction:
+def ell1_distance(p: Vec, q: Vec) -> Fraction:
     return abs(p[0] - q[0]) + abs(p[1] - q[1])
 
 
@@ -32,7 +31,7 @@ def _norm1(v: Vec) -> Fraction:
 class Polyline:
     """Unit-speed (in l1 arc length) polyline, optionally an infinite ray."""
 
-    def __init__(self, vertices: Sequence[PlanePoint],
+    def __init__(self, vertices: Sequence[Vec],
                  direction: Optional[Vec] = None):
         verts = [(Fraction(x), Fraction(y)) for x, y in vertices]
         if not verts:
@@ -66,7 +65,7 @@ class Polyline:
                     simplified.pop()
                 else:
                     break
-        self.vertices: tuple[PlanePoint, ...] = tuple(simplified)
+        self.vertices: tuple[Vec, ...] = tuple(simplified)
         self.direction = direction
         verts = simplified
         params = [Fraction(0)]
@@ -82,7 +81,7 @@ class Polyline:
     def length(self) -> Fraction:
         return self.params[-1]
 
-    def at(self, t: Fraction) -> PlanePoint:
+    def at(self, t: Fraction) -> Vec:
         """Point at l1 arc-length parameter t."""
         t = Fraction(t)
         if t < 0:
@@ -147,19 +146,10 @@ def parse_polyline(text: str) -> Polyline:
     return Polyline(verts, direction)
 
 
-def _signs_monotone(moves: Sequence[Vec]) -> bool:
-    for idx in (0, 1):
-        pos = any(m[idx] > 0 for m in moves)
-        neg = any(m[idx] < 0 for m in moves)
-        if pos and neg:
-            return False
-    return True
-
-
 def is_geodesic_polyline(path: Polyline) -> bool:
     """True iff the l1 length equals the endpoint distance, equivalently
-    both coordinate functions are monotone along the path."""
-    return _signs_monotone(path.moves())
+    all moves share a closed quadrant."""
+    return bool(quadrant_windows(path.moves()))
 
 
 def check_monotone_commitment(path: Polyline) -> Optional[Fraction]:
@@ -172,29 +162,13 @@ def check_monotone_commitment(path: Polyline) -> Optional[Fraction]:
     """
     if path.vertices[0] != (Fraction(0), Fraction(0)):
         raise ValueError("the path must start at the origin")
-    committed: Optional[tuple[int, int]] = None
-    verts = path.vertices
-    moves = path.moves()
-    for i, (dx, dy) in enumerate(moves):
-        t = path.params[i] if i < len(path.params) else path.params[-1]
-        x, y = verts[i] if i < len(verts) else verts[-1]
-        if committed is None and x != 0 and y != 0:
-            committed = (1 if x > 0 else -1, 1 if y > 0 else -1)
-        if committed is not None:
-            sx, sy = committed
-            if sx * dx < 0 or sy * dy < 0:
-                return t
-            continue
-        # start on an axis: the move may enter an open quadrant mid-segment
-        qx = (1 if x > 0 else -1 if x < 0 else
-              (1 if dx > 0 else -1 if dx < 0 else 0))
-        qy = (1 if y > 0 else -1 if y < 0 else
-              (1 if dy > 0 else -1 if dy < 0 else 0))
-        if qx != 0 and qy != 0:
-            # interior of this move lies in the open quadrant (qx, qy)
-            if qx * dx < 0 or qy * dy < 0:
-                return t
-            committed = (qx, qy)
+    for t, (x, y), (dx, dy) in zip(path.params, path.vertices, path.moves()):
+        # the open quadrant just past (x, y): on an axis the move supplies
+        # the missing sign; a path that has not retreated never leaves it
+        qx = (x > 0) - (x < 0) or (dx > 0) - (dx < 0)
+        qy = (y > 0) - (y < 0) or (dy > 0) - (dy < 0)
+        if qx and qy and (qx * dx < 0 or qy * dy < 0):
+            return t
     return None
 
 
@@ -203,19 +177,6 @@ class PlaneSplice:
     path: Polyline
     bound: Fraction  # certified l1 distance bound to the spliced-in ray
     handoff_gap: Fraction  # |f(b) - g(b)|_1, the constant distance beyond b
-
-
-def _shared_quadrant(f: Polyline, g: Polyline) -> bool:
-    for sx in (1, -1):
-        for sy in (1, -1):
-            def fits(path):
-                return (all(sx * x >= 0 and sy * y >= 0
-                            for x, y in path.vertices)
-                        and sx * path.direction[0] >= 0
-                        and sy * path.direction[1] >= 0)
-            if fits(f) and fits(g):
-                return True
-    return False
 
 
 def splice_plane(f: Polyline, g: Polyline, b: Fraction) -> PlaneSplice:
@@ -233,7 +194,8 @@ def splice_plane(f: Polyline, g: Polyline, b: Fraction) -> PlaneSplice:
             raise ValueError(f"{name} must be a ray")
         if not is_geodesic_polyline(path):
             raise ValueError(f"{name} is not geodesic")
-    if not _shared_quadrant(f, g):
+    if not quadrant_windows([*f.vertices, f.direction,
+                             *g.vertices, g.direction]):
         raise ValueError("rays do not share a quadrant closure")
     fb = f.at(b)
     gb = g.at(b)
@@ -270,12 +232,8 @@ def project_to_lattice(ray: Polyline) -> RayCode:
         raise ValueError("only geodesic rays project to geodesic staircases")
     if ray.vertices[0] != (Fraction(0), Fraction(0)):
         raise ValueError("the ray must start at the origin")
-    moves = ray.moves()
-    sx = 1 if all(m[0] >= 0 for m in moves) else -1
-    sy = 1 if all(m[1] >= 0 for m in moves) else -1
-    w = _window_of_signs(sx if any(m[0] != 0 for m in moves) else 0,
-                         sy if any(m[1] != 0 for m in moves) else 0)
-    hdig, vdig = WINDOW_DIGITS[w]
+    w = min(quadrant_windows(ray.moves()))
+    (sx, sy), (hdig, vdig) = WINDOW_SIGNS[w], WINDOW_DIGITS[w]
     # reflected frame: both coordinates nondecreasing
     rverts = [(sx * x, sy * y) for x, y in ray.vertices]
     rdir = (sx * ray.direction[0], sy * ray.direction[1])

@@ -25,6 +25,11 @@ DISPLACEMENTS: dict[int, LatticePoint] = {
     4: (1, 0),
 }
 
+#: signs (sx, sy) of the closed quadrant of each window w, whose rays use
+#: the digits {w, w+1} (4 being east)
+WINDOW_SIGNS: dict[int, tuple[int, int]] = {
+    0: (1, 1), 1: (-1, 1), 2: (-1, -1), 3: (1, -1)}
+
 
 class GenerationError(ValueError):
     """The given vectors do not generate the whole grid."""
@@ -41,6 +46,16 @@ def parse_point(text: str) -> LatticePoint:
 
 def format_point(p: LatticePoint) -> str:
     return f"{p[0]},{p[1]}"
+
+
+def quadrant_windows(vectors) -> set[int]:
+    """The windows whose closed quadrant holds every vector (all four for
+    none). A path in the grid or the l1 plane is geodesic iff its steps
+    share a closed quadrant, so this is the one geodesic test; where
+    several windows fit, callers take the least."""
+    signs = {((x > 0) - (x < 0), (y > 0) - (y < 0)) for x, y in vectors}
+    return {w for w, (sx, sy) in WINDOW_SIGNS.items()
+            if all(sx * a >= 0 and sy * b >= 0 for a, b in signs)}
 
 
 def word_metric(p: LatticePoint, q: LatticePoint) -> int:
@@ -164,11 +179,10 @@ def word_endpoint(word: str, start: LatticePoint = ORIGIN) -> LatticePoint:
 
 
 def is_geodesic_word(word: str) -> bool:
-    """True iff the word never backtracks: at most one horizontal and one
-    vertical digit occur, i.e. its length equals the metric it spans."""
-    word = normalize_word(word)
-    digits = set(word)
-    return not ({"0", "2"} <= digits or {"1", "3"} <= digits)
+    """True iff the word never backtracks: its steps share a closed
+    quadrant, i.e. its length equals the metric it spans."""
+    return bool(quadrant_windows(DISPLACEMENTS[int(c)]
+                                 for c in set(normalize_word(word))))
 
 
 def enumerate_geodesics(p: LatticePoint, q: LatticePoint,

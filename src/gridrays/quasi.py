@@ -242,10 +242,15 @@ def sample_plane_pairs(box, count, seed) -> list[tuple[PlanePoint, PlanePoint]]:
     return [(next(pts), next(pts)) for _ in range(count)]
 
 
+def iter_lattice_ball(radius: int) -> Iterator[LatticePoint]:
+    """The grid points of l1 norm <= radius, x-major, one at a time."""
+    for x in range(-radius, radius + 1):
+        for y in range(-radius + abs(x), radius - abs(x) + 1):
+            yield x, y
+
+
 def lattice_ball(radius: int) -> list[LatticePoint]:
-    return [(x, y)
-            for x in range(-radius, radius + 1)
-            for y in range(-radius + abs(x), radius - abs(x) + 1)]
+    return list(iter_lattice_ball(radius))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from typing import Optional, Union
 
 from .exactnum import (Exact, Surd, _make, exact_ceil, exact_floor,
                        exact_sign, floor_sqrt, is_rational, sign_sqrt)
-from .lattice import DISPLACEMENTS, ORIGIN, LatticePoint, word_metric
+from .lattice import (DISPLACEMENTS, ORIGIN, WINDOW_SIGNS, LatticePoint,
+                      quadrant_windows, word_metric)
 
 #: (horizontal digit, vertical digit) for each quadrant window w, whose
 #: rays use digits {w, w+1}
@@ -49,20 +50,13 @@ class QuadrantMismatch(ValueError):
     """Splice operands do not share a quadrant window."""
 
 
-def _digit_matches_window(digit: int, w: int) -> bool:
-    if digit in (0, 4):
-        return w in (0, 3)  # east digits fit the {0,1} and {3,4} windows
-    return digit in (w, w + 1)
-
-
 def digit_windows(digits) -> set[int]:
-    """Quadrant windows consistent with every digit of the iterable."""
-    ws = {0, 1, 2, 3}
-    for d in set(digits):
-        ws = {w for w in ws if _digit_matches_window(d, w)}
-        if not ws:
-            break
-    return ws
+    """Quadrant windows consistent with every digit of the iterable (none
+    if a digit is invalid)."""
+    ds = set(digits)
+    if ds - DISPLACEMENTS.keys():
+        return set()
+    return quadrant_windows(map(DISPLACEMENTS.__getitem__, ds))
 
 
 def _realize(digit: int, w: int) -> int:
@@ -223,9 +217,9 @@ class SturmianTail:
 
     def displacement(self, k: int) -> LatticePoint:
         """Sum of the first k tail steps."""
-        h, v = WINDOW_DIGITS[self.window]
+        sx, sy = WINDOW_SIGNS[self.window]
         n = self.horizontal(k)
-        return DISPLACEMENTS[h][0] * n, DISPLACEMENTS[v][1] * (k - n)
+        return sx * n, sy * (k - n)
 
     def displacements(self, k0: int, k1: int) -> list[LatticePoint]:
         return list(map(self.displacement, range(k0, k1)))
@@ -269,15 +263,17 @@ class RayCode:
     this module always emit canonical codes.
     """
 
-    __slots__ = ("preamble", "tail", "_pre", "_points")
+    __slots__ = ("preamble", "tail", "_digits", "_pre", "_points")
 
     def __init__(self, preamble, tail: Tail):
         self.preamble = tuple(map(int, preamble))
-        _check_digits(self.preamble)
         if isinstance(tail, PeriodicTail):
-            _check_digits(tail.period)
-        elif not isinstance(tail, SturmianTail):
+            body = self.preamble + tuple(tail.period)
+        elif isinstance(tail, SturmianTail):
+            body = self.preamble + WINDOW_DIGITS[tail.window]
+        else:
             raise TypeError("tail must be PeriodicTail or SturmianTail")
+        self._digits = _check_digits(body)
         self.tail = tail
         self._pre = _walk(self.preamble)
         self._points: list[LatticePoint] = [ORIGIN]  # prefix cache of points()
@@ -311,17 +307,12 @@ class RayCode:
         h, v = WINDOW_DIGITS[tail.window]
         return pre + tuple(map((v, h).__getitem__, map(sub, hs[1:], hs)))
 
-    def realized_digits(self) -> set[int]:
-        s = set(self.preamble)
-        if isinstance(self.tail, PeriodicTail):
-            s |= set(self.tail.period)
-        else:
-            s |= set(WINDOW_DIGITS[self.tail.window])
-        return s
+    def realized_digits(self) -> frozenset[int]:
+        return self._digits
 
     def m(self) -> int:
         """The minimum digit occurring in the stream."""
-        return min(self.realized_digits())
+        return min(self._digits)
 
     # -- geometry --------------------------------------------------------
 
@@ -354,9 +345,7 @@ class RayCode:
             (dx, dy), n = self.tail._table[-1], len(self.tail.period)
             return Fraction(dx, n), Fraction(dy, n)
         t = self.tail
-        h, v = WINDOW_DIGITS[t.window]
-        sx = DISPLACEMENTS[h][0]
-        sy = DISPLACEMENTS[v][1]
+        sx, sy = WINDOW_SIGNS[t.window]
         return sx * t.ux, sy * t.uy
 
     # -- canonical form --------------------------------------------------
@@ -396,10 +385,13 @@ class RayCode:
         return f"RayCode({self.literal()!r})"
 
 
-def _check_digits(digits) -> None:
-    bad = set(digits) - DISPLACEMENTS.keys()
-    if bad:
-        raise ValueError(f"invalid digit {next(d for d in digits if d in bad)}")
+def _check_digits(digits: tuple[int, ...]) -> frozenset[int]:
+    """The set of the digits; "invalid digit d" names the first bad one."""
+    out = frozenset(digits)
+    if out - DISPLACEMENTS.keys():
+        raise ValueError(f"invalid digit "
+                         f"{next(d for d in digits if d not in DISPLACEMENTS)}")
+    return out
 
 
 def _primitive(per: tuple[int, ...]) -> tuple[int, ...]:
@@ -466,10 +458,7 @@ def parse_ray(text: str) -> RayCode:
     m = _SLOPE.match(text)
     if m:
         p, q, quad = int(m.group(1)), int(m.group(2)), int(m.group(3))
-        w = quad - 1
-        h, v = WINDOW_DIGITS[w]
-        sx = DISPLACEMENTS[h][0]
-        sy = DISPLACEMENTS[v][1]
+        sx, sy = WINDOW_SIGNS[quad - 1]
         return digitize(sx * p, sy * q)
     raise ValueError(f"cannot parse ray literal {text!r}")
 
@@ -490,7 +479,7 @@ def validate(ray: RayCode) -> bool:
     if isinstance(ray.tail, PeriodicTail):
         code = (ray.preamble, ray.tail.period)
         return _canonical_periodic(*code) == code
-    return bool(digit_windows(realized | set(WINDOW_DIGITS[ray.tail.window])))
+    return True
 
 
 def _require_valid(ray: RayCode) -> None:
@@ -565,16 +554,6 @@ def n_map(ray: RayCode, width: Fraction = Fraction(1, 1 << 64)
 # digitization
 
 
-def _window_of_signs(sx: int, sy: int) -> int:
-    if sx >= 0 and sy >= 0:
-        return 0
-    if sx < 0 <= sy:
-        return 1
-    if sx < 0 and sy < 0:
-        return 2
-    return 3
-
-
 def digitize(dx: Exact, dy: Exact) -> RayCode:
     """The staircase ray tracking the straight line of direction (dx, dy).
 
@@ -587,7 +566,7 @@ def digitize(dx: Exact, dy: Exact) -> RayCode:
     sgx, sgy = exact_sign(dx), exact_sign(dy)
     if sgx == 0 and sgy == 0:
         raise ValueError("zero direction")
-    w = _window_of_signs(sgx, sgy)
+    w = min(quadrant_windows([(sgx, sgy)]))
     h, v = WINDOW_DIGITS[w]
     ax, ay = abs(dx), abs(dy)
     if sgy == 0:
@@ -861,26 +840,15 @@ def splice(f: RayCode, g: RayCode, s: int) -> RayCode:
         raise QuadrantMismatch(
             f"{f.literal()!r} and {g.literal()!r} do not share a quadrant window"
         )
-    if isinstance(g.tail, PeriodicTail):
-        w = min(common)
-        pre = [_realize(d, w) for d in prefix]
-        gp = len(g.preamble)
-        per = [_realize(d, w) for d in g.tail.period]
-        if s < gp:
-            pre += [_realize(d, w) for d in g.preamble[s:]]
-        else:
-            shift = (s - gp) % len(per)
-            per = per[shift:] + per[:shift]
-        return periodic_ray(pre, per)
-    w = g.tail.window
-    pre = [_realize(d, w) for d in prefix]
-    gp = len(g.preamble)
-    if s < gp:
-        pre += [_realize(d, w) for d in g.preamble[s:]]
-        tail = g.tail
-    else:
-        tail = g.tail.advanced(s - gp)
-    return RayCode(tuple(pre), tail).canonical()
+    # a Sturmian g fits only its own window, so min(common) is that window
+    w = min(common)
+    pre = [_realize(d, w) for d in prefix + g.preamble[s:]]
+    k = max(s - len(g.preamble), 0)  # tail steps g has taken by time s
+    if isinstance(g.tail, SturmianTail):
+        return RayCode(pre, g.tail.advanced(k))
+    per = [_realize(d, w) for d in g.tail.period]
+    k %= len(per)
+    return periodic_ray(pre, per[k:] + per[:k])
 
 
 @dataclass(frozen=True)
@@ -908,9 +876,10 @@ def ball_contains(center: RayCode, candidate: RayCode, q: BallQuery) -> bool:
     """
     _require_valid(center)
     _require_valid(candidate)
-    lo, hi = ceil(q.a), floor(q.b)
+    # an integer distance d has d >= epsilon iff d >= ceil(epsilon)
+    lo, hi, eps = ceil(q.a), floor(q.b), ceil(q.epsilon)
     for t in range(lo, hi + 1):
-        if word_metric(center.point_at(t), candidate.point_at(t)) >= q.epsilon:
+        if word_metric(center.point_at(t), candidate.point_at(t)) >= eps:
             return False
     return True
 

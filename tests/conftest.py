@@ -1,7 +1,10 @@
-"""Shared seeded generators for rays and polylines.
+"""Shared seeded generators for rays and polylines, and the quadrant-rule
+oracles.
 
-These build inputs only through public constructors, so the tests can use
-them as an independent exercise of the validation layer.
+The generators build inputs only through public constructors, so the tests
+can use them as an independent exercise of the validation layer. The
+oracles are the separate closed-quadrant tests the library used before
+``lattice.quadrant_windows`` took their place.
 """
 
 from __future__ import annotations
@@ -9,9 +12,69 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from gridrays import rays
 from gridrays.ell1 import Polyline
 from gridrays.rays import WINDOW_DIGITS, RayCode, periodic_ray
+
+
+# -- oracles: the closed-quadrant tests as they were -------------------------
+
+
+def digit_matches_window(digit, w):
+    if digit in (0, 4):
+        return w in (0, 3)  # east digits fit the {0,1} and {3,4} windows
+    return digit in (w, w + 1)
+
+
+def digit_windows_oracle(digits):
+    ws = {0, 1, 2, 3}
+    for d in digits:
+        ws = {w for w in ws if digit_matches_window(d, w)}
+        if not ws:
+            break
+    return ws
+
+
+def window_of_signs(sx, sy):
+    if sx >= 0 and sy >= 0:
+        return 0
+    if sx < 0 <= sy:
+        return 1
+    if sx < 0 and sy < 0:
+        return 2
+    return 3
+
+
+def signs_monotone(moves):
+    for idx in (0, 1):
+        pos = any(m[idx] > 0 for m in moves)
+        neg = any(m[idx] < 0 for m in moves)
+        if pos and neg:
+            return False
+    return True
+
+
+def shared_quadrant(f, g):
+    for sx in (1, -1):
+        for sy in (1, -1):
+            def fits(path):
+                return (all(sx * x >= 0 and sy * y >= 0
+                            for x, y in path.vertices)
+                        and sx * path.direction[0] >= 0
+                        and sy * path.direction[1] >= 0)
+            if fits(f) and fits(g):
+                return True
+    return False
+
+
+def is_geodesic_word_oracle(word):
+    digits = set(word.replace("4", "0"))
+    return not ({"0", "2"} <= digits or {"1", "3"} <= digits)
+
+
+# -- generators ----------------------------------------------------------------
 
 
 def make_periodic_ray(rng: random.Random) -> RayCode:
@@ -92,3 +155,35 @@ def make_backtracking_polyline(rng: random.Random
         bad = (x, y - sy * _rand_frac(rng, 1, 2))
     verts.append(bad)
     return Polyline(verts), Fraction(t_violation)
+
+
+_FRACS = st.one_of(st.just(Fraction(0)),
+                   st.fractions(-3, 3, max_denominator=4))
+_AXES = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+@st.composite
+def polylines(draw, axis: bool = False, monotone: bool = False,
+              ray: bool = True) -> Polyline:
+    """Polylines from the origin: rational moves with zero components, or
+    axis-parallel moves (all four directions); ``monotone`` keeps every
+    move in one drawn closed quadrant."""
+    sx, sy = draw(st.sampled_from(((1, 1), (-1, 1), (-1, -1), (1, -1))))
+
+    def move():
+        if axis:
+            (ax, ay), k = draw(st.sampled_from(_AXES)), draw(st.integers(1, 3))
+            dx, dy = ax * k, ay * k
+        else:
+            dx, dy = draw(_FRACS), draw(_FRACS)
+        return (sx * abs(dx), sy * abs(dy)) if monotone else (dx, dy)
+
+    verts = [(Fraction(0), Fraction(0))]
+    for _ in range(draw(st.integers(0, 5))):
+        dx, dy = move()
+        if (dx, dy) != (0, 0):
+            verts.append((verts[-1][0] + dx, verts[-1][1] + dy))
+    direction = move() if ray else None
+    if direction == (0, 0):
+        direction = (sx, 0)
+    return Polyline(verts, direction)

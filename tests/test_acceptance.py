@@ -12,8 +12,8 @@ import time
 from fractions import Fraction
 
 from gridrays import demos, rays
-from gridrays.ell1 import _signs_monotone, check_monotone_commitment, \
-    ell1_distance, is_geodesic_polyline
+from gridrays.ell1 import check_monotone_commitment, ell1_distance, \
+    is_geodesic_polyline
 from gridrays.lattice import (GeneratingSet, bfs_distances,
                               enumerate_geodesics, generating_set_lipschitz,
                               geodesic_count, standard_generators,
@@ -28,7 +28,7 @@ from gridrays.rays import (WINDOW_DIGITS, Asymptotic, BallQuery, Divergent,
                            trivial_topology_demo, validate)
 
 from conftest import (make_backtracking_polyline, make_monotone_polyline,
-                      make_periodic_ray, make_same_window_pair)
+                      make_periodic_ray, make_same_window_pair, signs_monotone)
 
 
 def _report(n, name, ok):
@@ -193,7 +193,7 @@ def test_criterion_10_ell1_plane():
         else:
             path, _ = make_backtracking_polyline(rng)
         geo = is_geodesic_polyline(path)
-        ok = ok and geo == _signs_monotone(path.moves())
+        ok = ok and geo == signs_monotone(path.moves())
         ok = ok and geo == (path.length ==
                             ell1_distance(path.vertices[0], path.vertices[-1]))
         if geo:

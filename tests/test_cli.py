@@ -1,6 +1,7 @@
 """Command-line interface: envelopes, exit codes, determinism, coverage."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -125,6 +126,43 @@ def test_genset_qi_check_builds_only_count_pairs(capsys):
         tracemalloc.stop()
     assert code == 0 and json.loads(out)["output"]["checked"] == 10
     assert peak < 16 * 2**20
+
+
+def test_genset_qi_check_streams_its_pairs(capsys):
+    # a radius-600 ball has 721,201 points; listing it peaked near 73 MB.
+    # The bytes are frozen from that listing.
+    tracemalloc.start()
+    try:
+        outs = [run(["--format", fmt, "qi-check", "--map", "genset",
+                     "--gens", "1,0;0,1", "--gens2", "1,0;1,1",
+                     "--radius", "600", "--count", "10"], capsys)
+                for fmt in ("text", "json")]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert [(code, hashlib.sha256(out.encode()).hexdigest())
+            for code, out, _ in outs] == [
+        (0, "65c00520f8c9fee28a91a08e290986006fe36dee912170e862b2a310968ace19"),
+        (0, "c29bcc7d051c48c4ea9756b721bbd7823babd67cd68d58c1b37d51b95defd513")]
+
+
+@pytest.mark.parametrize("radius, count", [(1, 1), (1, 4), (1, 25), (2, 30),
+                                           (3, 300), (4, 2000)])
+def test_genset_pairs_are_the_ball_product(radius, count, capsys, monkeypatch):
+    from gridrays import quasi
+    seen, check = [], quasi.check_embedding
+
+    def spy(qmap, params, pairs):
+        seen.extend(pairs)
+        return check(qmap, params, pairs)
+
+    monkeypatch.setattr(quasi, "check_embedding", spy)
+    run(["qi-check", "--map", "genset", "--gens", "1,0;0,1",
+         "--gens2", "1,0;1,1", "--radius", str(radius), "--count", str(count)],
+        capsys)
+    ball = quasi.lattice_ball(radius)
+    assert seen == list(itertools.islice(itertools.product(ball, ball), count))
 
 
 def test_qi_violate_exit_codes(capsys):
@@ -389,6 +427,39 @@ RAY_GOLDEN = [
     (["digitize", "1499", "-1498", "--steps", "3000"], 0,
      "d6480ad921026e6758ffcded81e30a2cb1a02869807777e4dbf194c534e0626c",
      "76d1df60a9671564ced2318e0034d7b0bc450c5cce2effe9af70f7dea6e7d780"),
+    # frozen from the separate sign tests of lattice, rays and ell1:
+    # words with 4s, axis directions (due south changes window, not
+    # digits) and plane splices of axis rays
+    (["is-geodesic", "4403"], 0,
+     "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74",
+     "465306a5750cb072e4bee1a49ad4810ff1195d9044fbce06468b82de03701f7f"),
+    (["is-geodesic", "4421"], 0,
+     "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0",
+     "ae6bfbfc66d3ce505c0e9cf5e3c70e2a760672ac7dd338c14e78b019a29dec52"),
+    (["is-geodesic", "3434"], 0,
+     "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74",
+     "e9cd9750bdc482821585a7cbebbd67b3add20fd38f6cc6c993ab8eb19281848a"),
+    (["digitize", "0", "-5"], 0,
+     "d875e06adb1c5981a888ac8fa838f4a58810ecbf96a8e94819781e3b10c4ee97",
+     "715b8fd25303994081ec579ac1ee87e9f7bffdedcd44d0c159b010b9ab13c9c7"),
+    (["digitize", "-3", "0", "--steps", "4"], 0,
+     "9048835b0b99c37f1ea2752f1137bdfb5325b833c85d0f59df12c4eac6f30263",
+     "7ff30a1306779b3aa0bcb7ba9a863cdc3fbd5b013150d6ee9a68c5fe17f8f7cb"),
+    (["project", "0,0;0,-2 >0/-1"], 0,
+     "dbf78efba4db41ce351ceab5ca07bfe190a657585eb296f8feb10f49fb626bd4",
+     "2c95c8c986cc1fa704831f856b0765569287357fbc7298fff35f0591a2da2068"),
+    (["project", "0,0;-3,0;-3,1 >0/1"], 0,
+     "8db591c12584efeae018ddee7c2f70b2a192fbad1234415ee4e7ae0b71b3821e",
+     "c9422a90e35a2bbb6ba5896a3b16fecb7a09b5b2b8c7b7ab30135faabb7dcb15"),
+    (["ell1-splice", "0,0;0,-2 >0/-1", "0,0;1,0 >0/-1", "3"], 0,
+     "6ba6e8456502a0e4516d9fffd1b1c6e7a6f06d2beab7da92c1d3c9707fe28880",
+     "e8fe93c29e30061d16ed44ea5feec54d0dcfa081d91a618d1bbd757b5d598464"),
+    (["ell1-splice", "0,0;-1,0 >-1/0", "0,0 >0/1", "5/2"], 0,
+     "12fea8ede8a8051fdb4063e9b53e0a029bcb2b3fa6472f69e37b661451964051",
+     "44776af5211daf902396f770cb405088570283edad691d485345ffa2e4e9d202"),
+    (["ell1-splice", "0,0 >0/-1", "0,0 >0/1", "1"], 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from gridrays.ell1 import (Polyline, _signs_monotone, check_monotone_commitment,
-                           ell1_distance, is_geodesic_polyline, parse_polyline,
+from gridrays.ell1 import (Polyline, check_monotone_commitment, ell1_distance,
+                           is_geodesic_polyline, parse_polyline,
                            project_to_lattice, splice_plane)
 from gridrays.lattice import word_metric
 from gridrays.rays import Asymptotic, are_asymptotic, digitize
 
-from conftest import make_backtracking_polyline, make_monotone_polyline
+from conftest import (make_backtracking_polyline, make_monotone_polyline,
+                      signs_monotone)
 
 F = Fraction
 
@@ -63,7 +64,7 @@ def test_three_way_equivalence_seeded():
             path, _ = make_backtracking_polyline(rng)
         length_is_distance = (
             path.length == ell1_distance(path.vertices[0], path.vertices[-1]))
-        monotone = _signs_monotone(path.moves())
+        monotone = signs_monotone(path.moves())
         assert is_geodesic_polyline(path) == monotone == length_is_distance
 
 

@@ -18,9 +18,12 @@ from hypothesis import assume, given, settings, strategies as st
 from gridrays import rays
 from gridrays.exactnum import sqrt_exact
 from gridrays.lattice import DISPLACEMENTS, word_metric
-from gridrays.rays import (Asymptotic, RayCode, Staircase, SturmianTail,
-                           WINDOW_DIGITS, are_asymptotic, b_map, digitize,
-                           n_map, parse_ray, periodic_ray, splice, validate)
+from gridrays.rays import (Asymptotic, PeriodicTail, RayCode, Staircase,
+                           SturmianTail, WINDOW_DIGITS, are_asymptotic, b_map,
+                           digitize, n_map, parse_ray, periodic_ray, splice,
+                           validate)
+
+from conftest import digit_windows_oracle
 
 F = Fraction
 SIGNS = ((1, 1), (-1, 1), (-1, -1), (1, -1))  # by quadrant window
@@ -41,15 +44,6 @@ def periodic_supremum_oracle(f, g):
 def staircase_digits_oracle(line, n, hdig, vdig):
     hs = list(map(line.horizontal, range(n + 1)))
     return [hdig if b > a else vdig for a, b in zip(hs, hs[1:])]
-
-
-def digit_windows_oracle(digits):
-    ws = {0, 1, 2, 3}
-    for d in digits:
-        ws = {w for w in ws if rays._digit_matches_window(d, w)}
-        if not ws:
-            break
-    return ws
 
 
 def b_map_oracle(preamble, period):
@@ -325,6 +319,12 @@ def test_invalid_digits_name_the_first_one():
                           ((1, 2), (0, 8, 0), 8)]:
         with pytest.raises(ValueError, match=f"invalid digit {bad}$"):
             periodic_ray(pre, per)
+    # a ray code checks its preamble and tail digits once, preamble first
+    for pre, tail, bad in [((1, 9), PeriodicTail((7,)), 9),
+                           ((1,), PeriodicTail((2, 7, 8)), 7),
+                           ((6,), SturmianTail(1, sqrt_exact(2), 0), 6)]:
+        with pytest.raises(ValueError, match=f"^invalid digit {bad}$"):
+            RayCode(pre, tail)
 
 
 def test_empty_period_is_refused():

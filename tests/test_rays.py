@@ -164,6 +164,8 @@ def test_digitize_rational_directions():
     assert digitize(2, 1).literal() == "(001)"
     assert digitize(1, 0).literal() == "(0)"
     assert digitize(0, 1).literal() == "(1)"
+    assert digitize(-2, 0).literal() == "(2)"
+    assert digitize(0, -5).literal() == "(3)"  # window 2 now, digits unchanged
     assert digitize(-3, -1).literal() == "(2223)"
     assert digitize(1, -2).literal() == "(343)"
 
@@ -351,6 +353,10 @@ def test_ball_strictness():
     # d at t=1 is 2: inside for eps > 2 only (strict inequality)
     assert not ball_contains(f, g, BallQuery(0, 1, 2))
     assert ball_contains(f, g, BallQuery(0, 1, Fraction(5, 2)))
+    # d(3) = 6: equal to an integer eps is outside; ceil(eps) - 1 is inside
+    assert not ball_contains(f, g, BallQuery(0, 3, 6))
+    assert ball_contains(f, g, BallQuery(0, 3, Fraction(13, 2)))
+    assert not ball_contains(f, g, BallQuery(0, 3, Fraction(11, 2)))
 
 
 def test_ball_random_agreement():

@@ -21,7 +21,7 @@ from gridrays.lattice import DISPLACEMENTS, word_metric
 from gridrays.rays import (Enclosure, RayCode, Staircase, SturmianTail,
                            WINDOW_DIGITS, digitize, n_map, periodic_ray)
 
-from conftest import make_monotone_polyline
+from conftest import make_monotone_polyline, polylines, window_of_signs
 
 F = Fraction
 
@@ -126,8 +126,8 @@ def project_oracle(ray):
     moves = ray.moves()
     sx = 1 if all(m[0] >= 0 for m in moves) else -1
     sy = 1 if all(m[1] >= 0 for m in moves) else -1
-    w = rays._window_of_signs(sx if any(m[0] != 0 for m in moves) else 0,
-                              sy if any(m[1] != 0 for m in moves) else 0)
+    w = window_of_signs(sx if any(m[0] != 0 for m in moves) else 0,
+                        sy if any(m[1] != 0 for m in moves) else 0)
     hdig, vdig = WINDOW_DIGITS[w]
     rverts = [(sx * x, sy * y) for x, y in ray.vertices]
     rdir = (sx * ray.direction[0], sy * ray.direction[1])
@@ -405,6 +405,14 @@ def test_project_to_lattice_matches_crossing_loops():
         assert project_to_lattice(path) == project_oracle(path)
     axis = Polyline([(F(0), F(0)), (F(5, 2), F(0)), (F(5, 2), F(7, 3))], (0, 1))
     assert project_to_lattice(axis) == project_oracle(axis)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(polylines(axis=True, monotone=True), polylines(monotone=True)))
+def test_project_axis_rays_in_every_direction(ray):
+    # axis-only rays, due south among them, pick their window by the least
+    # fitting one; the digits written must not change
+    assert project_to_lattice(ray) == project_oracle(ray)
 
 
 # -- edges ---------------------------------------------------------------------------
