@@ -1,84 +1,45 @@
 """Exact geometry of the grid: word metrics, geodesic-ray digit codes,
-boundary-value maps, splice constructions, and quasi-isometry certificates."""
+boundary-value maps, splice constructions, and quasi-isometry certificates.
 
-from .exactnum import Surd, exact_ceil, exact_floor, exact_sign, is_rational, sqrt_exact
-from .lattice import (
-    BallExceeded,
-    GeneratingSet,
-    GenerationError,
-    bfs_metric,
-    enumerate_geodesics,
-    generating_set_lipschitz,
-    geodesic_count,
-    is_geodesic_word,
-    standard_generators,
-    word_metric,
-)
-from .rays import (
-    Asymptotic,
-    BallQuery,
-    Divergent,
-    Enclosure,
-    InvalidRay,
-    QuadrantMismatch,
-    RayCode,
-    Unknown,
-    are_asymptotic,
-    axis_ray,
-    b_map,
-    ball_contains,
-    digitize,
-    direction_of,
-    divergence_time,
-    east_ray,
-    n_map,
-    parse_ray,
-    periodic_ray,
-    splice,
-    trivial_topology_demo,
-    validate,
-)
-from .quasi import (
-    FloorMap,
-    GensetMap,
-    InclusionMap,
-    QIParams,
-    QIReport,
-    check_embedding,
-    find_violation,
-    floor_chain_holds,
-    floor_map,
-    quasi_surjectivity_bound,
-    roundtrip_displacement,
-)
-from .ell1 import (
-    Polyline,
-    check_monotone_commitment,
-    ell1_distance,
-    is_geodesic_polyline,
-    parse_polyline,
-    project_to_lattice,
-    splice_plane,
-)
-from .demos import cone_lengths, demo_cardinality, demo_cone, demo_trivial_topology
+Public names resolve on first use (PEP 562), so ``import gridrays`` loads
+no submodule and ``from gridrays import X`` loads only X's home module.
+"""
+
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Surd", "sqrt_exact", "is_rational", "exact_sign", "exact_floor",
-    "exact_ceil",
-    "GeneratingSet", "GenerationError", "BallExceeded", "word_metric",
-    "bfs_metric", "geodesic_count", "enumerate_geodesics", "is_geodesic_word",
-    "generating_set_lipschitz", "standard_generators",
-    "RayCode", "InvalidRay", "QuadrantMismatch", "BallQuery", "Enclosure",
-    "Asymptotic", "Divergent", "Unknown",
-    "parse_ray", "periodic_ray", "east_ray", "axis_ray", "validate",
-    "b_map", "n_map", "digitize", "direction_of", "are_asymptotic",
-    "divergence_time", "splice", "ball_contains", "trivial_topology_demo",
-    "QIParams", "QIReport", "FloorMap", "InclusionMap", "GensetMap",
-    "floor_map", "check_embedding", "find_violation",
-    "roundtrip_displacement", "quasi_surjectivity_bound", "floor_chain_holds",
-    "Polyline", "parse_polyline", "ell1_distance", "is_geodesic_polyline",
-    "check_monotone_commitment", "splice_plane", "project_to_lattice",
-    "cone_lengths", "demo_cone", "demo_cardinality", "demo_trivial_topology",
-]
+#: home module -> the public names it defines
+_HOMES = {
+    "exactnum": "Surd sqrt_exact is_rational exact_sign exact_floor exact_ceil",
+    "lattice": "GeneratingSet GenerationError BallExceeded word_metric "
+               "bfs_metric geodesic_count enumerate_geodesics is_geodesic_word "
+               "generating_set_lipschitz standard_generators",
+    "rays": "RayCode InvalidRay QuadrantMismatch BallQuery Enclosure "
+            "Asymptotic Divergent Unknown parse_ray periodic_ray east_ray "
+            "axis_ray validate b_map n_map digitize direction_of "
+            "are_asymptotic divergence_time splice ball_contains "
+            "trivial_topology_demo",
+    "quasi": "QIParams QIReport FloorMap InclusionMap GensetMap floor_map "
+             "check_embedding find_violation roundtrip_displacement "
+             "quasi_surjectivity_bound floor_chain_holds",
+    "ell1": "Polyline parse_polyline ell1_distance is_geodesic_polyline "
+            "check_monotone_commitment splice_plane project_to_lattice",
+    "demos": "cone_lengths demo_cone demo_cardinality demo_trivial_topology",
+}
+_HOME = {name: module for module, names in _HOMES.items()
+         for name in names.split()}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

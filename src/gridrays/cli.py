@@ -18,8 +18,12 @@ from functools import partial
 from itertools import islice
 from typing import Optional
 
-from . import demos, ell1, lattice, quasi, rays, svgfig
-from .exactnum import Surd
+# every subcommand needs lattice; the other modules load in the handlers
+# that use them, so a process compiles only what it runs. A handler imports
+# rays before ell1, demos or svgfig even where it names only those: rays
+# compiled inside another module's import raised a child's peak RSS by
+# about 0.6 MB over importing everything up front.
+from . import lattice
 
 #: subcommand -> operations it exposes (coverage contract for the tests)
 REGISTRY: dict[str, tuple[str, ...]] = {
@@ -86,9 +90,10 @@ def _fmt(value):
     """JSON-friendly rendering of exact values."""
     if isinstance(value, bool):
         return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, Surd):
+    # a Surd exists only once exactnum is loaded, so never load it here
+    exactnum = sys.modules.get(f"{__package__}.exactnum")
+    if isinstance(value, Fraction) or (
+            exactnum is not None and isinstance(value, exactnum.Surd)):
         return str(value)
     if isinstance(value, (tuple, list)):
         return [_fmt(v) for v in value]
@@ -103,6 +108,7 @@ def _parse_gens(text: str) -> lattice.GeneratingSet:
 
 
 def _parse_ray_arg(text: str) -> rays.RayCode:
+    from . import rays
     ray = rays.parse_ray(text).canonical()
     if not rays.validate(ray):
         raise CliError(f"invalid ray literal {text!r}")
@@ -110,11 +116,13 @@ def _parse_ray_arg(text: str) -> rays.RayCode:
 
 
 def _ball_query(args) -> rays.BallQuery:
+    from . import rays
     a, b = args.K.split(",")
     return rays.BallQuery(_frac(a), _frac(b), _frac(args.eps))
 
 
 def _verdict_payload(verdict) -> dict:
+    from . import rays
     if isinstance(verdict, rays.Asymptotic):
         return {"kind": "asymptotic", "bound": verdict.bound,
                 "attained": verdict.attained}
@@ -205,6 +213,7 @@ def _cmd_genset_lipschitz(args) -> int:
 
 
 def _cmd_nmap(args) -> int:
+    from . import rays
     ray = _parse_ray_arg(args.ray)
     val = rays.n_map(ray)
     if isinstance(val, rays.Enclosure):
@@ -218,6 +227,7 @@ def _cmd_nmap(args) -> int:
 
 
 def _cmd_bmap(args) -> int:
+    from . import rays
     m = rays._LITERAL.match(args.code.strip())
     if not m:
         raise CliError(f"expected a binary literal like '1(01)', got {args.code!r}")
@@ -227,6 +237,7 @@ def _cmd_bmap(args) -> int:
 
 
 def _cmd_digitize(args) -> int:
+    from . import rays
     ray = rays.digitize(_frac(args.dx), _frac(args.dy))
     prefix = "".join(str(d) for d in ray.digits(args.steps))
     _emit(args, "digitize", {"dx": args.dx, "dy": args.dy},
@@ -236,6 +247,7 @@ def _cmd_digitize(args) -> int:
 
 
 def _cmd_direction(args) -> int:
+    from . import rays
     ray = _parse_ray_arg(args.ray)
     ux, uy = rays.direction_of(ray)
     _emit(args, "direction", {"ray": args.ray},
@@ -244,6 +256,7 @@ def _cmd_direction(args) -> int:
 
 
 def _cmd_asymptotic(args) -> int:
+    from . import rays
     f = _parse_ray_arg(args.f)
     g = _parse_ray_arg(args.g)
     verdict = rays.are_asymptotic(f, g)
@@ -253,6 +266,7 @@ def _cmd_asymptotic(args) -> int:
 
 
 def _cmd_divergence(args) -> int:
+    from . import rays
     f = _parse_ray_arg(args.f)
     g = _parse_ray_arg(args.g)
     t = rays.divergence_time(f, g, args.M, args.horizon)
@@ -264,6 +278,7 @@ def _cmd_divergence(args) -> int:
 
 
 def _cmd_splice(args) -> int:
+    from . import rays
     f = _parse_ray_arg(args.f)
     g = _parse_ray_arg(args.g)
     result = rays.splice(f, g, args.s)
@@ -276,6 +291,7 @@ def _cmd_splice(args) -> int:
 
 
 def _cmd_ball(args) -> int:
+    from . import rays
     f = _parse_ray_arg(args.f)
     g = _parse_ray_arg(args.g)
     q = _ball_query(args)
@@ -287,6 +303,7 @@ def _cmd_ball(args) -> int:
 
 
 def _qi_map(args):
+    from . import quasi
     if args.map == "floor":
         return quasi.FloorMap()
     if args.map == "inclusion":
@@ -298,6 +315,7 @@ def _qi_map(args):
 
 
 def _qi_params(args) -> quasi.QIParams:
+    from . import quasi
     if args.k2 is not None:
         return quasi.QIParams.from_k_squared(_frac(args.k2), _frac(args.c))
     return quasi.QIParams.from_k(_frac(args.k), _frac(args.c))
@@ -310,6 +328,7 @@ def _violations_payload(violations) -> list:
 
 
 def _cmd_qi_check(args) -> int:
+    from . import quasi
     qmap = _qi_map(args)
     params = _qi_params(args)
     if args.map == "genset":
@@ -318,7 +337,8 @@ def _cmd_qi_check(args) -> int:
         pairs = list(islice(((p, q) for p in ball() for q in ball()),
                             args.count))
     elif args.map == "inclusion":
-        ball = quasi.lattice_ball(args.radius)
+        # rng.choice reads only len and indices: O(1) memory for any radius
+        ball = quasi.LatticeBall(args.radius)
         import random
         rng = random.Random(args.seed)
         pairs = [(rng.choice(ball), rng.choice(ball)) for _ in range(args.count)]
@@ -351,6 +371,7 @@ def _cmd_qi_check(args) -> int:
 
 
 def _cmd_qi_violate(args) -> int:
+    from . import quasi
     qmap = _qi_map(args)
     params = _qi_params(args)
     found = quasi.find_violation(qmap, params, args.strategy, args.budget,
@@ -364,6 +385,7 @@ def _cmd_qi_violate(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
+    from . import quasi
     samples = quasi.sample_plane_points(args.box, args.count, args.seed)
     report = quasi.roundtrip_displacement(samples)
     payload = {"max_sq_displacement": str(report.max_sq_displacement),
@@ -375,6 +397,7 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_ell1_check(args) -> int:
+    from . import rays, ell1
     path = ell1.parse_polyline(args.path)
     geodesic = ell1.is_geodesic_polyline(path)
     first = path.vertices[0]
@@ -392,6 +415,7 @@ def _cmd_ell1_check(args) -> int:
 
 
 def _cmd_ell1_splice(args) -> int:
+    from . import rays, ell1
     f = ell1.parse_polyline(args.f)
     g = ell1.parse_polyline(args.g)
     result = ell1.splice_plane(f, g, _frac(args.b))
@@ -403,6 +427,7 @@ def _cmd_ell1_splice(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    from . import rays, ell1
     ray = ell1.parse_polyline(args.path)
     code = ell1.project_to_lattice(ray)
     _emit(args, "project", {"path": args.path}, code.literal(),
@@ -411,11 +436,13 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_demo_trivial_topology(args) -> int:
+    from . import rays, demos
     f = _parse_ray_arg(args.f)
     g = _parse_ray_arg(args.g)
     q = _ball_query(args)
     report, demo = demos.demo_trivial_topology(f, g, q)
     if args.svg:
+        from . import svgfig
         horizon = int(q.b) + 10
         win = _ray_window([demo.f, demo.g, demo.g_s], horizon)
         scene = svgfig.Scene(win)
@@ -430,6 +457,7 @@ def _cmd_demo_trivial_topology(args) -> int:
 
 
 def _cmd_demo_cardinality(args) -> int:
+    from . import rays, demos
     report, rows = demos.demo_cardinality(args.rays)
     csv_rows = [["ray", "m", "N", "collides_with"]]
     csv_rows += [[r.literal, r.m, r.value, r.collides_with or ""] for r in rows]
@@ -445,6 +473,7 @@ def _cmd_demo_cardinality(args) -> int:
 
 
 def _cmd_demo_cone(args) -> int:
+    from . import rays, demos
     report = demos.demo_cone(_frac(args.eps))
     _emit_demo(args, "demo cone", report)
     return 0 if report.ok else 1
@@ -473,6 +502,7 @@ def _ray_window(ray_list, horizon: int) -> tuple[float, float, float, float]:
 
 
 def _cmd_render(args) -> int:
+    from . import rays, svgfig
     ray_list = [_parse_ray_arg(lit) for lit in args.rays]
     win = _ray_window(ray_list, args.steps)
     scene = svgfig.Scene(win)
@@ -542,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list geodesic words in lex order")
     p.add_argument("p")
     p.add_argument("q")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_count, default=None)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("is-geodesic", help="check a digit word for backtracking")
@@ -567,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("digitize", help="staircase ray of a direction")
     p.add_argument("dx")
     p.add_argument("dy")
-    p.add_argument("--steps", type=int, default=24)
+    p.add_argument("--steps", type=_count, default=24)
     p.set_defaults(func=_cmd_digitize)
 
     p = sub.add_parser("direction", help="limiting direction of a ray")
@@ -677,8 +707,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, rays.InvalidRay, rays.QuadrantMismatch,
-            lattice.GenerationError, lattice.BallExceeded, OSError) as exc:
+    except (ValueError, lattice.BallExceeded, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

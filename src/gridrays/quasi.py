@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import floor
+from math import floor, isqrt
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .exactnum import Exact, sign_sqrt, sqrt_exact
@@ -251,6 +251,31 @@ def iter_lattice_ball(radius: int) -> Iterator[LatticePoint]:
 
 def lattice_ball(radius: int) -> list[LatticePoint]:
     return list(iter_lattice_ball(radius))
+
+
+class LatticeBall:
+    """``lattice_ball(radius)`` as a sequence that lists nothing: index i
+    maps to the i-th point in O(1) integer operations."""
+
+    def __init__(self, radius: int):
+        self.radius = radius
+
+    def __len__(self) -> int:
+        return 2 * self.radius * (self.radius + 1) + 1
+
+    def __getitem__(self, i: int) -> LatticePoint:
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("lattice ball index out of range")
+        if i > n // 2:
+            # the ball is symmetric under p -> -p, which reverses the order
+            x, y = self[n - 1 - i]
+            return -x, -y
+        # the columns x = -r + j for j <= r hold 2j + 1 points each, j^2 before
+        j = isqrt(i)
+        return j - self.radius, i - j * j - j
 
 
 # ---------------------------------------------------------------------------

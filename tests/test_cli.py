@@ -147,6 +147,25 @@ def test_genset_qi_check_streams_its_pairs(capsys):
         (0, "c29bcc7d051c48c4ea9756b721bbd7823babd67cd68d58c1b37d51b95defd513")]
 
 
+def test_inclusion_qi_check_draws_from_a_closed_form_ball(capsys):
+    # a radius-600 ball has 721,201 points; listing it for rng.choice traced
+    # 58.7 MB. The bytes are frozen from that listing, violations included.
+    tracemalloc.start()
+    try:
+        outs = [run(["--format", fmt, "qi-check", "--map", "inclusion",
+                     "--k", "1", "--c", "0", "--radius", "600",
+                     "--count", "10"], capsys)
+                for fmt in ("text", "json")]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert [(code, hashlib.sha256(out.encode()).hexdigest())
+            for code, out, _ in outs] == [
+        (1, "9f4e48820e29916938cd067636fa76c12ed44bf7cc7061a6ace90316d1fdfb32"),
+        (1, "64431e1694503dabbc5ca30a6423c6aad4594b09869ec0711de2c3a4bd4580c1")]
+
+
 @pytest.mark.parametrize("radius, count", [(1, 1), (1, 4), (1, 25), (2, 30),
                                            (3, 300), (4, 2000)])
 def test_genset_pairs_are_the_ball_product(radius, count, capsys, monkeypatch):
@@ -238,6 +257,8 @@ def test_divergence_and_ball(capsys):
     ["bfs-metric", "0,0", "1,1", "--cap", "-3"],
     ["genset-lipschitz", "--gens", "1,0;0,1", "--gens2", "1,0;1,1",
      "--cap", "-1"],
+    ["enumerate", "0,0", "2,1", "--limit", "-1"],
+    ["digitize", "1", "2", "--steps", "-3"],
 ])
 def test_negative_count_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -262,10 +283,13 @@ def test_negative_count_is_a_usage_error(argv, capsys):
     ["bfs-metric", "0,0", "1,1", "--cap", "0"],
     ["genset-lipschitz", "--gens", "1,0;0,1", "--gens2", "1,0;1,1",
      "--cap", "0"],
+    ["enumerate", "0,0", "2,1", "--limit", "0"],
+    ["digitize", "1", "2", "--steps", "0"],
 ])
 def test_zero_count_is_a_usage_error(argv, capsys):
     # a certificate over no samples is vacuous: "checked": 0, "below_two";
-    # a radius of 0 checks only the zero-distance pair, which cannot fail
+    # a radius of 0 checks only the zero-distance pair, which cannot fail;
+    # no words or no digits printed an empty line
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -355,6 +379,14 @@ GOLDEN = [
       "--seed", "3"], 0,
      "240749fad05cb468dd94b370b55d4dcf59b3dad0aa70fb6dc57ee737fde873cb",
      "a5f48490e561d20fb0c895287510ef0d8248a6ac14f53aa944283bd3ed600e1c"),
+    # frozen from the listed ball that rng.choice drew from
+    (["qi-check", "--map", "inclusion", "--radius", "40", "--count", "50"], 0,
+     "243fd88523ac7335b241cdd448ef27e33deb38c9723f1d84624c2fbe527f9c62",
+     "ae9c330b3406c78f5e8953d135e5310e76de16808d31adec94a68d9c13ae563a"),
+    (["qi-check", "--map", "inclusion", "--k2", "3/2", "--c", "1/3",
+      "--radius", "40", "--count", "50"], 1,
+     "7871c89ee2ad275828aeac7f3a5f56781badb4ba118e878dffc049af6260e7fb",
+     "c9c29839e763f41e004a1629dfe5ace4029d340d8a49ef69ed6c0b1092517dfb"),
     (["roundtrip"], 0,
      "8c5055f5cf6c448ef3d69a57a9d0b777fe942f3ebdfed7536b5fa340c88e02d5",
      "9e03d5af275018b5d1e584ae2037d6a4a625af52bbe509cf8efe1e9da9d0cd79"),
@@ -488,3 +520,26 @@ def test_negative_time_is_a_library_error(capsys):
     assert code == 1 and out == "" and "ValueError" in err
     code, out, err = run(["divergence", "(0)", "(1)", "--horizon", "-1"], capsys)
     assert code == 1 and out == "" and "ValueError" in err
+
+
+# exit code and exact stderr of library errors, frozen when each exception
+# type was listed in main's except clause
+ERROR_GOLDEN = [
+    (["nmap", "(05)"],
+     "error: ValueError: cannot parse ray literal '(05)'\n"),
+    (["splice", "(01)", "(23)", "2"],
+     "error: QuadrantMismatch: '(01)' and '(23)' do not share a quadrant "
+     "window\n"),
+    (["bfs-metric", "0,0", "1,1", "--gens", "2,0;0,2"],
+     "error: GenerationError: ((-2, 0), (0, -2), (0, 2), (2, 0)) does not "
+     "generate the grid\n"),
+    (["genset-lipschitz", "--gens", "1,0;0,1", "--gens2", "5,1;1,0",
+      "--cap", "2"],
+     "error: BallExceeded: generator (0, -1) outside radius 2 in S2\n"),
+]
+
+
+@pytest.mark.parametrize("argv, err", ERROR_GOLDEN,
+                         ids=[g[0][0] for g in ERROR_GOLDEN])
+def test_library_error_stderr_is_byte_identical(argv, err, capsys):
+    assert run(argv, capsys) == (1, "", err)

@@ -1,0 +1,94 @@
+"""The lazy package surface: what a fresh process loads, and what
+``gridrays`` exports."""
+
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import gridrays
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# the public surface before names resolved lazily, in its order
+PUBLIC = """
+Surd sqrt_exact is_rational exact_sign exact_floor exact_ceil GeneratingSet
+GenerationError BallExceeded word_metric bfs_metric geodesic_count
+enumerate_geodesics is_geodesic_word generating_set_lipschitz
+standard_generators RayCode InvalidRay QuadrantMismatch BallQuery Enclosure
+Asymptotic Divergent Unknown parse_ray periodic_ray east_ray axis_ray validate
+b_map n_map digitize direction_of are_asymptotic divergence_time splice
+ball_contains trivial_topology_demo QIParams QIReport FloorMap InclusionMap
+GensetMap floor_map check_embedding find_violation roundtrip_displacement
+quasi_surjectivity_bound floor_chain_holds Polyline parse_polyline
+ell1_distance is_geodesic_polyline check_monotone_commitment splice_plane
+project_to_lattice cone_lengths demo_cone demo_cardinality
+demo_trivial_topology
+""".split()
+
+# imports gridrays, runs cli.main on argv if any, and prints the gridrays
+# modules the process has loaded
+PROBE = """\
+import contextlib, io, json, sys
+import gridrays
+if sys.argv[1:]:
+    import gridrays.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert gridrays.cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.partition(".")[0] == "gridrays")))
+"""
+
+CLI = {"gridrays", "gridrays.cli", "gridrays.lattice"}
+RAYS = CLI | {"gridrays.exactnum", "gridrays.rays"}
+LOADED = [
+    ([], {"gridrays"}),
+    (["count", "0,0", "3,4"], CLI),
+    (["nmap", "(23)"], RAYS),
+    (["qi-check", "--count", "20"],
+     CLI | {"gridrays.exactnum", "gridrays.quasi"}),
+    (["project", "0,0;1,2 >1/0"], RAYS | {"gridrays.ell1"}),
+    (["demo", "cone"], RAYS | {"gridrays.demos"}),
+    (["render", "(01)", "--steps", "5", "--out", "fig.svg"],
+     RAYS | {"gridrays.svgfig"}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", LOADED,
+                         ids=[" ".join(a[:2]) or "import" for a, _ in LOADED])
+def test_a_fresh_process_loads_only_what_it_runs(argv, modules, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) == modules
+
+
+def test_public_names_are_their_home_modules_objects():
+    assert gridrays.__all__ == PUBLIC
+    for name in gridrays.__all__:
+        obj = getattr(gridrays, name)
+        home = f"gridrays.{gridrays._HOME[name]}"
+        assert obj.__module__ == home, name
+        assert obj is getattr(import_module(home), name), name
+
+
+def test_dir_and_star_import_cover_the_public_names():
+    assert set(gridrays.__all__) <= set(dir(gridrays))
+    namespace = {}
+    exec("from gridrays import *", namespace)
+    assert set(gridrays.__all__) <= set(namespace)
+    assert namespace["Surd"] is import_module("gridrays.exactnum").Surd
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gridrays.no_such_name
+    assert not hasattr(gridrays, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from gridrays import no_such_name", {})

@@ -11,14 +11,37 @@ from hypothesis import given, strategies as st
 from gridrays import exactnum, quasi
 from gridrays.exactnum import Surd, sqrt_exact
 from gridrays.lattice import GeneratingSet, standard_generators, word_metric
-from gridrays.quasi import (FloorMap, GensetMap, InclusionMap, QIParams,
-                            Violation, check_embedding, find_violation,
+from gridrays.quasi import (FloorMap, GensetMap, InclusionMap, LatticeBall,
+                            QIParams, Violation, check_embedding, find_violation,
                             floor_chain_holds, floor_map, lattice_ball,
                             quasi_surjectivity_bound, roundtrip_displacement,
                             sample_plane_pairs, sample_plane_points,
                             sq_euclidean)
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=64)
+
+
+@pytest.mark.parametrize("radius", range(31))
+def test_lattice_ball_sequence_is_the_list(radius):
+    # every index, negative ones too, against the listed x-major ball
+    ball, seq = lattice_ball(radius), LatticeBall(radius)
+    assert len(seq) == len(ball)
+    assert [seq[i] for i in range(-len(ball), len(ball))] == ball + ball
+    for i in (len(ball), len(ball) + 7, -len(ball) - 1, -len(ball) - 9):
+        with pytest.raises(IndexError):
+            ball[i]
+        with pytest.raises(IndexError):
+            seq[i]
+
+
+def test_lattice_ball_draws_like_the_list():
+    # rng.choice reads only len and one index, so the draws are the same
+    for seed in range(5):
+        draws = []
+        for ball in (lattice_ball(12), LatticeBall(12)):
+            rng = random.Random(seed)
+            draws.append([rng.choice(ball) for _ in range(200)])
+        assert draws[0] == draws[1]
 
 
 def test_floor_map_basic():
