@@ -5,27 +5,49 @@ parameterized at unit speed in l1 arc length; a ray carries an additional
 infinite final direction. Polyline literal grammar: semicolon-separated
 rational pairs with an optional ``>dx/dy`` direction suffix, e.g.
 ``"0,0;1,1;2,1 >1/0"``.
+
+A polyline keeps its vertices as integers over their least common
+denominator D, so its arc-length parameters are integers over D too. All
+work is integer arithmetic; a ``Fraction`` is built only for a value
+handed out (``vertices``, ``params``, ``direction``, ``at``, bounds).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from functools import cached_property
+from itertools import accumulate, chain
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .lattice import WINDOW_SIGNS, quadrant_windows
-from .rays import RayCode, Staircase, periodic_ray, WINDOW_DIGITS
+from .rays import PeriodicTail, RayCode, Staircase, WINDOW_DIGITS
 
 Vec = tuple[Fraction, Fraction]
+
+_RATIO = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of a rational or of an "n" or "n/d" literal."""
+    if isinstance(x, str) and _RATIO.fullmatch(x):
+        n, _, d = x.partition("/")
+        return int(n), int(d or 1)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 def ell1_distance(p: Vec, q: Vec) -> Fraction:
     return abs(p[0] - q[0]) + abs(p[1] - q[1])
 
 
-def _norm1(v: Vec) -> Fraction:
-    return abs(v[0]) + abs(v[1])
+def _straight(a, b, c) -> bool:
+    """Whether c lies beyond b on the ray from a through b."""
+    u, v = (b[0] - a[0], b[1] - a[1]), (c[0] - b[0], c[1] - b[1])
+    return u[0] * v[1] == u[1] * v[0] and u[0] * v[0] + u[1] * v[1] > 0
 
 
 class Polyline:
@@ -33,79 +55,79 @@ class Polyline:
 
     def __init__(self, vertices: Sequence[Vec],
                  direction: Optional[Vec] = None):
-        verts = [(Fraction(x), Fraction(y)) for x, y in vertices]
+        self._setup([(_ratio(x), _ratio(y)) for x, y in vertices],
+                    direction and tuple(map(_ratio, direction)))
+
+    def _setup(self, verts, direction) -> None:
+        """Set up from coordinates given as (numerator, denominator)."""
         if not verts:
             raise ValueError("a polyline needs at least one vertex")
-        for a, b in zip(verts, verts[1:]):
+        den = lcm(*(d for v in verts for _, d in v))
+        pts = [tuple(n * (den // d) for n, d in v) for v in verts]
+        for a, b in zip(pts, pts[1:]):
             if a == b:
                 raise ValueError("consecutive vertices must be distinct")
         if direction is not None:
-            direction = (Fraction(direction[0]), Fraction(direction[1]))
-            if direction == (0, 0):
+            k = lcm(*(d for _, d in direction))
+            direction = tuple(n * (k // d) for n, d in direction) + (k,)
+            if direction[:2] == (0, 0):
                 raise ValueError("ray direction must be nonzero")
+            direction = tuple(c // gcd(*direction) for c in direction)
         # normalize: drop interior vertices on straight runs, and absorb a
         # trailing segment that continues straight into the ray direction
-        simplified = [verts[0]]
-        for nxt in verts[1:]:
-            if len(simplified) >= 2:
-                ax, ay = simplified[-2]
-                bx, by = simplified[-1]
-                u = (bx - ax, by - ay)
-                v = (nxt[0] - bx, nxt[1] - by)
-                if u[0] * v[1] == u[1] * v[0] and u[0] * v[0] + u[1] * v[1] > 0:
-                    simplified.pop()
-            simplified.append(nxt)
-        if direction is not None:
-            while len(simplified) >= 2:
-                ax, ay = simplified[-2]
-                bx, by = simplified[-1]
-                u = (bx - ax, by - ay)
-                if (u[0] * direction[1] == u[1] * direction[0]
-                        and u[0] * direction[0] + u[1] * direction[1] > 0):
-                    simplified.pop()
-                else:
-                    break
-        self.vertices: tuple[Vec, ...] = tuple(simplified)
-        self.direction = direction
-        verts = simplified
-        params = [Fraction(0)]
-        for a, b in zip(verts, verts[1:]):
-            params.append(params[-1] + ell1_distance(a, b))
-        self.params: tuple[Fraction, ...] = tuple(params)
+        out = pts[:1]
+        for c in pts[1:]:
+            if len(out) >= 2 and _straight(out[-2], out[-1], c):
+                out.pop()
+            out.append(c)
+        while direction and len(out) >= 2 and _straight(
+                out[-2], out[-1], (out[-1][0] + direction[0],
+                                   out[-1][1] + direction[1])):
+            out.pop()
+        # vertices and params over D, the direction as (x, y, k) meaning
+        # (x/k, y/k), and the moves, the direction's last at its own scale
+        g = gcd(den, *chain.from_iterable(out))
+        self._den, self._dir = den // g, direction
+        self._xy = [(x // g, y // g) for x, y in out]
+        self._mv = [(bx - ax, by - ay)
+                    for (ax, ay), (bx, by) in zip(self._xy, self._xy[1:])]
+        self._s = list(accumulate((abs(x) + abs(y) for x, y in self._mv),
+                                  initial=0))
+        self._mv += [direction[:2]] if direction else []
+
+    @cached_property
+    def vertices(self) -> tuple[Vec, ...]:
+        return tuple((Fraction(x, self._den), Fraction(y, self._den))
+                     for x, y in self._xy)
+
+    @cached_property
+    def params(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(s, self._den) for s in self._s)
+
+    @cached_property
+    def direction(self) -> Optional[Vec]:
+        if self._dir is None:
+            return None
+        x, y, k = self._dir
+        return Fraction(x, k), Fraction(y, k)
 
     @property
     def is_ray(self) -> bool:
-        return self.direction is not None
+        return self._dir is not None
 
     @property
     def length(self) -> Fraction:
-        return self.params[-1]
+        return Fraction(self._s[-1], self._den)
 
     def at(self, t: Fraction) -> Vec:
         """Point at l1 arc-length parameter t."""
-        t = Fraction(t)
-        if t < 0:
+        n, d = _ratio(t)
+        if n < 0:
             raise ValueError("parameter must be nonnegative")
-        if t > self.length:
-            if self.direction is None:
-                raise ValueError(f"parameter {t} beyond the path end")
-            u = self.unit_direction()
-            x, y = self.vertices[-1]
-            extra = t - self.length
-            return (x + u[0] * extra, y + u[1] * extra)
-        for i in range(len(self.vertices) - 1):
-            if t <= self.params[i + 1]:
-                a, b = self.vertices[i], self.vertices[i + 1]
-                seg = self.params[i + 1] - self.params[i]
-                lam = (t - self.params[i]) / seg
-                return (a[0] + (b[0] - a[0]) * lam, a[1] + (b[1] - a[1]) * lam)
-        return self.vertices[-1]
-
-    def unit_direction(self) -> Vec:
-        if self.direction is None:
-            raise ValueError("not a ray")
-        n = _norm1(self.direction)
-        return (self.direction[0] / n, self.direction[1] / n)
+        if self._dir is None and n * self._den > self._s[-1] * d:
+            raise ValueError(f"parameter {Fraction(n, d)} beyond the path end")
+        x, y, q = next(_sweep(self, d, [n * self._den]))
+        return Fraction(x, q * d * self._den), Fraction(y, q * d * self._den)
 
     def moves(self) -> list[Vec]:
         out = [(b[0] - a[0], b[1] - a[1])
@@ -116,8 +138,8 @@ class Polyline:
 
     def __eq__(self, other):
         return (isinstance(other, Polyline)
-                and self.vertices == other.vertices
-                and self.direction == other.direction)
+                and (self._den, self._xy, self._dir)
+                == (other._den, other._xy, other._dir))
 
     def __repr__(self):
         tail = f", direction={self.direction}" if self.direction else ""
@@ -130,26 +152,43 @@ class Polyline:
         return f"{body} >{self.direction[0]}/{self.direction[1]}"
 
 
+def _sweep(path: Polyline, k: int, ts):
+    """The points of path at the ascending parameters ts, given as integers
+    over k*D: (x, y, q) for the point (x, y)/(q*k*D), q being the l1 length
+    of the move that reaches it (a segment, or the direction past the end)."""
+    xy, s, mv = path._xy, path._s, path._mv or [(1, 0)]  # a lone point: t = 0
+    i = 0
+    for t in ts:
+        while i + 1 < len(s) and t > s[i + 1] * k:
+            i += 1
+        (x, y), (dx, dy), u = xy[i], mv[i], t - s[i] * k
+        q = abs(dx) + abs(dy)
+        yield q * k * x + dx * u, q * k * y + dy * u, q
+
+
 def parse_polyline(text: str) -> Polyline:
     text = text.strip()
-    direction = None
-    if ">" in text:
-        body, d = text.split(">")
-        dx, dy = d.strip().split("/")
-        direction = (Fraction(dx), Fraction(dy))
-    else:
-        body = text
-    verts = []
-    for part in body.strip().split(";"):
-        x, y = part.split(",")
-        verts.append((Fraction(x), Fraction(y)))
-    return Polyline(verts, direction)
+    try:
+        body, *tail = text.split(">")
+        verts = [(_ratio(x), _ratio(y))
+                 for x, y in (part.split(",") for part in body.strip().split(";"))]
+        if len(tail) > 1:
+            raise ValueError("more than one direction")
+        direction = None
+        if tail:
+            dx, dy = tail[0].strip().split("/")
+            direction = _ratio(dx), _ratio(dy)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse polyline literal {text!r}") from exc
+    path = Polyline.__new__(Polyline)
+    path._setup(verts, direction)
+    return path
 
 
 def is_geodesic_polyline(path: Polyline) -> bool:
     """True iff the l1 length equals the endpoint distance, equivalently
     all moves share a closed quadrant."""
-    return bool(quadrant_windows(path.moves()))
+    return bool(quadrant_windows(path._mv))
 
 
 def check_monotone_commitment(path: Polyline) -> Optional[Fraction]:
@@ -160,15 +199,15 @@ def check_monotone_commitment(path: Polyline) -> Optional[Fraction]:
     other open quadrants). Returns None when the property holds, else the
     earliest parameter at which a forbidden move begins.
     """
-    if path.vertices[0] != (Fraction(0), Fraction(0)):
+    if path._xy[0] != (0, 0):
         raise ValueError("the path must start at the origin")
-    for t, (x, y), (dx, dy) in zip(path.params, path.vertices, path.moves()):
+    for t, (x, y), (dx, dy) in zip(path._s, path._xy, path._mv):
         # the open quadrant just past (x, y): on an axis the move supplies
         # the missing sign; a path that has not retreated never leaves it
         qx = (x > 0) - (x < 0) or (dx > 0) - (dx < 0)
         qy = (y > 0) - (y < 0) or (dy > 0) - (dy < 0)
         if qx and qy and (qx * dx < 0 or qy * dy < 0):
-            return t
+            return Fraction(t, path._den)
     return None
 
 
@@ -186,40 +225,40 @@ def splice_plane(f: Polyline, g: Polyline, b: Fraction) -> PlaneSplice:
     quadrant; the result is geodesic, equals f on [0, b], and stays within
     the certified bound of g for all time.
     """
-    b = Fraction(b)
-    if b < 0:
+    bn, bd = _ratio(b)
+    if bn < 0:
         raise ValueError("splice parameter must be nonnegative")
     for name, path in (("f", f), ("g", g)):
         if not path.is_ray:
             raise ValueError(f"{name} must be a ray")
         if not is_geodesic_polyline(path):
             raise ValueError(f"{name} is not geodesic")
-    if not quadrant_windows([*f.vertices, f.direction,
-                             *g.vertices, g.direction]):
+    if not quadrant_windows([*f._xy, f._mv[-1], *g._xy, g._mv[-1]]):
         raise ValueError("rays do not share a quadrant closure")
-    fb = f.at(b)
-    gb = g.at(b)
-    shift = (fb[0] - gb[0], fb[1] - gb[1])
-    verts = [v for v, t in zip(f.vertices, f.params) if t < b]
-    verts.append(fb)
-    for v, t in zip(g.vertices, g.params):
-        if t > b:
-            verts.append((v[0] + shift[0], v[1] + shift[1]))
-    dedup = [verts[0]]
-    for v in verts[1:]:
-        if v != dedup[-1]:
-            dedup.append(v)
-    out = Polyline(dedup, g.direction)
-    # beyond b the distance to g is the constant |f(b) - g(b)|_1; on [0, b]
-    # it is piecewise linear and convex between breakpoints
-    gap = _norm1(shift)
-    breaks = sorted({t for t in f.params if t <= b}
-                    | {t for t in g.params if t <= b} | {Fraction(0), b})
-    bound = gap
-    for t in breaks:
-        d = ell1_distance(f.at(t), g.at(t))
-        bound = max(bound, d)
-    return PlaneSplice(out, bound, gap)
+    # everything over E, the common denominator of f, g and b; beyond b the
+    # distance to g is the constant |f(b) - g(b)|_1; on [0, b] it is
+    # piecewise linear and convex between breakpoints, the last being b
+    e = lcm(f._den, g._den, bd)
+    kf, kg, b = e // f._den, e // g._den, bn * (e // bd)  # b over E
+    ts = sorted({0, b, *(s * kf for s in f._s if s * kf <= b),
+                 *(s * kg for s in g._s if s * kg <= b)})
+    top, top_q = 0, 1
+    for (fx, fy, qf), (gx, gy, qg) in zip(_sweep(f, kf, ts), _sweep(g, kg, ts)):
+        d = abs(fx * qg - gx * qf) + abs(fy * qg - gy * qf)  # over qf*qg*E
+        if d * top_q > top * qf * qg:
+            top, top_q = d, qf * qg
+    # the new path, over E*qf*qg with f(b) and g(b) as the loop left them
+    m = qf * qg
+    sx, sy = fx * qg - gx * qf, fy * qg - gy * qf
+    pts = [(x * kf * m, y * kf * m) for (x, y), s in zip(f._xy, f._s)
+           if s * kf < b]
+    pts.append((fx * qg, fy * qg))
+    pts += [(x * kg * m + sx, y * kg * m + sy) for (x, y), s in zip(g._xy, g._s)
+            if s * kg > b]
+    out, (dx, dy, k) = Polyline.__new__(Polyline), g._dir
+    out._setup([((x, e * m), (y, e * m)) for x, y in pts], ((dx, k), (dy, k)))
+    return PlaneSplice(out, Fraction(top, top_q * e),
+                       Fraction(abs(sx) + abs(sy), m * e))
 
 
 def project_to_lattice(ray: Polyline) -> RayCode:
@@ -230,20 +269,20 @@ def project_to_lattice(ray: Polyline) -> RayCode:
         raise ValueError("a final direction is required")
     if not is_geodesic_polyline(ray):
         raise ValueError("only geodesic rays project to geodesic staircases")
-    if ray.vertices[0] != (Fraction(0), Fraction(0)):
+    if ray._xy[0] != (0, 0):
         raise ValueError("the ray must start at the origin")
-    w = min(quadrant_windows(ray.moves()))
+    w = min(quadrant_windows(ray._mv))
     (sx, sy), (hdig, vdig) = WINDOW_SIGNS[w], WINDOW_DIGITS[w]
-    # reflected frame: both coordinates nondecreasing
-    rverts = [(sx * x, sy * y) for x, y in ray.vertices]
-    rdir = (sx * ray.direction[0], sy * ray.direction[1])
+    # reflected frame, over D: both coordinates nondecreasing
+    den = ray._den
+    rverts = [(sx * x, sy * y) for x, y in ray._xy]
     # a segment a -> c is its line's staircase from a, cut after the n grid
-    # lines crossed in (a, c]; the tail repeats every p+q steps, p/q reduced
+    # lines crossed in (a, c]; the tail repeats every (p+q)/gcd(p, q) steps
     digits: list[int] = []
-    for a, c in zip(rverts, rverts[1:]):
-        n = floor(c[0]) - floor(a[0]) + floor(c[1]) - floor(a[1])
-        digits += Staircase(c[0] - a[0], c[1] - a[1], a).digits(n, hdig, vdig)
-    p, q = rdir
-    per = Staircase(p, q, rverts[-1]).digits((p / (p + q)).denominator,
-                                             hdig, vdig)
-    return periodic_ray(digits, per)
+    for (ax, ay), (cx, cy) in zip(rverts, rverts[1:]):
+        n = cx // den - ax // den + cy // den - ay // den
+        digits += Staircase(cx - ax, cy - ay, (ax, ay), den).digits(n, hdig, vdig)
+    p, q = sx * ray._mv[-1][0], sy * ray._mv[-1][1]
+    per = Staircase(p, q, rverts[-1], den).digits((p + q) // gcd(p, q),
+                                                 hdig, vdig)
+    return RayCode(digits, PeriodicTail(tuple(per))).canonical()

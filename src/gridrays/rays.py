@@ -87,15 +87,24 @@ class Staircase:
     Combinatorics on Words, ch. 2), ux being the l1-normalized horizontal
     speed and rho = frac(x0)*uy - frac(y0)*ux. The floor is the tie rule,
     the clamp covers axis-parallel lines. ux and rho are kept as integers
-    (P + Q*sqrt(d))/D, so H(n) costs integer ops and one isqrt.
+    (P + Q*sqrt(d))/D, so H(n) costs integer ops and one isqrt. The anchor
+    is given over ``scale``; an all-integer line builds no Fraction.
     """
 
     __slots__ = ("_p", "_q", "_p0", "_q0", "_d", "_den")
 
-    def __init__(self, dx: Exact, dy: Exact, anchor=(0, 0)):
+    def __init__(self, dx: Exact, dy: Exact, anchor=(0, 0), scale: int = 1):
+        x0, y0 = anchor
+        if all(type(v) is int for v in (dx, dy, x0, y0)):
+            # ux = dx/(dx+dy), rho = ((x0 mod s)*dy - (y0 mod s)*dx)/(s*(dx+dy))
+            self._p, self._p0 = dx * scale, x0 % scale * dy - y0 % scale * dx
+            self._q = self._q0 = self._d = 0
+            self._den = (dx + dy) * scale
+            return
+        if scale != 1:
+            x0, y0 = Fraction(x0, scale), Fraction(y0, scale)
         ux = (Fraction(dx) if is_rational(dx) else dx) / (dx + dy)
         uy = 1 - ux
-        x0, y0 = anchor
         rho = (x0 - exact_floor(x0)) * uy - (y0 - exact_floor(y0)) * ux
         (a, b, d), (a0, b0, d0) = ((x.a, x.b, x.d) if isinstance(x, Surd)
                                    else (Fraction(x), Fraction(0), 0)
@@ -263,7 +272,7 @@ class RayCode:
     this module always emit canonical codes.
     """
 
-    __slots__ = ("preamble", "tail", "_digits", "_pre", "_points")
+    __slots__ = ("preamble", "tail", "_digits", "_pre", "_points", "_valid")
 
     def __init__(self, preamble, tail: Tail):
         self.preamble = tuple(map(int, preamble))
@@ -277,6 +286,7 @@ class RayCode:
         self.tail = tail
         self._pre = _walk(self.preamble)
         self._points: list[LatticePoint] = [ORIGIN]  # prefix cache of points()
+        self._valid: Optional[bool] = None  # validate's verdict, once known
 
     # -- digits ----------------------------------------------------------
 
@@ -357,10 +367,12 @@ class RayCode:
             if pre == self.preamble:
                 return self
             return RayCode(pre, self.tail)
-        pre, per = _canonical_periodic(self.preamble, self.tail.period)
-        if pre == self.preamble and per == self.tail.period:
-            return self
-        return RayCode(pre, PeriodicTail(per))
+        pre, per = _canonical_periodic(self.preamble, self.tail.period,
+                                       self._digits)
+        out = (self if pre == self.preamble and per == self.tail.period
+               else RayCode(pre, PeriodicTail(per)))
+        out._valid = _digit_rules(out._digits)  # canonical: the digits decide
+        return out
 
     def literal(self) -> str:
         if isinstance(self.tail, PeriodicTail):
@@ -400,17 +412,16 @@ def _primitive(per: tuple[int, ...]) -> tuple[int, ...]:
     return per[:(b + b).find(b, 1)]
 
 
-def _canonical_periodic(pre, per) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _canonical_periodic(pre, per, realized=None):
+    """The canonical (pre, per); ``realized`` is the set of their digits."""
     pre, per = tuple(pre), tuple(per)
-    realized = set(pre) | set(per)
-    if not realized <= DISPLACEMENTS.keys():  # _primitive reads per as bytes
-        _check_digits(pre + per)
+    if realized is None:  # _primitive reads per as bytes
+        realized = _check_digits(pre + per)
+    if realized <= {0, 4}:
+        return (), (0,)  # the east ray
     if 4 in realized and 3 not in realized:
         pre = tuple(0 if d == 4 else d for d in pre)
         per = tuple(0 if d == 4 else d for d in per)
-        realized = (realized - {4}) | {0}
-    if realized <= {0, 4}:
-        return (), (0,)  # the east ray
     per = _primitive(per)
     # pop preamble digits that repeat the period's end, rotating it once
     n, k = len(per), 0
@@ -424,12 +435,9 @@ def _canonical_periodic(pre, per) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def periodic_ray(preamble, period) -> RayCode:
-    """Canonical eventually periodic ray from digit sequences."""
-    pre, per = tuple(map(int, preamble)), tuple(map(int, period))
-    if not per:
-        raise ValueError("empty period")
-    pre, per = _canonical_periodic(pre, per)
-    return RayCode(pre, PeriodicTail(per))
+    """Canonical eventually periodic ray from digit sequences (callers
+    holding int tuples build ``RayCode(...).canonical()`` themselves)."""
+    return RayCode(preamble, PeriodicTail(tuple(map(int, period)))).canonical()
 
 
 def east_ray() -> RayCode:
@@ -467,19 +475,20 @@ def parse_ray(text: str) -> RayCode:
 # validation
 
 
+def _digit_rules(realized) -> bool:
+    """The quadrant digit constraint and the written form of east digits."""
+    return (bool(digit_windows(realized))
+            # east digits are written 0 outside quadrant IV, 4 inside it
+            and not (4 in realized and 3 not in realized)
+            and not (0 in realized and 3 in realized))
+
+
 def validate(ray: RayCode) -> bool:
-    """Check the quadrant digit constraint and the canonical-form rules."""
-    realized = ray.realized_digits()
-    if not digit_windows(realized):
-        return False
-    if 4 in realized and 3 not in realized:
-        return False  # east digits must be written 0 outside quadrant IV
-    if 0 in realized and 3 in realized:
-        return False  # east digits must be written 4 inside quadrant IV
-    if isinstance(ray.tail, PeriodicTail):
-        code = (ray.preamble, ray.tail.period)
-        return _canonical_periodic(*code) == code
-    return True
+    """Check the quadrant digit constraint and the canonical-form rules,
+    once per ray code (a Sturmian code passing the first is canonical)."""
+    if ray._valid is None:
+        ray._valid = _digit_rules(ray._digits) and ray.canonical() is ray
+    return ray._valid
 
 
 def _require_valid(ray: RayCode) -> None:
@@ -493,10 +502,12 @@ def _require_valid(ray: RayCode) -> None:
 
 def _bits(digits, m: int) -> int:
     """The digits d - m, each 0 or 1, read as one binary numeral (0 if none)."""
-    if not set(digits) <= {m, m + 1}:
-        raise ValueError("binary digits required")
-    table = bytes.maketrans(bytes((m, m + 1)), b"01")
-    return int(bytes(digits).translate(table) or b"0", 2)
+    table = bytearray(b"x" * 256)  # any other digit fails int()
+    table[m:m + 2] = b"01"
+    try:
+        return int(bytes(digits).translate(table) or b"0", 2)
+    except ValueError:
+        raise ValueError("binary digits required") from None
 
 
 def b_map(preamble, period) -> Fraction:
@@ -585,7 +596,8 @@ def digitize(dx: Exact, dy: Exact) -> RayCode:
             raise ValueError(
                 f"rational direction {q}/{p} has period {p + q}; "
                 "reduce the fraction or pass an exact irrational")
-        return periodic_ray((), Staircase(p, q).digits(p + q, h, v))
+        per = tuple(Staircase(p, q).digits(p + q, h, v))
+        return RayCode((), PeriodicTail(per)).canonical()
     return RayCode((), SturmianTail(ax, ay, w))
 
 
@@ -722,6 +734,8 @@ def divergence_time(f: RayCode, g: RayCode, M: int,
     _require_valid(g)
     if horizon < 0:
         raise ValueError("time must be nonnegative")
+    if _lap(f, g, horizon) and _periodic_supremum(f, g) <= M:
+        return None  # the supremum is attained, so no time passes M
     return _first_passage(f, g, M, horizon)
 
 
@@ -794,6 +808,19 @@ def _periodic_supremum(f: RayCode, g: RayCode) -> int:
     return top
 
 
+def _lap(f: RayCode, g: RayCode, window: int) -> Optional[tuple[int, int]]:
+    """(T0, lcm(P_f, P_g)) for periodic tails of equal direction, past T0
+    the distance's period, when the window is longer than T0 + P_f + P_g,
+    the cost of :func:`_periodic_supremum`; else None (length first)."""
+    if not all(isinstance(r.tail, PeriodicTail) for r in (f, g)):
+        return None
+    pf, pg = len(f.tail.period), len(g.tail.period)
+    t0 = max(len(f.preamble), len(g.preamble))
+    if window <= t0 + pf + pg or f.direction() != g.direction():
+        return None
+    return t0, lcm(pf, pg)
+
+
 def are_asymptotic(f: RayCode, g: RayCode) -> Verdict:
     """Classify a pair of valid rays as asymptotic or divergent.
 
@@ -846,9 +873,9 @@ def splice(f: RayCode, g: RayCode, s: int) -> RayCode:
     k = max(s - len(g.preamble), 0)  # tail steps g has taken by time s
     if isinstance(g.tail, SturmianTail):
         return RayCode(pre, g.tail.advanced(k))
-    per = [_realize(d, w) for d in g.tail.period]
+    per = tuple(_realize(d, w) for d in g.tail.period)
     k %= len(per)
-    return periodic_ray(pre, per[k:] + per[:k])
+    return RayCode(pre, PeriodicTail(per[k:] + per[:k])).canonical()
 
 
 @dataclass(frozen=True)
@@ -878,6 +905,11 @@ def ball_contains(center: RayCode, candidate: RayCode, q: BallQuery) -> bool:
     _require_valid(candidate)
     # an integer distance d has d >= epsilon iff d >= ceil(epsilon)
     lo, hi, eps = ceil(q.a), floor(q.b), ceil(q.epsilon)
+    lap = _lap(center, candidate, hi - lo)
+    if lap:
+        if _periodic_supremum(center, candidate) < eps:
+            return True
+        hi = min(hi, max(lo, lap[0]) + lap[1])  # one period past T0 and a
     for t in range(lo, hi + 1):
         if word_metric(center.point_at(t), candidate.point_at(t)) >= eps:
             return False

@@ -163,11 +163,11 @@ _AXES = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 @st.composite
-def polylines(draw, axis: bool = False, monotone: bool = False,
-              ray: bool = True) -> Polyline:
-    """Polylines from the origin: rational moves with zero components, or
-    axis-parallel moves (all four directions); ``monotone`` keeps every
-    move in one drawn closed quadrant."""
+def polyline_args(draw, axis: bool = False, monotone: bool = False,
+                  ray: bool = True) -> tuple[list, tuple]:
+    """Vertices and direction of a polyline from the origin: rational moves
+    with zero components, or axis-parallel moves (all four directions);
+    ``monotone`` keeps every move in one drawn closed quadrant."""
     sx, sy = draw(st.sampled_from(((1, 1), (-1, 1), (-1, -1), (1, -1))))
 
     def move():
@@ -186,4 +186,9 @@ def polylines(draw, axis: bool = False, monotone: bool = False,
     direction = move() if ray else None
     if direction == (0, 0):
         direction = (sx, 0)
-    return Polyline(verts, direction)
+    return verts, direction
+
+
+def polylines(axis: bool = False, monotone: bool = False, ray: bool = True):
+    """``polyline_args`` built into a Polyline."""
+    return polyline_args(axis, monotone, ray).map(lambda a: Polyline(*a))

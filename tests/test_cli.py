@@ -495,6 +495,66 @@ RAY_GOLDEN = [
 ]
 
 
+# the same for plane paths with fractional vertices, frozen from the Fraction
+# implementation of ell1: mixed denominators (2, 3, 4, 12), a splice time
+# with a new denominator and times inside diagonal segments, directions
+# with a zero component, non-geodesic paths with a retreat time, a refused
+# splice, and projections in all four quadrants
+PLANE_GOLDEN = [
+    (["ell1-check", "0,0;1/2,1/3;5/4,1/3;5/4,7/12"], 0,
+     "a763fd6ba425ea4972b2eda21576532c0dfd035e8e4f90b19743895563a7430e",
+     "35f0c8e2ff441890fde3eb568f1cd9dc30d14125835027e9b4996f8cdfa5c0e1"),
+    (["ell1-check", "0,0;1/2,2/3;3/4,1/3;1,1/12"], 0,
+     "68b552ce021f84784a1c3c19919a900c28d56b18fcd5c17ec33853a7bd0623c5",
+     "ffde28e8a4cf797ba4994b0471cf097017b5f5c9a0a65f441f850347e1e07ab6"),
+    (["ell1-check", "0,0;-1/3,1/4;-1/3,-5/12;1/6,-5/12"], 0,
+     "f138c7c6c6414cdf8e3387dc2596c03a47ee5f9620046c1b7716f165e3282446",
+     "e87cde19f3e8626c23d154396e5e4b585e4e4c895b544193cb759a81d1b117f5"),
+    (["ell1-check", "1/3,1/2;2/3,1/4;7/12,0"], 0,
+     "dea2dec47dfb13e4695b890c700012287c809a4eb9a7e63de77cbc72df333145",
+     "311847f778eda21e0b4d8c9452b36b8cede00709b19369de96a9d7dc2b2aa9dd"),
+    (["ell1-splice", "0,0;1/3,1/4;5/6,3/2 >2/1", "0,0;3/4,0;3/4,5/12 >1/3", "29/2"], 0,
+     "6860a2739bbf3b42a59bbfb3d03a54edb12d5bec4c4eb0c27ed384a662055a63",
+     "32e9f575d4823a4aa682e9649606f96f091761562aea0d63c971ff36e9e85801"),
+    (["ell1-splice", "0,0;2/3,1/2;1,3 >1/1", "0,0;1/4,1/3 >3/2", "5/4"], 0,
+     "8c1b48e0fb8f66cc3afcd5349a8fa2087b71b1bb51c6c1e8621be110cfbaf366",
+     "67afa06ef9cba149f33c821ea6e95f4f54d72d98b25baefd85b226e7e3cfb365"),
+    (["ell1-splice", "0,0;1/2,1/3 >1/0", "0,0;0,5/4;7/12,5/4 >0/1", "7/3"], 0,
+     "73a68dbfe6de2f2d8f29fa157c0c1d2e74d45d6895b1328395725a521d435d59",
+     "369fa3537b0f0b473ee7eb9f7250a6df0f4423fadc5efaeac4a4353cd2986ce4"),
+    (["ell1-splice", "0,0;-1/2,1/3;-5/4,7/6 >-1/2", "0,0;-1/12,1/4 >-3/1", "0"], 0,
+     "dfafd7ce707e7e542d406d6dc06828ebba5cadceac17d2815b5963763dc15370",
+     "099c46a32f6327ad466cbc93038e80300c1e659694820d8a25f4880bc60b693a"),
+    (["ell1-splice", "0,0;1/2,1/3;1/4,1 >1/1", "0,0 >1/1", "1"], 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["project", "0,0;1/3,1/4;5/6,3/2 >2/1"], 0,
+     "cbb6a09d47f47428419789a7e6be0388a9f31ec0f32d07a82fe8134da5ed27cc",
+     "af50bfce6b6c129bf4159778ce91ca7eeca2a766144a2c9d5e064c3a23834f4b"),
+    (["project", "0,0;-1/2,1/3;-5/4,7/6 >-1/2"], 0,
+     "7da0e908d240295d6d4a3991b7b5ea9b01067eb66857fed0c23132784efd2024",
+     "dbc63ab92d88cc1a71e94ede957710a1dd7afd02e5615c68b3f9737de5aac013"),
+    (["project", "0,0;-2/3,-1/4;-7/6,-3/2 >-3/-1"], 0,
+     "e6d5f0409349c159d67b34b746f86c97e96cccdf0669b6fceb15cae428db1e10",
+     "0cc5be8e8665d85d64f640f182ea5350e60c91051005cae9f301d6eb1a6b3057"),
+    (["project", "0,0;5/12,-1/3;3/4,-7/4 >1/-3"], 0,
+     "1655513ce52331dda8239409a739609eb859b1fd1e26d18b789f2d2d74739b13",
+     "a4a757117dc3a221622f51535e16e213d1c43ef025cf6d1ecb772cc425dc3786"),
+    (["project", "0,0;-1/3,-1/2 >0/-1"], 0,
+     "dbf78efba4db41ce351ceab5ca07bfe190a657585eb296f8feb10f49fb626bd4",
+     "f5740cd1dee89940421f6a0d0e392b6c69f494eba86157c8d0d9d160fd61cd05"),
+    (["ell1-check", "0,0;1/4,1/6;1/2,1/3;0.75,1/3"], 0,
+     "5f1f234f8c2fdd1af005294cbffa5e6b25ae0f9cde135452b20e33ce7456defc",
+     "adbaca70cd0e4a2fc9ceabab18d2400bd6e80e7fb831a828693354c9200c3db9"),
+    (["ell1-splice", "0,0;1/3,1/2;2/3,1 >1/3", "0,0;1/6,0 >1/1", "10/3"], 0,
+     "8963acf5cd529e5ad255d3111ad30775550def185e164ec659db79a920c1a80d",
+     "ab0391541f99965c1b3f4b53da9b5035ee017f1d85a46869917ef0f66df15254"),
+    (["project", "0,0;-1/4,0;-1/2,0;-1/2,5/3 >-3/4"], 0,
+     "0b4adcce0172b2c56462a8211341b66e61a782690dcd9d8faaf1020c6739de9b",
+     "2384534b299e87a1f15ba4f1299ae3c0265d35d1bda8b1c3e407d02840493e7a"),
+]
+
+
 def _assert_golden(argv, code, text_sha, json_sha, capsys):
     for fmt, want in (("text", text_sha), ("json", json_sha)):
         got_code, out, _ = run(["--format", fmt, *argv], capsys)
@@ -513,6 +573,46 @@ def test_certificate_output_is_byte_identical(argv, code, text_sha, json_sha,
                          ids=[" ".join(g[0])[:60] for g in RAY_GOLDEN])
 def test_ray_output_is_byte_identical(argv, code, text_sha, json_sha, capsys):
     _assert_golden(argv, code, text_sha, json_sha, capsys)
+
+
+@pytest.mark.parametrize("argv, code, text_sha, json_sha", PLANE_GOLDEN,
+                         ids=[" ".join(g[0])[:60] for g in PLANE_GOLDEN])
+def test_plane_output_is_byte_identical(argv, code, text_sha, json_sha, capsys):
+    _assert_golden(argv, code, text_sha, json_sha, capsys)
+
+
+@pytest.mark.parametrize("literal", ["0,0;1/0,1", "0,0;1", "0,0;1,1 >1",
+                                     "0,0 >1/0 >1/1"])
+def test_malformed_polyline_is_one_typed_error(literal, capsys):
+    # a ZeroDivisionError escaped main and unpacking errors were printed raw
+    err = f"error: ValueError: cannot parse polyline literal {literal!r}\n"
+    for argv in (["ell1-check", literal], ["project", literal],
+                 ["ell1-splice", "0,0 >1/1", literal, "1"]):
+        assert run(argv, capsys) == (1, "", err)
+
+
+def test_equal_direction_queries_skip_the_window(monkeypatch, capsys):
+    # both scanned every time up to 10**10; the supremum answers at once
+    from gridrays import rays
+    calls = []
+
+    def word_metric(p, q):
+        calls.append(1)
+        assert len(calls) < 10_000, "the window is being scanned"
+        return abs(p[0] - q[0]) + abs(p[1] - q[1])
+    monkeypatch.setattr(rays, "word_metric", word_metric)
+    assert run(["ball", "(01)", "(01)", "--K", "0,10000000000", "--eps", "1"],
+               capsys) == (0, "true\n", "")
+    assert run(["divergence", "(0011)", "(0110)", "--M", "10",
+                "--horizon", "10000000000"], capsys) == (0, "not-found\n", "")
+    # what the scans print on a small window
+    monkeypatch.undo()
+    f, g = rays.parse_ray("(01)"), rays.parse_ray("(01)")
+    assert all(rays.word_metric(f.point_at(t), g.point_at(t)) < 1
+               for t in range(200))
+    f, g = rays.parse_ray("(0011)"), rays.parse_ray("(0110)")
+    assert all(rays.word_metric(f.point_at(t), g.point_at(t)) <= 10
+               for t in range(200))
 
 
 def test_negative_time_is_a_library_error(capsys):

@@ -8,6 +8,7 @@ per-digit ``Staircase.digits``, the shift-sum ``b_map``, the loop
 the same verdicts, digits and values.
 """
 
+import math
 import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
@@ -18,10 +19,11 @@ from hypothesis import assume, given, settings, strategies as st
 from gridrays import rays
 from gridrays.exactnum import sqrt_exact
 from gridrays.lattice import DISPLACEMENTS, word_metric
-from gridrays.rays import (Asymptotic, PeriodicTail, RayCode, Staircase,
-                           SturmianTail, WINDOW_DIGITS, are_asymptotic, b_map,
-                           digitize, n_map, parse_ray, periodic_ray, splice,
-                           validate)
+from gridrays.rays import (Asymptotic, BallQuery, PeriodicTail, RayCode,
+                           Staircase, SturmianTail, WINDOW_DIGITS,
+                           are_asymptotic, b_map, ball_contains, digitize,
+                           divergence_time, n_map, parse_ray, periodic_ray,
+                           splice, validate)
 
 from conftest import digit_windows_oracle
 
@@ -89,6 +91,35 @@ def canonical_periodic_oracle(pre, per):
         pre.pop()
         per = [per[-1]] + per[:-1]
     return tuple(pre), tuple(per)
+
+
+def validate_oracle(ray):
+    """validate as it was, recomputed from the code on every call."""
+    realized = set(ray.preamble) | set(
+        ray.tail.period if isinstance(ray.tail, PeriodicTail)
+        else WINDOW_DIGITS[ray.tail.window])
+    if not digit_windows_oracle(realized):
+        return False
+    if 4 in realized and 3 not in realized:
+        return False
+    if 0 in realized and 3 in realized:
+        return False
+    if isinstance(ray.tail, PeriodicTail):
+        code = (ray.preamble, ray.tail.period)
+        return canonical_periodic_oracle(*code) == code
+    return True
+
+
+def ball_scan_oracle(center, candidate, q):
+    """ball_contains as it was: every integer time of [a, b] scanned."""
+    eps = math.ceil(q.epsilon)
+    return all(word_metric(center.point_at(t), candidate.point_at(t)) < eps
+               for t in range(math.ceil(q.a), math.floor(q.b) + 1))
+
+
+def divergence_scan_oracle(f, g, M, horizon):
+    return next((t for t in range(horizon + 1)
+                 if word_metric(f.point_at(t), g.point_at(t)) > M), None)
 
 
 def digits_oracle(ray, n):
@@ -369,3 +400,69 @@ def test_advanced_tail_shares_the_line():
         [SturmianTail(1, sqrt_exact(3), 2, 607).digit(k) for k in range(1, 50)]
     with pytest.raises(ValueError):
         tail.advanced(-8)
+
+
+# -- one canonical pass and one verdict per ray code ---------------------------------
+
+
+digits_with_bad = st.lists(st.integers(0, 4), max_size=8)
+
+
+@settings(deadline=None, max_examples=300)
+@given(digits_with_bad, digits_with_bad.filter(bool), windows, st.integers(0, 9))
+def test_kept_verdict_is_the_recomputed_one(pre, per, w, offset):
+    raw = RayCode(pre, PeriodicTail(tuple(per)))
+    built = periodic_ray(pre, per)  # canonical(): the verdict set on the way
+    sturmian = RayCode(pre, SturmianTail(1, sqrt_exact(2), w, offset))
+    for ray in (raw, raw.canonical(), built, sturmian):
+        want = validate_oracle(ray)
+        assert validate(ray) is want and validate(ray) is want
+
+
+def test_a_rational_literal_is_canonicalized_once(monkeypatch):
+    calls = []
+    canonical = rays._canonical_periodic
+    monkeypatch.setattr(rays, "_canonical_periodic",
+                        lambda *args: calls.append(args) or canonical(*args))
+    ray = parse_ray("slope:1499/1498@3")
+    assert validate(ray) and n_map(ray) == n_map_periodic_oracle(ray)
+    assert len(calls) <= 1
+
+
+# -- equal-direction ball and divergence queries, against the scans ---------------------
+
+
+@st.composite
+def short_equal_direction_pairs(draw):
+    """Equal-direction periodic rays with periods of at most 12 steps, so
+    that a window holds many periods of their distance."""
+    w = draw(windows)
+    h, v = WINDOW_DIGITS[w]
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pair = [periodic_ray(draw(st.lists(st.sampled_from((h, v)), max_size=6)),
+                         draw(st.permutations([h] * (a * m) + [v] * (b * m))))
+            for m in (draw(st.integers(1, 2)), draw(st.integers(1, 2)))]
+    assume(all(map(validate, pair)))
+    return pair
+
+
+equal_direction = st.one_of(equal_direction_pairs(), short_equal_direction_pairs())
+
+
+@settings(deadline=None, max_examples=300)
+@given(equal_direction, st.integers(0, 30), st.integers(0, 250),
+       st.fractions(F(1, 3), 40, max_denominator=3))
+def test_equal_direction_ball_matches_the_scan(pair, a, length, eps):
+    f, g = pair
+    q = BallQuery(a, a + length, eps)
+    for center, candidate in ((f, g), (g, f)):
+        assert ball_contains(center, candidate, q) == \
+            ball_scan_oracle(center, candidate, q)
+
+
+@settings(deadline=None, max_examples=300)
+@given(equal_direction, st.integers(-2, 60), st.integers(0, 300))
+def test_equal_direction_divergence_matches_the_scan(pair, M, horizon):
+    f, g = pair
+    assert divergence_time(f, g, M, horizon) == \
+        divergence_scan_oracle(f, g, M, horizon)
