@@ -16,10 +16,9 @@ _HOMES = {
                "bfs_metric geodesic_count enumerate_geodesics is_geodesic_word "
                "generating_set_lipschitz standard_generators",
     "rays": "RayCode InvalidRay QuadrantMismatch BallQuery Enclosure "
-            "Asymptotic Divergent Unknown parse_ray periodic_ray east_ray "
-            "axis_ray validate b_map n_map digitize direction_of "
-            "are_asymptotic divergence_time splice ball_contains "
-            "trivial_topology_demo",
+            "Asymptotic Divergent parse_ray periodic_ray east_ray axis_ray "
+            "validate b_map n_map digitize direction_of are_asymptotic "
+            "divergence_time splice ball_contains trivial_topology_demo",
     "quasi": "QIParams QIReport FloorMap InclusionMap GensetMap floor_map "
              "check_embedding find_violation roundtrip_displacement "
              "quasi_surjectivity_bound floor_chain_holds",

@@ -3,7 +3,8 @@
 Every subcommand wraps one library operation or demo and reports through
 a common envelope: text by default, or ``{"op", "input", "output"}`` JSON,
 or CSV for tabular output. Exit codes: 0 success, 1 assertion or library
-failure, 2 usage error.
+failure, 2 usage error. Each subcommand is one row of ``COMMANDS``; the
+parser, ``REGISTRY`` and the envelope's ``op`` are derived from it.
 """
 
 from __future__ import annotations
@@ -24,36 +25,6 @@ from typing import Optional
 # compiled inside another module's import raised a child's peak RSS by
 # about 0.6 MB over importing everything up front.
 from . import lattice
-
-#: subcommand -> operations it exposes (coverage contract for the tests)
-REGISTRY: dict[str, tuple[str, ...]] = {
-    "metric": ("lattice.word_metric",),
-    "bfs-metric": ("lattice.bfs_metric",),
-    "count": ("lattice.geodesic_count",),
-    "enumerate": ("lattice.enumerate_geodesics",),
-    "is-geodesic": ("lattice.is_geodesic_word",),
-    "genset-lipschitz": ("lattice.generating_set_lipschitz",),
-    "nmap": ("rays.n_map", "rays.validate"),
-    "bmap": ("rays.b_map",),
-    "digitize": ("rays.digitize", "rays.digit_at"),
-    "direction": ("rays.direction_of",),
-    "asymptotic": ("rays.are_asymptotic",),
-    "divergence": ("rays.divergence_time",),
-    "splice": ("rays.splice", "rays.point_at"),
-    "ball": ("rays.ball_contains",),
-    "qi-check": ("quasi.check_embedding", "quasi.floor_map",
-                 "quasi.quasi_surjectivity_bound"),
-    "qi-violate": ("quasi.find_violation",),
-    "roundtrip": ("quasi.roundtrip_displacement",),
-    "ell1-check": ("ell1.ell1_distance", "ell1.is_geodesic_polyline",
-                   "ell1.check_monotone_commitment"),
-    "ell1-splice": ("ell1.splice_plane",),
-    "project": ("ell1.project_to_lattice",),
-    "demo trivial-topology": ("rays.trivial_topology_demo",),
-    "demo cardinality": ("demos.demo_cardinality",),
-    "demo cone": ("demos.cone_lengths",),
-    "render": ("svgfig.Scene",),
-}
 
 
 class CliError(Exception):
@@ -126,22 +97,18 @@ def _verdict_payload(verdict) -> dict:
     if isinstance(verdict, rays.Asymptotic):
         return {"kind": "asymptotic", "bound": verdict.bound,
                 "attained": verdict.attained}
-    if isinstance(verdict, rays.Divergent):
-        return {"kind": "divergent", "witness_t": verdict.witness_t,
-                "distance": verdict.distance,
-                "probe": rays.DIVERGENCE_PROBE}
-    return {"kind": "unknown", "horizon": verdict.horizon}
+    return {"kind": "divergent", "witness_t": verdict.witness_t,
+            "distance": verdict.distance, "probe": rays.DIVERGENCE_PROBE}
 
 
-def _emit(args, op: str, inputs: dict, output, text_lines=None,
-          csv_rows=None) -> None:
+def _emit(args, inputs: dict, output, text_lines=None, csv_rows=None) -> None:
     fmt = args.format
     if fmt == "json":
-        payload = json.dumps({"op": op, "input": inputs, "output": output},
+        payload = json.dumps({"op": args.op, "input": inputs, "output": output},
                              indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
         if csv_rows is None:
-            raise CliError(f"subcommand {op!r} has no CSV form")
+            raise CliError(f"subcommand {args.op!r} has no CSV form")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for row in csv_rows:
@@ -165,7 +132,7 @@ def _emit(args, op: str, inputs: dict, output, text_lines=None,
 def _cmd_metric(args) -> int:
     p, q = lattice.parse_point(args.p), lattice.parse_point(args.q)
     d = lattice.word_metric(p, q)
-    _emit(args, "metric", {"p": args.p, "q": args.q}, d, [d])
+    _emit(args, {"p": args.p, "q": args.q}, d, [d])
     return 0
 
 
@@ -174,31 +141,29 @@ def _cmd_bfs_metric(args) -> int:
     p, q = lattice.parse_point(args.p), lattice.parse_point(args.q)
     d = lattice.bfs_metric(S, p, q, args.cap)
     out = "exceeded" if d is None else d
-    _emit(args, "bfs-metric",
-          {"p": args.p, "q": args.q, "gens": args.gens, "cap": args.cap},
-          out, [out])
+    _emit(args, {"p": args.p, "q": args.q, "gens": args.gens,
+                 "cap": args.cap}, out, [out])
     return 0
 
 
 def _cmd_count(args) -> int:
     p, q = lattice.parse_point(args.p), lattice.parse_point(args.q)
     n = lattice.geodesic_count(p, q)
-    _emit(args, "count", {"p": args.p, "q": args.q}, n, [n])
+    _emit(args, {"p": args.p, "q": args.q}, n, [n])
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     p, q = lattice.parse_point(args.p), lattice.parse_point(args.q)
     words = lattice.enumerate_geodesics(p, q, args.limit)
-    _emit(args, "enumerate",
-          {"p": args.p, "q": args.q, "limit": args.limit},
+    _emit(args, {"p": args.p, "q": args.q, "limit": args.limit},
           words, words, csv_rows=[["word"]] + [[w] for w in words])
     return 0
 
 
 def _cmd_is_geodesic(args) -> int:
     ok = lattice.is_geodesic_word(args.word)
-    _emit(args, "is-geodesic", {"word": args.word}, ok, ["true" if ok else "false"])
+    _emit(args, {"word": args.word}, ok, ["true" if ok else "false"])
     return 0
 
 
@@ -206,8 +171,7 @@ def _cmd_genset_lipschitz(args) -> int:
     S = _parse_gens(args.gens)
     S2 = _parse_gens(args.gens2)
     m, n = lattice.generating_set_lipschitz(S, S2, args.cap)
-    _emit(args, "genset-lipschitz",
-          {"gens": args.gens, "gens2": args.gens2, "cap": args.cap},
+    _emit(args, {"gens": args.gens, "gens2": args.gens2, "cap": args.cap},
           {"m": m, "n": n}, [f"m={m} n={n}"])
     return 0
 
@@ -222,7 +186,7 @@ def _cmd_nmap(args) -> int:
     else:
         out = str(val)
         text = [val]
-    _emit(args, "nmap", {"ray": args.ray}, out, text)
+    _emit(args, {"ray": args.ray}, out, text)
     return 0
 
 
@@ -232,7 +196,7 @@ def _cmd_bmap(args) -> int:
     if not m:
         raise CliError(f"expected a binary literal like '1(01)', got {args.code!r}")
     val = rays.b_map(m.group(1), m.group(2))
-    _emit(args, "bmap", {"code": args.code}, str(val), [val])
+    _emit(args, {"code": args.code}, str(val), [val])
     return 0
 
 
@@ -240,9 +204,8 @@ def _cmd_digitize(args) -> int:
     from . import rays
     ray = rays.digitize(_frac(args.dx), _frac(args.dy))
     prefix = "".join(str(d) for d in ray.digits(args.steps))
-    _emit(args, "digitize", {"dx": args.dx, "dy": args.dy},
-          {"ray": ray.literal(), "prefix": prefix},
-          [ray.literal(), prefix])
+    _emit(args, {"dx": args.dx, "dy": args.dy},
+          {"ray": ray.literal(), "prefix": prefix}, [ray.literal(), prefix])
     return 0
 
 
@@ -250,8 +213,8 @@ def _cmd_direction(args) -> int:
     from . import rays
     ray = _parse_ray_arg(args.ray)
     ux, uy = rays.direction_of(ray)
-    _emit(args, "direction", {"ray": args.ray},
-          {"ux": _fmt(ux), "uy": _fmt(uy)}, [f"({ux}, {uy})"])
+    _emit(args, {"ray": args.ray}, {"ux": _fmt(ux), "uy": _fmt(uy)},
+          [f"({ux}, {uy})"])
     return 0
 
 
@@ -261,7 +224,7 @@ def _cmd_asymptotic(args) -> int:
     g = _parse_ray_arg(args.g)
     verdict = rays.are_asymptotic(f, g)
     payload = _verdict_payload(verdict)
-    _emit(args, "asymptotic", {"f": args.f, "g": args.g}, payload)
+    _emit(args, {"f": args.f, "g": args.g}, payload)
     return 0
 
 
@@ -271,9 +234,8 @@ def _cmd_divergence(args) -> int:
     g = _parse_ray_arg(args.g)
     t = rays.divergence_time(f, g, args.M, args.horizon)
     out = "not-found" if t is None else t
-    _emit(args, "divergence",
-          {"f": args.f, "g": args.g, "M": args.M, "horizon": args.horizon},
-          out, [out])
+    _emit(args, {"f": args.f, "g": args.g, "M": args.M,
+                 "horizon": args.horizon}, out, [out])
     return 0
 
 
@@ -284,7 +246,7 @@ def _cmd_splice(args) -> int:
     result = rays.splice(f, g, args.s)
     pts = [lattice.format_point(result.point_at(t))
            for t in range(min(args.s, 16) + 1)]
-    _emit(args, "splice", {"f": args.f, "g": args.g, "s": args.s},
+    _emit(args, {"f": args.f, "g": args.g, "s": args.s},
           {"ray": result.literal(), "prefix_points": pts},
           [result.literal()])
     return 0
@@ -296,9 +258,8 @@ def _cmd_ball(args) -> int:
     g = _parse_ray_arg(args.g)
     q = _ball_query(args)
     ok = rays.ball_contains(f, g, q)
-    _emit(args, "ball",
-          {"center": args.f, "candidate": args.g, "K": args.K, "eps": args.eps},
-          ok, ["true" if ok else "false"])
+    _emit(args, {"center": args.f, "candidate": args.g, "K": args.K,
+                 "eps": args.eps}, ok, ["true" if ok else "false"])
     return 0
 
 
@@ -364,9 +325,7 @@ def _cmd_qi_check(args) -> int:
         "D": None if report.surjectivity_bound is None
         else str(report.surjectivity_bound),
     }
-    _emit(args, "qi-check",
-          {"map": args.map, "count": args.count, "seed": args.seed},
-          payload)
+    _emit(args, {"map": args.map, "count": args.count, "seed": args.seed}, payload)
     return 0 if report.ok else 1
 
 
@@ -377,10 +336,10 @@ def _cmd_qi_violate(args) -> int:
     found = quasi.find_violation(qmap, params, args.strategy, args.budget,
                                  seed=args.seed)
     if found is None:
-        _emit(args, "qi-violate", {"strategy": args.strategy}, "none", ["none"])
+        _emit(args, {"strategy": args.strategy}, "none", ["none"])
         return 0
     payload = _violations_payload([found])[0]
-    _emit(args, "qi-violate", {"strategy": args.strategy}, payload)
+    _emit(args, {"strategy": args.strategy}, payload)
     return 0
 
 
@@ -392,7 +351,7 @@ def _cmd_roundtrip(args) -> int:
                "argmax": [_fmt(c) for c in report.argmax],
                "samples": report.samples,
                "below_two": report.max_sq_displacement < 2}
-    _emit(args, "roundtrip", {"count": args.count, "seed": args.seed}, payload)
+    _emit(args, {"count": args.count, "seed": args.seed}, payload)
     return 0 if report.max_sq_displacement < 2 else 1
 
 
@@ -410,7 +369,7 @@ def _cmd_ell1_check(args) -> int:
     if first == (Fraction(0), Fraction(0)):
         t = ell1.check_monotone_commitment(path)
         payload["monotone_commitment"] = True if t is None else str(t)
-    _emit(args, "ell1-check", {"path": args.path}, payload)
+    _emit(args, {"path": args.path}, payload)
     return 0
 
 
@@ -422,7 +381,7 @@ def _cmd_ell1_splice(args) -> int:
     payload = {"path": result.path.literal(),
                "bound": str(result.bound),
                "handoff_gap": str(result.handoff_gap)}
-    _emit(args, "ell1-splice", {"f": args.f, "g": args.g, "b": args.b}, payload)
+    _emit(args, {"f": args.f, "g": args.g, "b": args.b}, payload)
     return 0
 
 
@@ -430,8 +389,7 @@ def _cmd_project(args) -> int:
     from . import rays, ell1
     ray = ell1.parse_polyline(args.path)
     code = ell1.project_to_lattice(ray)
-    _emit(args, "project", {"path": args.path}, code.literal(),
-          [code.literal()])
+    _emit(args, {"path": args.path}, code.literal(), [code.literal()])
     return 0
 
 
@@ -451,8 +409,7 @@ def _cmd_demo_trivial_topology(args) -> int:
                             for x, y in ray.points(horizon)], label)
         scene.write(args.svg)
         report.artifacts.append(args.svg)
-    _emit_demo(args, "demo trivial-topology", report,
-               extra={"s": demo.s, "g_s": demo.g_s.literal()})
+    _emit_demo(args, report, extra={"s": demo.s, "g_s": demo.g_s.literal()})
     return 0 if report.ok else 1
 
 
@@ -464,7 +421,7 @@ def _cmd_demo_cardinality(args) -> int:
     out = {"rows": [{"ray": r.literal, "m": r.m, "N": r.value,
                      "collides_with": r.collides_with} for r in rows],
            "assertions": [a.__dict__ for a in report.assertions]}
-    _emit(args, "demo cardinality", report.inputs, out,
+    _emit(args, report.inputs, out,
           [f"{r.literal}\tm={r.m}\tN={r.value}"
            + (f"\tcollides with {r.collides_with}" if r.collides_with else "")
            for r in rows],
@@ -475,11 +432,11 @@ def _cmd_demo_cardinality(args) -> int:
 def _cmd_demo_cone(args) -> int:
     from . import rays, demos
     report = demos.demo_cone(_frac(args.eps))
-    _emit_demo(args, "demo cone", report)
+    _emit_demo(args, report)
     return 0 if report.ok else 1
 
 
-def _emit_demo(args, op: str, report, extra: Optional[dict] = None) -> None:
+def _emit_demo(args, report, extra: Optional[dict] = None) -> None:
     out = {"assertions": [a.__dict__ for a in report.assertions],
            "artifacts": report.artifacts,
            "ok": report.ok}
@@ -489,7 +446,7 @@ def _emit_demo(args, op: str, report, extra: Optional[dict] = None) -> None:
              f"expected {a.expected}, got {a.actual}"
              for a in report.assertions]
     lines.append("OK" if report.ok else "FAILED")
-    _emit(args, op, report.inputs, out, lines)
+    _emit(args, report.inputs, out, lines)
 
 
 def _ray_window(ray_list, horizon: int) -> tuple[float, float, float, float]:
@@ -521,181 +478,128 @@ def _cmd_render(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the subcommand table: one row per subcommand, from which the parser,
+# REGISTRY and each envelope's "op" are derived. A row is (name, help or
+# None, the operations it exposes, handler, arguments); an argument is a
+# bare positional name or a (name or flag, add_argument keywords) pair.
+
+# accepted both before and after the subcommand
+_GLOBAL_FLAGS = [
+    ("--format", dict(choices=("json", "csv", "text"), default="text")),
+    ("--out", dict(default=None, help="write output to a file")),
+    ("--seed", dict(type=int, default=0)),
+]
+
+_CAP = ("--cap", dict(type=_count, default=64))
+_BOX = ("--box", dict(type=_box, default="-1000,1000"))
+_COUNT = ("--count", dict(type=_count, default=1000))
+_QI = [("--map", dict(default="floor",
+                      choices=("floor", "inclusion", "genset"))),
+       ("--k", dict(default="2")),
+       ("--k2", dict(default=None, help="k squared, for irrational constants")),
+       ("--c", dict(default="2")),
+       ("--gens", {}), ("--gens2", {}), _CAP]
+
+COMMANDS = [
+    ("metric", "word metric between two points", ("lattice.word_metric",),
+     _cmd_metric, ["p", "q"]),
+    ("bfs-metric", "BFS distance under any generators",
+     ("lattice.bfs_metric",), _cmd_bfs_metric,
+     ["p", "q", ("--gens", dict(default="1,0;0,1",
+                                help="semicolon-separated vectors")), _CAP]),
+    ("count", "number of geodesics between two points",
+     ("lattice.geodesic_count",), _cmd_count, ["p", "q"]),
+    ("enumerate", "list geodesic words in lex order",
+     ("lattice.enumerate_geodesics",), _cmd_enumerate,
+     ["p", "q", ("--limit", dict(type=_count, default=None))]),
+    ("is-geodesic", "check a digit word for backtracking",
+     ("lattice.is_geodesic_word",), _cmd_is_geodesic, ["word"]),
+    ("genset-lipschitz", "bi-Lipschitz constants between two word metrics",
+     ("lattice.generating_set_lipschitz",), _cmd_genset_lipschitz,
+     [("--gens", dict(required=True)), ("--gens2", dict(required=True)),
+      _CAP]),
+    ("nmap", "boundary value N of a ray", ("rays.n_map", "rays.validate"),
+     _cmd_nmap, ["ray"]),
+    ("bmap", "value of a binary expansion literal", ("rays.b_map",),
+     _cmd_bmap, ["code"]),
+    ("digitize", "staircase ray of a direction",
+     ("rays.digitize", "rays.RayCode.digit_at"), _cmd_digitize,
+     ["dx", "dy", ("--steps", dict(type=_count, default=24))]),
+    ("direction", "limiting direction of a ray", ("rays.direction_of",),
+     _cmd_direction, ["ray"]),
+    ("asymptotic", "classify a pair of rays", ("rays.are_asymptotic",),
+     _cmd_asymptotic, ["f", "g"]),
+    ("divergence", "first time the distance exceeds M",
+     ("rays.divergence_time",), _cmd_divergence,
+     ["f", "g", ("--M", dict(type=int, default=10)),
+      ("--horizon", dict(type=int, default=1000))]),
+    ("splice", "follow f for s steps, then g",
+     ("rays.splice", "rays.RayCode.point_at"), _cmd_splice,
+     ["f", "g", ("s", dict(type=int))]),
+    ("ball", "basis-ball membership", ("rays.ball_contains",), _cmd_ball,
+     [("f", dict(help="center ray")), ("g", dict(help="candidate ray")),
+      ("--K", dict(required=True, help="compact interval a,b")),
+      ("--eps", dict(required=True, help="radius as a rational"))]),
+    ("qi-check", None, ("quasi.check_embedding", "quasi.floor_map",
+                        "quasi.quasi_surjectivity_bound"), _cmd_qi_check,
+     [*_QI, ("--box", dict(_BOX[1], help="sampling box lo,hi")), _COUNT,
+      ("--radius", dict(type=_count, default=10))]),
+    ("qi-violate", None, ("quasi.find_violation",), _cmd_qi_violate,
+     [*_QI, ("--strategy", dict(default="diagonal-ray",
+                                choices=("diagonal-ray", "grid", "random"))),
+      ("--budget", dict(type=_count, default=1000))]),
+    ("roundtrip", "displacement of floor-then-include",
+     ("quasi.roundtrip_displacement",), _cmd_roundtrip, [_BOX, _COUNT]),
+    ("ell1-check", "taxicab geodesy of a polyline",
+     ("ell1.ell1_distance", "ell1.is_geodesic_polyline",
+      "ell1.check_monotone_commitment"), _cmd_ell1_check, ["path"]),
+    ("ell1-splice", "plane splice of two rays", ("ell1.splice_plane",),
+     _cmd_ell1_splice, ["f", "g", "b"]),
+    ("project", "lattice staircase of a plane ray",
+     ("ell1.project_to_lattice",), _cmd_project, ["path"]),
+    ("demo trivial-topology", None, ("rays.trivial_topology_demo",),
+     _cmd_demo_trivial_topology,
+     [("--f", dict(default="(01)")), ("--g", dict(default="(001)")),
+      ("--K", dict(default="0,5")), ("--eps", dict(default="1")),
+      ("--svg", dict(default=None, help="also write a figure here"))]),
+    ("demo cardinality", None, ("demos.demo_cardinality",),
+     _cmd_demo_cardinality,
+     [("rays", dict(nargs="*", default=["(0)", "(23)", "(1)"]))]),
+    ("demo cone", None, ("demos.cone_lengths",), _cmd_demo_cone,
+     [("--eps", dict(default="1"))]),
+    ("render", "draw rays as an SVG staircase figure", ("svgfig.Scene",),
+     _cmd_render, [("rays", dict(nargs="+")),
+                   ("--steps", dict(type=int, default=30)),
+                   ("--with-line", dict(action="store_true"))]),
+]
+
+#: subcommand -> operations it exposes (coverage contract for the tests)
+REGISTRY = {name: ops for name, _, ops, _, _ in COMMANDS}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # the global flags are accepted both before and after the subcommand
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "text"),
-                        default=argparse.SUPPRESS)
-    common.add_argument("--out", default=argparse.SUPPRESS,
-                        help="write output to a file")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-
     parser = argparse.ArgumentParser(
         prog="gridrays",
         description="Exact computations on the grid's geodesic rays, "
                     "boundary codes, and quasi-isometries.")
-    parser.add_argument("--format", choices=("json", "csv", "text"),
-                        default="text")
-    parser.add_argument("--out", default=None, help="write output to a file")
-    parser.add_argument("--seed", type=int, default=0)
-    subaction = parser.add_subparsers(dest="command", required=True)
-
-    class _Sub:
-        def __init__(self, action):
-            self._action = action
-
-        def add_parser(self, name, **kwargs):
-            return self._action.add_parser(name, parents=[common], **kwargs)
-
-    sub = _Sub(subaction)
-
-    p = sub.add_parser("metric", help="word metric between two points")
-    p.add_argument("p")
-    p.add_argument("q")
-    p.set_defaults(func=_cmd_metric)
-
-    p = sub.add_parser("bfs-metric", help="BFS distance under any generators")
-    p.add_argument("p")
-    p.add_argument("q")
-    p.add_argument("--gens", default="1,0;0,1", help="semicolon-separated vectors")
-    p.add_argument("--cap", type=_count, default=64)
-    p.set_defaults(func=_cmd_bfs_metric)
-
-    p = sub.add_parser("count", help="number of geodesics between two points")
-    p.add_argument("p")
-    p.add_argument("q")
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("enumerate", help="list geodesic words in lex order")
-    p.add_argument("p")
-    p.add_argument("q")
-    p.add_argument("--limit", type=_count, default=None)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("is-geodesic", help="check a digit word for backtracking")
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_is_geodesic)
-
-    p = sub.add_parser("genset-lipschitz",
-                       help="bi-Lipschitz constants between two word metrics")
-    p.add_argument("--gens", required=True)
-    p.add_argument("--gens2", required=True)
-    p.add_argument("--cap", type=_count, default=64)
-    p.set_defaults(func=_cmd_genset_lipschitz)
-
-    p = sub.add_parser("nmap", help="boundary value N of a ray")
-    p.add_argument("ray")
-    p.set_defaults(func=_cmd_nmap)
-
-    p = sub.add_parser("bmap", help="value of a binary expansion literal")
-    p.add_argument("code")
-    p.set_defaults(func=_cmd_bmap)
-
-    p = sub.add_parser("digitize", help="staircase ray of a direction")
-    p.add_argument("dx")
-    p.add_argument("dy")
-    p.add_argument("--steps", type=_count, default=24)
-    p.set_defaults(func=_cmd_digitize)
-
-    p = sub.add_parser("direction", help="limiting direction of a ray")
-    p.add_argument("ray")
-    p.set_defaults(func=_cmd_direction)
-
-    p = sub.add_parser("asymptotic", help="classify a pair of rays")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.set_defaults(func=_cmd_asymptotic)
-
-    p = sub.add_parser("divergence", help="first time the distance exceeds M")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.add_argument("--M", type=int, default=10)
-    p.add_argument("--horizon", type=int, default=1000)
-    p.set_defaults(func=_cmd_divergence)
-
-    p = sub.add_parser("splice", help="follow f for s steps, then g")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.add_argument("s", type=int)
-    p.set_defaults(func=_cmd_splice)
-
-    p = sub.add_parser("ball", help="basis-ball membership")
-    p.add_argument("f", help="center ray")
-    p.add_argument("g", help="candidate ray")
-    p.add_argument("--K", required=True, help="compact interval a,b")
-    p.add_argument("--eps", required=True, help="radius as a rational")
-    p.set_defaults(func=_cmd_ball)
-
-    for name, func in (("qi-check", _cmd_qi_check),
-                       ("qi-violate", _cmd_qi_violate)):
-        p = sub.add_parser(name)
-        p.add_argument("--map", default="floor",
-                       choices=("floor", "inclusion", "genset"))
-        p.add_argument("--k", default="2")
-        p.add_argument("--k2", default=None,
-                       help="k squared, for irrational constants")
-        p.add_argument("--c", default="2")
-        p.add_argument("--gens")
-        p.add_argument("--gens2")
-        p.add_argument("--cap", type=_count, default=64)
-        if name == "qi-check":
-            p.add_argument("--box", type=_box, default="-1000,1000",
-                           help="sampling box lo,hi")
-            p.add_argument("--count", type=_count, default=1000)
-            p.add_argument("--radius", type=_count, default=10)
-        else:
-            p.add_argument("--strategy", default="diagonal-ray",
-                           choices=("diagonal-ray", "grid", "random"))
-            p.add_argument("--budget", type=_count, default=1000)
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("roundtrip", help="displacement of floor-then-include")
-    p.add_argument("--box", type=_box, default="-1000,1000")
-    p.add_argument("--count", type=_count, default=1000)
-    p.set_defaults(func=_cmd_roundtrip)
-
-    p = sub.add_parser("ell1-check", help="taxicab geodesy of a polyline")
-    p.add_argument("path")
-    p.set_defaults(func=_cmd_ell1_check)
-
-    p = sub.add_parser("ell1-splice", help="plane splice of two rays")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.add_argument("b")
-    p.set_defaults(func=_cmd_ell1_splice)
-
-    p = sub.add_parser("project", help="lattice staircase of a plane ray")
-    p.add_argument("path")
-    p.set_defaults(func=_cmd_project)
-
-    demo = _Sub(sub.add_parser("demo").add_subparsers(dest="demo",
-                                                      required=True))
-
-    p = demo.add_parser("trivial-topology")
-    p.add_argument("--f", default="(01)")
-    p.add_argument("--g", default="(001)")
-    p.add_argument("--K", default="0,5")
-    p.add_argument("--eps", default="1")
-    p.add_argument("--svg", default=None, help="also write a figure here")
-    p.set_defaults(func=_cmd_demo_trivial_topology)
-
-    p = demo.add_parser("cardinality")
-    p.add_argument("rays", nargs="*", default=["(0)", "(23)", "(1)"])
-    p.set_defaults(func=_cmd_demo_cardinality)
-
-    p = demo.add_parser("cone")
-    p.add_argument("--eps", default="1")
-    p.set_defaults(func=_cmd_demo_cone)
-
-    p = sub.add_parser("render", help="draw rays as an SVG staircase figure")
-    p.add_argument("rays", nargs="+")
-    p.add_argument("--steps", type=int, default=30)
-    p.add_argument("--with-line", action="store_true")
-    p.set_defaults(func=_cmd_render)
-
+    common = argparse.ArgumentParser(add_help=False)
+    for flag, kwargs in _GLOBAL_FLAGS:
+        parser.add_argument(flag, **kwargs)
+        common.add_argument(flag, **dict(kwargs, default=argparse.SUPPRESS))
+    # "demo cone" is the leaf "cone" of the group "demo"
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, text, _, func, arguments in COMMANDS:
+        group, _, leaf = name.rpartition(" ")
+        if group not in groups:
+            parent = groups[""].add_parser(group, parents=[common])
+            groups[group] = parent.add_subparsers(dest=group, required=True)
+        # even help=None would list the subcommand in its group's help
+        p = groups[group].add_parser(
+            leaf, parents=[common], **({} if text is None else {"help": text}))
+        for arg in arguments:
+            flag, kwargs = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func, op=name)
     return parser
 
 

@@ -147,9 +147,10 @@ class Polyline:
 
     def literal(self) -> str:
         body = ";".join(f"{x},{y}" for x, y in self.vertices)
-        if self.direction is None:
+        if self._dir is None:
             return body
-        return f"{body} >{self.direction[0]}/{self.direction[1]}"
+        # the direction scaled to integers, which the parser reads back
+        return f"{body} >{self._dir[0]}/{self._dir[1]}"
 
 
 def _sweep(path: Polyline, k: int, ts):

@@ -627,12 +627,7 @@ class Divergent:
     distance: int
 
 
-@dataclass(frozen=True)
-class Unknown:
-    horizon: int
-
-
-Verdict = Union[Asymptotic, Divergent, Unknown]
+Verdict = Union[Asymptotic, Divergent]
 
 
 def _mechanical(ray: RayCode):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,19 @@ def test_registry_maps_each_operation_once():
     ops = Counter(op for ops in REGISTRY.values() for op in ops)
     dupes = [op for op, n in ops.items() if n > 1]
     assert not dupes
+
+
+def test_registry_names_operations_that_exist():
+    # an op is an attribute path, so a method is named through its class
+    missing = []
+    for op in (op for ops in REGISTRY.values() for op in ops):
+        module, *path = op.split(".")
+        obj = import_module(f"gridrays.{module}")
+        for name in path:
+            obj = getattr(obj, name, None)
+        if obj is None:
+            missing.append(op)
+    assert not missing
 
 
 def test_every_subcommand_is_wired():
@@ -589,6 +603,16 @@ def test_malformed_polyline_is_one_typed_error(literal, capsys):
     for argv in (["ell1-check", literal], ["project", literal],
                  ["ell1-splice", "0,0 >1/1", literal, "1"]):
         assert run(argv, capsys) == (1, "", err)
+
+
+def test_fractional_direction_splice_reads_back(capsys):
+    # a fractional direction is written scaled to integers, so it reads back
+    path = "0,0;1/2,1/2 >1/2"
+    assert run(["ell1-splice", "0,0 >1/1", "0,0 >0.5/1", "1"], capsys) == \
+        (0, '{"bound": "1/3", "handoff_gap": "1/3", "path": "%s"}\n' % path,
+         "")
+    code, out, err = run(["ell1-check", path], capsys)
+    assert (code, err) == (0, "") and json.loads(out)["geodesic"] is True
 
 
 def test_equal_direction_queries_skip_the_window(monkeypatch, capsys):

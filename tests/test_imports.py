@@ -20,8 +20,8 @@ Surd sqrt_exact is_rational exact_sign exact_floor exact_ceil GeneratingSet
 GenerationError BallExceeded word_metric bfs_metric geodesic_count
 enumerate_geodesics is_geodesic_word generating_set_lipschitz
 standard_generators RayCode InvalidRay QuadrantMismatch BallQuery Enclosure
-Asymptotic Divergent Unknown parse_ray periodic_ray east_ray axis_ray validate
-b_map n_map digitize direction_of are_asymptotic divergence_time splice
+Asymptotic Divergent parse_ray periodic_ray east_ray axis_ray validate b_map
+n_map digitize direction_of are_asymptotic divergence_time splice
 ball_contains trivial_topology_demo QIParams QIReport FloorMap InclusionMap
 GensetMap floor_map check_embedding find_violation roundtrip_displacement
 quasi_surjectivity_bound floor_chain_holds Polyline parse_polyline
