@@ -407,7 +407,19 @@ GOLDEN = [
     (["roundtrip", "--box=-7/3,5/2", "--count", "300", "--seed", "4"], 0,
      "e0d2dd4585d6c0d603ff6f8d9b080adae38527d4ec7f0db32cf3364ed82f5b7f",
      "44ff06c784ffc41e082cc3a9e5b3f15f15ed47b387c5b65b3295539fe92d10ea"),
+    # frozen while the demo assertions were dataclasses serialized through
+    # their __dict__
+    (["demo", "cone", "--eps", "1/7"], 0,
+     "8a86d689ec5d94ba297f1eb824d7f635080a6f91e7d5bde12f6de2aa100726c8",
+     "f9850ac6ddea8f4ca08b6bcfde2a35bd7a67b4c37ef704bda51fd49e10fa35a3"),
+    (["demo", "cardinality", "(0)", "(23)", "1(0)", "0(1)"], 0,
+     "cccef36baae04dd050d1d5421582ace36beb81fb42b0ad1dd68e940e9e550295",
+     "aad2980ebc0a89570a63bb7ffb287bdd8e52a60881e2d8d94c22d602df04924f"),
 ]
+
+# the CSV form of the cardinality pin above
+CARDINALITY_CSV_SHA = \
+    "ebd2619cdcead6b4ce1fe10829f8616ae004d96a36acf08b3a2668689767a359"
 
 
 # the same for ray classification, frozen from the list-building scans and
@@ -581,6 +593,13 @@ def _assert_golden(argv, code, text_sha, json_sha, capsys):
 def test_certificate_output_is_byte_identical(argv, code, text_sha, json_sha,
                                               capsys):
     _assert_golden(argv, code, text_sha, json_sha, capsys)
+
+
+def test_cardinality_csv_is_byte_identical(capsys):
+    code, out, _ = run(["--format", "csv", "demo", "cardinality", "(0)",
+                        "(23)", "1(0)", "0(1)"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CARDINALITY_CSV_SHA
 
 
 @pytest.mark.parametrize("argv, code, text_sha, json_sha", RAY_GOLDEN,
