@@ -10,7 +10,6 @@ parser, ``REGISTRY`` and the envelope's ``op`` are derived from it.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -109,6 +108,7 @@ def _emit(args, inputs: dict, output, text_lines=None, csv_rows=None) -> None:
     elif fmt == "csv":
         if csv_rows is None:
             raise CliError(f"subcommand {args.op!r} has no CSV form")
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for row in csv_rows:
@@ -420,7 +420,7 @@ def _cmd_demo_cardinality(args) -> int:
     csv_rows += [[r.literal, r.m, r.value, r.collides_with or ""] for r in rows]
     out = {"rows": [{"ray": r.literal, "m": r.m, "N": r.value,
                      "collides_with": r.collides_with} for r in rows],
-           "assertions": [a.__dict__ for a in report.assertions]}
+           "assertions": _assertions(report)}
     _emit(args, report.inputs, out,
           [f"{r.literal}\tm={r.m}\tN={r.value}"
            + (f"\tcollides with {r.collides_with}" if r.collides_with else "")
@@ -436,8 +436,13 @@ def _cmd_demo_cone(args) -> int:
     return 0 if report.ok else 1
 
 
+def _assertions(report) -> list[dict]:
+    return [{"name": a.name, "expected": a.expected, "actual": a.actual,
+             "passed": a.passed} for a in report.assertions]
+
+
 def _emit_demo(args, report, extra: Optional[dict] = None) -> None:
-    out = {"assertions": [a.__dict__ for a in report.assertions],
+    out = {"assertions": _assertions(report),
            "artifacts": report.artifacts,
            "ok": report.ok}
     if extra:

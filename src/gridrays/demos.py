@@ -7,12 +7,12 @@ CLI turns a failed assertion into a nonzero exit code.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import rays
 from .exactnum import Surd
+from .lattice import Value
 from .rays import (BallQuery, Enclosure, RayCode, n_map, parse_ray,
                    trivial_topology_demo, validate)
 
@@ -20,20 +20,23 @@ PRECISION_ENV = "LATTICE_HORIZON_PRECISION"
 DEFAULT_PRECISION_BITS = 64
 
 
-@dataclass(frozen=True)
-class Assertion:
-    name: str
-    expected: str
-    actual: str
-    passed: bool
+class Assertion(Value):
+    __slots__ = ("name", "expected", "actual", "passed")
+
+    def __init__(self, name: str, expected: str, actual: str, passed: bool):
+        self.name, self.expected, self.actual = name, expected, actual
+        self.passed = passed
 
 
-@dataclass
-class DemoReport:
-    scenario: str
-    inputs: dict
-    assertions: list[Assertion] = field(default_factory=list)
-    artifacts: list[str] = field(default_factory=list)
+class DemoReport(Value):
+    __slots__ = ("scenario", "inputs", "assertions", "artifacts")
+
+    def __init__(self, scenario: str, inputs: dict,
+                 assertions: Optional[list] = None,
+                 artifacts: Optional[list] = None):
+        self.scenario, self.inputs = scenario, inputs
+        self.assertions = [] if assertions is None else assertions
+        self.artifacts = [] if artifacts is None else artifacts
 
     def check(self, name: str, expected, actual) -> None:
         self.assertions.append(
@@ -71,16 +74,17 @@ def _pi_bounds(bits: int) -> tuple[Fraction, Fraction]:
     return Fraction(total - err, one), Fraction(total + err, one)
 
 
-@dataclass(frozen=True)
-class ConeLengths:
+class ConeLengths(Value):
     """The two candidate extensions past the cone point: the segment pair
     through it (length 2*sqrt(26)*eps) versus the horizontal circle arc
     around it (length pi*eps)."""
 
-    epsilon: Fraction
-    through_cone: Enclosure
-    around_cone: Enclosure
-    extendable: bool
+    __slots__ = ("epsilon", "through_cone", "around_cone", "extendable")
+
+    def __init__(self, epsilon: Fraction, through_cone: Enclosure,
+                 around_cone: Enclosure, extendable: bool):
+        self.epsilon, self.extendable = epsilon, extendable
+        self.through_cone, self.around_cone = through_cone, around_cone
 
 
 def cone_lengths(epsilon: Fraction,
@@ -118,12 +122,14 @@ def demo_cone(epsilon: Fraction, bits: Optional[int] = None) -> DemoReport:
     return report
 
 
-@dataclass(frozen=True)
-class CardinalityRow:
-    literal: str
-    m: int
-    value: str  # exact rational, or an interval for Sturmian tails
-    collides_with: Optional[str] = None
+class CardinalityRow(Value):
+    __slots__ = ("literal", "m", "value", "collides_with")
+
+    def __init__(self, literal: str, m: int, value: str,
+                 collides_with: Optional[str] = None):
+        # value: exact rational, or an interval for Sturmian tails
+        self.literal, self.m, self.value = literal, m, value
+        self.collides_with = collides_with
 
 
 def demo_cardinality(literals: Sequence[str]) -> tuple[DemoReport, list[CardinalityRow]]:

@@ -15,14 +15,13 @@ handed out (``vertices``, ``params``, ``direction``, ``at``, bounds).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .lattice import WINDOW_SIGNS, quadrant_windows
+from .lattice import WINDOW_SIGNS, Value, quadrant_windows
 from .rays import PeriodicTail, RayCode, Staircase, WINDOW_DIGITS
 
 Vec = tuple[Fraction, Fraction]
@@ -212,11 +211,13 @@ def check_monotone_commitment(path: Polyline) -> Optional[Fraction]:
     return None
 
 
-@dataclass(frozen=True)
-class PlaneSplice:
-    path: Polyline
-    bound: Fraction  # certified l1 distance bound to the spliced-in ray
-    handoff_gap: Fraction  # |f(b) - g(b)|_1, the constant distance beyond b
+class PlaneSplice(Value):
+    __slots__ = ("path", "bound", "handoff_gap")
+
+    def __init__(self, path: Polyline, bound: Fraction, handoff_gap: Fraction):
+        # bound: certified l1 distance bound to the spliced-in ray g;
+        # handoff_gap: |f(b) - g(b)|_1, the constant distance beyond b
+        self.path, self.bound, self.handoff_gap = path, bound, handoff_gap
 
 
 def splice_plane(f: Polyline, g: Polyline, b: Fraction) -> PlaneSplice:

@@ -31,6 +31,27 @@ WINDOW_SIGNS: dict[int, tuple[int, int]] = {
     0: (1, 1), 1: (-1, 1), 2: (-1, -1), 3: (1, -1)}
 
 
+class Value:
+    """Base of the value types: equality (within one type), hashing and a
+    dataclass-style repr by the fields, the ``__slots__`` not led by ``_``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> dict:
+        return {n: getattr(self, n) for n in self.__slots__ if n[0] != "_"}
+
+    def __eq__(self, other):
+        return (self._fields() == other._fields() if type(other) is type(self)
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(tuple(self._fields().values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in self._fields().items())
+        return f"{type(self).__name__}({fields})"
+
+
 class GenerationError(ValueError):
     """The given vectors do not generate the whole grid."""
 

@@ -13,14 +13,12 @@ side that fails.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import floor, isqrt
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .exactnum import Exact, sign_sqrt, sqrt_exact
-from .lattice import GeneratingSet, LatticePoint
+from .lattice import GeneratingSet, LatticePoint, Value
 
 PlanePoint = tuple[Fraction, Fraction]
 
@@ -52,31 +50,26 @@ def _pair_terms(p, q) -> tuple[int, int, int, int]:
     return X * ty, Y * tx, tx * ty, g
 
 
-@dataclass(frozen=True)
-class QIParams:
+class QIParams(Value):
     """Constants (k, c) of a quasi-isometric embedding, k >= 1, c >= 0.
 
     ``k_sq`` is the authoritative field; pass ``k`` for rational constants
     or use :meth:`from_k_squared` for symbolic square roots.
     """
 
-    k_sq: Fraction
-    c: Fraction
-    k_label: str = ""
+    __slots__ = ("k_sq", "c", "k_label", "_ints", "_k")
 
-    def __post_init__(self):
-        object.__setattr__(self, "k_sq", Fraction(self.k_sq))
-        object.__setattr__(self, "c", Fraction(self.c))
-        if self.k_sq < 1 or self.c < 0:
+    def __init__(self, k_sq: Fraction, c: Fraction, k_label: str = ""):
+        k_sq, c = Fraction(k_sq), Fraction(c)
+        if k_sq < 1 or c < 0:
             raise ValueError("need k >= 1 and c >= 0")
-        if not self.k_label:
-            object.__setattr__(self, "k_label", f"sqrt({self.k_sq})")
+        self.k_sq, self.c, self.k_label = k_sq, c, k_label or f"sqrt({k_sq})"
+        self._k = None  # sqrt(k_sq), on first use
         # k^2 = K/Kd and c = C/Cd, plus K*Cd^2, Kd*Cd^2 and K*Kd, for
         # _violations
-        K, Kd = self.k_sq.numerator, self.k_sq.denominator
-        C, Cd = self.c.numerator, self.c.denominator
-        object.__setattr__(self, "_ints", (K, Kd, C, Cd, K * Cd * Cd,
-                                           Kd * Cd * Cd, K * Kd))
+        K, Kd = k_sq.numerator, k_sq.denominator
+        C, Cd = c.numerator, c.denominator
+        self._ints = (K, Kd, C, Cd, K * Cd * Cd, Kd * Cd * Cd, K * Kd)
 
     @classmethod
     def from_k(cls, k, c) -> "QIParams":
@@ -87,26 +80,33 @@ class QIParams:
     def from_k_squared(cls, k_sq, c) -> "QIParams":
         return cls(Fraction(k_sq), Fraction(c))
 
-    @cached_property
+    @property
     def k(self) -> Exact:
         """k = sqrt(k_sq) exactly, factored on first use only."""
-        return sqrt_exact(self.k_sq)
+        if self._k is None:
+            self._k = sqrt_exact(self.k_sq)
+        return self._k
 
 
-@dataclass(frozen=True)
-class Violation:
-    pair: Pair
-    side: str  # "upper" or "lower"
-    margin: Exact  # L^2 - R^2 > 0 of the failed side L <= R (see _violations)
+class Violation(Value):
+    __slots__ = ("pair", "side", "margin")
+
+    def __init__(self, pair: Pair, side: str, margin: Exact):
+        # side "upper" or "lower"; margin L^2 - R^2 > 0 of its L <= R failing
+        self.pair, self.side, self.margin = pair, side, margin
 
 
-@dataclass
-class QIReport:
-    map_name: str
-    params: QIParams
-    pairs_checked: int = 0
-    violations: list[Violation] = field(default_factory=list)
-    surjectivity_bound: Optional[Fraction] = None
+class QIReport(Value):
+    __slots__ = ("map_name", "params", "pairs_checked", "violations",
+                 "surjectivity_bound")
+
+    def __init__(self, map_name: str, params: QIParams, pairs_checked: int = 0,
+                 violations: Optional[list] = None,
+                 surjectivity_bound: Optional[Fraction] = None):
+        self.map_name, self.params = map_name, params
+        self.pairs_checked, self.surjectivity_bound = (pairs_checked,
+                                                       surjectivity_bound)
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:
@@ -341,11 +341,13 @@ def find_violation(qmap: Map, params: QIParams, strategy: str,
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-@dataclass(frozen=True)
-class RoundtripReport:
-    max_sq_displacement: Fraction
-    argmax: PlanePoint
-    samples: int
+class RoundtripReport(Value):
+    __slots__ = ("max_sq_displacement", "argmax", "samples")
+
+    def __init__(self, max_sq_displacement: Fraction, argmax: PlanePoint,
+                 samples: int):
+        self.max_sq_displacement, self.argmax = max_sq_displacement, argmax
+        self.samples = samples
 
 
 def roundtrip_displacement(samples: Sequence[PlanePoint]) -> RoundtripReport:
@@ -366,12 +368,14 @@ def roundtrip_displacement(samples: Sequence[PlanePoint]) -> RoundtripReport:
     return RoundtripReport(Fraction(best_n, best_d), arg, len(samples))
 
 
-@dataclass(frozen=True)
-class SurjectivityReport:
-    map_name: str
-    bound: Fraction  # certified D
-    max_sq_distance: Fraction  # largest observed squared distance to the image
-    targets: int
+class SurjectivityReport(Value):
+    __slots__ = ("map_name", "bound", "max_sq_distance", "targets")
+
+    def __init__(self, map_name: str, bound: Fraction,
+                 max_sq_distance: Fraction, targets: int):
+        # the certified D, and the largest squared distance to the image seen
+        self.map_name, self.bound = map_name, bound
+        self.max_sq_distance, self.targets = max_sq_distance, targets
 
 
 def quasi_surjectivity_bound(qmap: Map,

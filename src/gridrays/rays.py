@@ -17,9 +17,7 @@ for a digitized direction with quadrant index k in 1..4.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, count, repeat
 from math import ceil, floor, gcd, lcm
 from operator import add, floordiv, mul, sub
@@ -28,7 +26,7 @@ from typing import Optional, Union
 from .exactnum import (Exact, Surd, _make, exact_ceil, exact_floor,
                        exact_sign, floor_sqrt, is_rational, sign_sqrt)
 from .lattice import (DISPLACEMENTS, ORIGIN, WINDOW_SIGNS, LatticePoint,
-                      quadrant_windows, word_metric)
+                      Value, quadrant_windows, word_metric)
 
 #: (horizontal digit, vertical digit) for each quadrant window w, whose
 #: rays use digits {w, w+1}
@@ -152,17 +150,20 @@ class Staircase:
 # tails
 
 
-@dataclass(frozen=True)
-class PeriodicTail:
-    period: tuple[int, ...]
+class PeriodicTail(Value):
+    __slots__ = ("period", "_laps")
 
-    def __post_init__(self):
-        if not self.period:
+    def __init__(self, period: tuple[int, ...]):
+        if not period:
             raise ValueError("empty period")
+        self.period, self._laps = period, None
 
-    @cached_property
+    @property
     def _table(self) -> list[LatticePoint]:
-        return _walk(self.period)
+        """Positions after 0..len(period) steps, walked on first use."""
+        if self._laps is None:
+            self._laps = _walk(self.period)
+        return self._laps
 
     def displacement(self, k: int) -> LatticePoint:
         """Sum of the first k tail steps: whole laps plus a table lookup."""
@@ -182,7 +183,7 @@ class PeriodicTail:
         return out
 
 
-class SturmianTail:
+class SturmianTail(Value):
     """Digit stream of the staircase tracking a straight line.
 
     The line leaves the origin with (reflected, nonnegative) speeds
@@ -243,18 +244,6 @@ class SturmianTail:
                                                  self.window, self._line)
         out.offset, out._h0 = offset, self._line.horizontal(offset)
         return out
-
-    def __eq__(self, other):
-        return (isinstance(other, SturmianTail)
-                and (self.ux, self.uy) == (other.ux, other.uy)
-                and (self.window, self.offset) == (other.window, other.offset))
-
-    def __hash__(self):
-        return hash((self.ux, self.uy, self.window, self.offset))
-
-    def __repr__(self):
-        return (f"SturmianTail(ux={self.ux!r}, uy={self.uy!r}, "
-                f"window={self.window}, offset={self.offset})")
 
 
 Tail = Union[PeriodicTail, SturmianTail]
@@ -527,16 +516,15 @@ def _b_value(pre, per, m: int) -> Fraction:
     return Fraction(pval, 1 << p) + Fraction(qval, ((1 << q) - 1) << p)
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(Value):
     """A certified rational interval [lo, hi] containing a real value."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
             raise ValueError("empty enclosure")
+        self.lo, self.hi = lo, hi
 
     @property
     def width(self) -> Fraction:
@@ -611,20 +599,22 @@ def direction_of(ray: RayCode) -> tuple[Exact, Exact]:
 # asymptotic classification
 
 
-@dataclass(frozen=True)
-class Asymptotic:
+class Asymptotic(Value):
     """Certified verdict: d(f(t), g(t)) <= bound for all t."""
 
-    bound: int
-    attained: bool = False
+    __slots__ = ("bound", "attained")
+
+    def __init__(self, bound: int, attained: bool = False):
+        self.bound, self.attained = bound, attained
 
 
-@dataclass(frozen=True)
-class Divergent:
+class Divergent(Value):
     """Witness that distances exceed DIVERGENCE_PROBE (they grow linearly)."""
 
-    witness_t: int
-    distance: int
+    __slots__ = ("witness_t", "distance")
+
+    def __init__(self, witness_t: int, distance: int):
+        self.witness_t, self.distance = witness_t, distance
 
 
 Verdict = Union[Asymptotic, Divergent]
@@ -873,20 +863,16 @@ def splice(f: RayCode, g: RayCode, s: int) -> RayCode:
     return RayCode(pre, PeriodicTail(per[k:] + per[:k])).canonical()
 
 
-@dataclass(frozen=True)
-class BallQuery:
+class BallQuery(Value):
     """A basis neighborhood: compact window [a, b] and radius epsilon."""
 
-    a: Fraction
-    b: Fraction
-    epsilon: Fraction
+    __slots__ = ("a", "b", "epsilon")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
-        if self.a < 0 or self.b < self.a or self.epsilon <= 0:
+    def __init__(self, a: Fraction, b: Fraction, epsilon: Fraction):
+        a, b, epsilon = Fraction(a), Fraction(b), Fraction(epsilon)
+        if a < 0 or b < a or epsilon <= 0:
             raise ValueError("need 0 <= a <= b and epsilon > 0")
+        self.a, self.b, self.epsilon = a, b, epsilon
 
 
 def ball_contains(center: RayCode, candidate: RayCode, q: BallQuery) -> bool:
@@ -915,25 +901,23 @@ def ball_contains(center: RayCode, candidate: RayCode, q: BallQuery) -> bool:
 # the trivial-topology construction
 
 
-@dataclass(frozen=True)
-class ChainLink:
-    center: RayCode
-    axis: RayCode
-    spliced: RayCode
-    contained: bool
-    verdict: Verdict
+class ChainLink(Value):
+    __slots__ = ("center", "axis", "spliced", "contained", "verdict")
+
+    def __init__(self, center: RayCode, axis: RayCode, spliced: RayCode,
+                 contained: bool, verdict: Verdict):
+        self.center, self.axis, self.spliced = center, axis, spliced
+        self.contained, self.verdict = contained, verdict
 
 
-@dataclass(frozen=True)
-class TopologyDemo:
-    f: RayCode
-    g: RayCode
-    query: BallQuery
-    s: int
-    g_s: RayCode
-    contained: bool
-    verdict: Verdict
-    chain: tuple[ChainLink, ...]
+class TopologyDemo(Value):
+    __slots__ = ("f", "g", "query", "s", "g_s", "contained", "verdict",
+                 "chain")
+
+    def __init__(self, f: RayCode, g: RayCode, query: BallQuery, s: int,
+                 g_s: RayCode, contained: bool, verdict: Verdict, chain: tuple):
+        self.f, self.g, self.query, self.s, self.g_s = f, g, query, s, g_s
+        self.contained, self.verdict, self.chain = contained, verdict, chain
 
     @property
     def ok(self) -> bool:

@@ -6,8 +6,9 @@ element order is fixed, so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
+
+from .lattice import Value
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -15,16 +16,24 @@ CELL = 24.0  # pixels per lattice unit
 MARGIN = 1.5  # lattice units of padding around the window
 
 
-@dataclass(frozen=True)
-class SceneItem:
-    kind: str  # "path" (polyline through points) or "line" (infinite ray)
-    points: tuple[tuple[float, float], ...]
-    label: str = ""
-    color: str = ""
+class SceneItem(Value):
+    __slots__ = ("kind", "points", "label", "color")
+
+    def __init__(self, kind: str, points: tuple, label: str = "",
+                 color: str = ""):
+        # kind "path" (polyline through points) or "line" (infinite ray)
+        self.kind, self.points, self.label, self.color = (kind, points, label,
+                                                          color)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
+
+
+def _escape(text: str) -> str:
+    """Text safe inside an XML attribute value or element."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;").replace('"', "&quot;"))
 
 
 class Scene:
@@ -80,7 +89,7 @@ class Scene:
             y += 1
         out.append("</g>")
         for idx, item in enumerate(self.items):
-            color = item.color or PALETTE[idx % len(PALETTE)]
+            color = _escape(item.color or PALETTE[idx % len(PALETTE)])
             pts = " ".join(f"{_fmt(px)},{_fmt(py)}"
                            for px, py in map(self._to_px, item.points))
             dash = ' stroke-dasharray="6 4"' if item.kind == "line" else ""
@@ -89,7 +98,7 @@ class Scene:
             if item.label:
                 lx, ly = self._to_px(item.points[-1])
                 out.append(f'<text x="{_fmt(lx + 4)}" y="{_fmt(ly - 4)}" '
-                           f'font-size="12" fill="{color}">{item.label}</text>')
+                           f'font-size="12" fill="{color}">{_escape(item.label)}</text>')
         out.append("</svg>")
         return "\n".join(out) + "\n"
 

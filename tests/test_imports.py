@@ -1,6 +1,7 @@
 """The lazy package surface: what a fresh process loads, and what
 ``gridrays`` exports."""
 
+import ast
 import json
 import os
 import subprocess
@@ -30,17 +31,22 @@ project_to_lattice cone_lengths demo_cone demo_cardinality
 demo_trivial_topology
 """.split()
 
+# standard modules that no fresh process may load: dataclasses imports
+# inspect, and csv is needed only for --format csv
+SLOW = ["dataclasses", "inspect", "csv"]
+
 # imports gridrays, runs cli.main on argv if any, and prints the gridrays
-# modules the process has loaded
+# modules the process has loaded, then which of SLOW it has loaded
 PROBE = """\
 import contextlib, io, json, sys
 import gridrays
-if sys.argv[1:]:
+if sys.argv[2:]:
     import gridrays.cli
     with contextlib.redirect_stdout(io.StringIO()):
-        assert gridrays.cli.main(sys.argv[1:]) == 0
+        assert gridrays.cli.main(sys.argv[2:]) == 0
 print(json.dumps(sorted(m for m in sys.modules
                         if m.partition(".")[0] == "gridrays")))
+print(json.dumps([m for m in sys.argv[1].split(",") if m in sys.modules]))
 """
 
 CLI = {"gridrays", "gridrays.cli", "gridrays.lattice"}
@@ -53,6 +59,8 @@ LOADED = [
      CLI | {"gridrays.exactnum", "gridrays.quasi"}),
     (["project", "0,0;1,2 >1/0"], RAYS | {"gridrays.ell1"}),
     (["demo", "cone"], RAYS | {"gridrays.demos"}),
+    (["--format", "json", "demo", "cardinality", "(0)"],
+     RAYS | {"gridrays.demos"}),
     (["render", "(01)", "--steps", "5", "--out", "fig.svg"],
      RAYS | {"gridrays.svgfig"}),
 ]
@@ -62,11 +70,28 @@ LOADED = [
                          ids=[" ".join(a[:2]) or "import" for a, _ in LOADED])
 def test_a_fresh_process_loads_only_what_it_runs(argv, modules, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
-                          cwd=tmp_path, capture_output=True, text=True,
-                          timeout=120)
+    proc = subprocess.run([sys.executable, "-c", PROBE, ",".join(SLOW),
+                           *argv], env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert set(json.loads(proc.stdout)) == modules
+    loaded, slow = map(json.loads, proc.stdout.splitlines())
+    assert set(loaded) == modules
+    assert slow == []  # no row runs --format csv
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for path in sorted((ROOT / "src" / "gridrays").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, n) for n in names
+                      if n.partition(".")[0] == "dataclasses"]
+    assert found == []
 
 
 def test_public_names_are_their_home_modules_objects():
