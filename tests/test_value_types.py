@@ -7,11 +7,12 @@ import pytest
 
 from gridrays.demos import Assertion, CardinalityRow, ConeLengths, DemoReport
 from gridrays.ell1 import PlaneSplice, Polyline
+from gridrays.exactnum import Surd
 from gridrays.quasi import (QIParams, QIReport, RoundtripReport,
                             SurjectivityReport, Violation)
 from gridrays.rays import (Asymptotic, BallQuery, ChainLink, Divergent,
-                           Enclosure, PeriodicTail, RayCode, TopologyDemo,
-                           parse_ray)
+                           Enclosure, PeriodicTail, RayCode, SturmianTail,
+                           TopologyDemo, parse_ray)
 from gridrays.svgfig import SceneItem
 
 F = Fraction
@@ -205,6 +206,18 @@ def test_periodic_tails_and_their_ray_codes_deduplicate():
              RayCode((0,), tails[2]), parse_ray("0(01)")]
     assert hash(codes[0]) == hash(codes[1]) == hash(codes[3])
     assert len(set(codes)) == 2
+
+
+def test_sturmian_tails_compare_by_line_window_and_offset():
+    # its equality, hash and repr come from the same base as the value types
+    tail = SturmianTail(1, Surd(0, 1, 2), 2, 3)
+    same = SturmianTail(1, Surd(0, 1, 2), 2).advanced(3)
+    assert tail == same and hash(tail) == hash(same) and len({tail, same}) == 1
+    assert tail != SturmianTail(1, Surd(0, 1, 2), 2)
+    assert tail != SturmianTail(1, Surd(0, 1, 2), 1, 3)
+    assert tail != PeriodicTail((0, 1))
+    assert repr(tail) == ("SturmianTail(ux=Surd(-1, 1, 2), uy=Surd(2, -1, 2), "
+                          "window=2, offset=3)")
 
 
 @pytest.mark.parametrize("cls, make, defaulted, text", CASES, ids=IDS)
