@@ -87,7 +87,10 @@ def _parse_ray_arg(text: str) -> rays.RayCode:
 
 def _ball_query(args) -> rays.BallQuery:
     from . import rays
-    a, b = args.K.split(",")
+    try:
+        a, b = args.K.split(",")
+    except ValueError:
+        raise CliError(f"--K expects two rationals a,b, got {args.K!r}") from None
     return rays.BallQuery(_frac(a), _frac(b), _frac(args.eps))
 
 
@@ -464,6 +467,8 @@ def _ray_window(ray_list, horizon: int) -> tuple[float, float, float, float]:
 
 
 def _cmd_render(args) -> int:
+    if not args.out:
+        raise CliError("render needs --out PATH")
     from . import rays, svgfig
     ray_list = [_parse_ray_arg(lit) for lit in args.rays]
     win = _ray_window(ray_list, args.steps)
@@ -475,8 +480,6 @@ def _cmd_render(args) -> int:
         for ray in ray_list:
             ux, uy = ray.direction()
             scene.add_ray_line((float(ux), float(uy)), color="#999999")
-    if not args.out:
-        raise CliError("render needs --out PATH")
     scene.write(args.out)
     sys.stdout.write(f"wrote {args.out}\n")
     return 0
@@ -528,7 +531,7 @@ COMMANDS = [
     ("bmap", "value of a binary expansion literal", ("rays.b_map",),
      _cmd_bmap, ["code"]),
     ("digitize", "staircase ray of a direction",
-     ("rays.digitize", "rays.RayCode.digit_at"), _cmd_digitize,
+     ("rays.digitize", "rays.RayCode.digits"), _cmd_digitize,
      ["dx", "dy", ("--steps", dict(type=_count, default=24))]),
     ("direction", "limiting direction of a ray", ("rays.direction_of",),
      _cmd_direction, ["ray"]),

@@ -140,6 +140,9 @@ class Polyline:
                 and (self._den, self._xy, self._dir)
                 == (other._den, other._xy, other._dir))
 
+    def __hash__(self):
+        return hash((self._den, tuple(self._xy), self._dir))
+
     def __repr__(self):
         tail = f", direction={self.direction}" if self.direction else ""
         return f"Polyline({list(self.vertices)}{tail})"

@@ -648,40 +648,53 @@ def _mechanical(ray: RayCode):
     return sx, sy, a, lo, period
 
 
-def _first_passage(f: RayCode, g: RayCode, M: int,
-                   horizon: Optional[int] = None) -> Optional[int]:
-    """Smallest t (<= horizon, if given) with d(f(t), g(t)) > M, or None.
+def _first_passage(f: RayCode, g: RayCode, M: int, lo: int = 0,
+                   hi: Optional[int] = None) -> Optional[int]:
+    """Least t in [lo, hi] (no upper end when hi is None) with
+    d(f(t), g(t)) > M, or None.
+
+    Equal directions: periodic tails of one direction have, past T0 (the
+    longer preamble), a distance of period lcm(P_f, P_g). Once the window
+    is longer than T0 + P_f + P_g, the cost of :func:`_periodic_supremum`,
+    a supremum <= M answers None, and else one period past max(lo, T0)
+    holds the first passage.
 
     Lap residues: if f has a periodic tail (period P, lap vector L) and g a
-    balanced periodic one, write t = T0 + r + k*P past both preambles
-    (T0), with 0 <= r < P. Then f(t) = f(T0 + r) + k*L, and g(t) moves by
-    the floor of a line in k. d > M iff one of the four forms
-    s1*dx + s2*dy exceeds M, and each form reads lin(k) + c*floor(y(k))
-    with c in {-2, 0, 2} and lin integer-linear in k. Both points lie at
-    word length t, so every form is even: halved, it exceeds M // 2, and
+    balanced periodic one, write t = s0 + r + k*P with s0 = max(lo, T0)
+    and 0 <= r < P. Then f(t) = f(s0 + r) + k*L, and g(t) moves by the
+    floor of a line in k. d > M iff one of the four forms s1*dx + s2*dy
+    exceeds M, and each form reads lin(k) + c*floor(y(k)) with c in
+    {-2, 0, 2} and lin integer-linear in k. Both points lie at word length
+    t, so every form is even: halved, it exceeds M // 2, and
     floor(y) >= m iff y >= m, floor(y) < m iff y < m make it one integer
-    linear inequality in k, solved by a ceiling. Times below T0 + P (the
-    preambles and k = 0) are evaluated directly; a form whose slope in k
-    is not positive then never holds. The answer is the least over
+    linear inequality in k, solved by a ceiling. Times in [lo, s0 + P)
+    (the preambles and k = 0) are evaluated directly; a form whose slope
+    in k is not positive then never holds. The answer is the least over
     residues and forms, in O(T0 + P) integer operations and O(1) memory.
-    Other pairs get a streamed scan.
+    Other pairs get a streamed scan from lo.
     """
+    t0 = max(len(f.preamble), len(g.preamble))
+    if hi is not None and all(isinstance(r.tail, PeriodicTail) for r in (f, g)):
+        pf, pg = len(f.tail.period), len(g.tail.period)
+        if hi - lo > t0 + pf + pg and f.direction() == g.direction():
+            if _periodic_supremum(f, g) <= M:
+                return None  # the supremum is attained, so no time passes M
+            hi = min(hi, max(lo, t0) + lcm(pf, pg))
     line = None
     for a, b in ((f, g), (g, f)):
         if isinstance(a.tail, PeriodicTail) and (line := _mechanical(b)):
             f, g = a, b
             break
-    end = None
+    s0, end = max(lo, t0), None
     if line is not None:
         period = len(f.tail.period)
-        t0 = max(len(f.preamble), len(g.preamble))
-        end = t0 + period
-    if horizon is not None:
-        end = horizon + 1 if end is None else min(end, horizon + 1)
-    for t in count() if end is None else range(end):
+        end = s0 + period
+    if hi is not None:
+        end = hi + 1 if end is None else min(end, hi + 1)
+    for t in count(lo) if end is None else range(lo, end):
         if word_metric(f.point_at(t), g.point_at(t)) > M:
             return t
-    if line is None or end < t0 + period:
+    if line is None or end < s0 + period:
         return None
     sx, sy, A, B, den = line
     lx, ly = f.tail.displacement(period)
@@ -695,7 +708,7 @@ def _first_passage(f: RayCode, g: RayCode, M: int,
         if a1 > 0:
             forms.append((s1, s2, c, a1))
     best = None
-    for t in range(t0, t0 + period):
+    for t in range(s0, s0 + period):
         if best is not None and t + period >= best:
             break
         (x, y), n = f.point_at(t), t - pg
@@ -707,7 +720,7 @@ def _first_passage(f: RayCode, g: RayCode, M: int,
             k = max(-(a0 // a1), 0)
             if best is None or t + k * period < best:
                 best = t + k * period
-    if horizon is not None and best is not None and best > horizon:
+    if hi is not None and best is not None and best > hi:
         return None
     return best
 
@@ -719,9 +732,7 @@ def divergence_time(f: RayCode, g: RayCode, M: int,
     _require_valid(g)
     if horizon < 0:
         raise ValueError("time must be nonnegative")
-    if _lap(f, g, horizon) and _periodic_supremum(f, g) <= M:
-        return None  # the supremum is attained, so no time passes M
-    return _first_passage(f, g, M, horizon)
+    return _first_passage(f, g, M, 0, horizon)
 
 
 def _sturmian_line_bound(ray: RayCode) -> Exact:
@@ -791,19 +802,6 @@ def _periodic_supremum(f: RayCode, g: RayCode) -> int:
                                               _deviation_classes(g, n, k, s)):
             top = max(top, (fmax - gmin) // n, (gmax - fmin) // n)
     return top
-
-
-def _lap(f: RayCode, g: RayCode, window: int) -> Optional[tuple[int, int]]:
-    """(T0, lcm(P_f, P_g)) for periodic tails of equal direction, past T0
-    the distance's period, when the window is longer than T0 + P_f + P_g,
-    the cost of :func:`_periodic_supremum`; else None (length first)."""
-    if not all(isinstance(r.tail, PeriodicTail) for r in (f, g)):
-        return None
-    pf, pg = len(f.tail.period), len(g.tail.period)
-    t0 = max(len(f.preamble), len(g.preamble))
-    if window <= t0 + pf + pg or f.direction() != g.direction():
-        return None
-    return t0, lcm(pf, pg)
 
 
 def are_asymptotic(f: RayCode, g: RayCode) -> Verdict:
@@ -884,17 +882,9 @@ def ball_contains(center: RayCode, candidate: RayCode, q: BallQuery) -> bool:
     """
     _require_valid(center)
     _require_valid(candidate)
-    # an integer distance d has d >= epsilon iff d >= ceil(epsilon)
-    lo, hi, eps = ceil(q.a), floor(q.b), ceil(q.epsilon)
-    lap = _lap(center, candidate, hi - lo)
-    if lap:
-        if _periodic_supremum(center, candidate) < eps:
-            return True
-        hi = min(hi, max(lo, lap[0]) + lap[1])  # one period past T0 and a
-    for t in range(lo, hi + 1):
-        if word_metric(center.point_at(t), candidate.point_at(t)) >= eps:
-            return False
-    return True
+    # an integer distance d has d >= epsilon iff d > ceil(epsilon) - 1
+    return _first_passage(center, candidate, ceil(q.epsilon) - 1,
+                          ceil(q.a), floor(q.b)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,17 @@ def test_render_writes_svg(tmp_path, capsys):
     assert target2.read_text() == text
 
 
+def test_render_without_out_walks_no_ray(monkeypatch, capsys):
+    from gridrays import rays
+    calls = []
+    points = rays.RayCode.points
+    monkeypatch.setattr(rays.RayCode, "points",
+                        lambda ray, t: calls.append(t) or points(ray, t))
+    code, out, err = run(["render", "(01)", "--steps", "300000"], capsys)
+    assert (code, out, err) == (1, "", "error: render needs --out PATH\n")
+    assert calls == []
+
+
 def test_ray_literals_canonicalized_on_input(capsys):
     # "(2323)" is accepted and treated as its canonical form "(23)"
     code, out, _ = run(["nmap", "(2323)"], capsys)
@@ -658,8 +669,9 @@ def test_equal_direction_queries_skip_the_window(monkeypatch, capsys):
                for t in range(200))
 
 
-def test_negative_time_is_a_library_error(capsys):
-    code, out, err = run(["render", "(01)", "--steps", "-1"], capsys)
+def test_negative_time_is_a_library_error(tmp_path, capsys):
+    code, out, err = run(["render", "(01)", "--steps", "-1",
+                          "--out", str(tmp_path / "neg.svg")], capsys)
     assert code == 1 and out == "" and "ValueError" in err
     code, out, err = run(["divergence", "(0)", "(1)", "--horizon", "-1"], capsys)
     assert code == 1 and out == "" and "ValueError" in err
@@ -679,6 +691,8 @@ ERROR_GOLDEN = [
     (["genset-lipschitz", "--gens", "1,0;0,1", "--gens2", "5,1;1,0",
       "--cap", "2"],
      "error: BallExceeded: generator (0, -1) outside radius 2 in S2\n"),
+    (["ball", "(01)", "(001)", "--K", "5", "--eps", "1"],
+     "error: --K expects two rationals a,b, got '5'\n"),
 ]
 
 

@@ -5,18 +5,23 @@ they were before the lap-residue kernel: build both rays' point lists to
 the horizon and scan them, doubling the horizon (by 4) from 64 until a
 witness shows. ``rays._first_passage`` must give the same first time, the
 same ``None`` and the same witness distance, in every quadrant window.
+``ball_contains`` asks the same kernel on a window [a, b] and must agree
+with ``ball_scan_oracle``, which scans every integer time of the window.
 """
 
 import tracemalloc
+from fractions import Fraction as F
 
 from hypothesis import assume, given, settings, strategies as st
 
 from gridrays import rays
 from gridrays.exactnum import sqrt_exact
 from gridrays.lattice import word_metric
-from gridrays.rays import (DIVERGENCE_PROBE, WINDOW_DIGITS, Divergent,
-                           are_asymptotic, digitize, divergence_time,
-                           parse_ray, periodic_ray, splice, validate)
+from gridrays.rays import (DIVERGENCE_PROBE, WINDOW_DIGITS, BallQuery,
+                           Divergent, are_asymptotic, ball_contains, digitize,
+                           divergence_time, parse_ray, periodic_ray, splice,
+                           validate)
+from test_periodic_kernels import ball_scan_oracle
 
 SIGNS = ((1, 1), (-1, 1), (-1, -1), (1, -1))  # by quadrant window
 
@@ -50,6 +55,11 @@ def divergence_witness_oracle(f, g):
 windows = st.sampled_from(range(4))
 small_m = st.integers(-2, 30)
 horizons = st.sampled_from([0, 1, 2, 7, 40, 150, 600])
+# a window [a, a + length], a > 0 possible, and a radius
+balls = st.builds(lambda a, length, eps: BallQuery(a, a + length, eps),
+                  st.fractions(0, 60, max_denominator=3),
+                  st.fractions(0, 300, max_denominator=3),
+                  st.fractions(F(1, 3), 40, max_denominator=3))
 
 
 @st.composite
@@ -100,26 +110,28 @@ def _far_apart(f, g):
 
 
 @settings(deadline=None, max_examples=150)
-@given(windows, windows, st.data(), small_m, horizons)
-def test_slope_pairs_match_list_scan(wf, wg, data, M, horizon):
+@given(windows, windows, st.data(), small_m, horizons, balls)
+def test_slope_pairs_match_list_scan(wf, wg, data, M, horizon, q):
     f, g = data.draw(slope_rays(wf)), data.draw(slope_rays(wg))
     assert divergence_time(f, g, M, horizon) == \
         divergence_time_oracle(f, g, M, horizon)
+    assert ball_contains(f, g, q) == ball_scan_oracle(f, g, q)
 
 
 @settings(deadline=None, max_examples=150)
-@given(windows, st.data(), small_m, horizons)
-def test_periodic_literals_match_list_scan(w, data, M, horizon):
+@given(windows, st.data(), small_m, horizons, balls)
+def test_periodic_literals_match_list_scan(w, data, M, horizon, q):
     f = data.draw(periodic_rays(w))
     g = data.draw(st.one_of(periodic_rays(w), slope_rays(w, 12),
                             periodic_rays(data.draw(windows))))
     assert divergence_time(f, g, M, horizon) == \
         divergence_time_oracle(f, g, M, horizon)
+    assert ball_contains(f, g, q) == ball_scan_oracle(f, g, q)
 
 
 @settings(deadline=None, max_examples=100)
-@given(windows, st.data(), small_m, horizons)
-def test_sturmian_pairs_match_list_scan(w, data, M, horizon):
+@given(windows, st.data(), small_m, horizons, balls)
+def test_sturmian_pairs_match_list_scan(w, data, M, horizon, q):
     f = data.draw(sturmian_rays(w))
     wg = w if data.draw(st.booleans()) else data.draw(windows)
     g = data.draw(rays_in(wg))
@@ -127,6 +139,7 @@ def test_sturmian_pairs_match_list_scan(w, data, M, horizon):
         f, g = g, f
     assert divergence_time(f, g, M, horizon) == \
         divergence_time_oracle(f, g, M, horizon)
+    assert ball_contains(f, g, q) == ball_scan_oracle(f, g, q)
 
 
 # -- divergence witnesses ----------------------------------------------------
@@ -186,6 +199,22 @@ def test_equal_directions_decide_none_at_a_huge_horizon():
     g = splice(parse_ray("(1)"), f, 5)
     assert f.direction() == g.direction()
     assert divergence_time(f, g, 10, 10 ** 12) is None
+
+
+def test_near_parallel_slope_10000_ball_is_fast(monkeypatch):
+    # the distance first passes 10 at t = 500060000, so the ball of radius
+    # 11 holds g up to that window's end; the lap residues decide each
+    # window in O(T0 + P) point lookups (P = 10001 here), not one per step
+    f, g = parse_ray("slope:10000/1@1"), parse_ray("slope:9999/1@1")
+    calls = []
+    point_at = rays.RayCode.point_at
+    monkeypatch.setattr(rays.RayCode, "point_at",
+                        lambda ray, t: calls.append(t) or point_at(ray, t))
+    for b, inside in ((10 ** 9, False), (500060000, False),
+                      (500059999, True)):
+        calls.clear()
+        assert ball_contains(f, g, BallQuery(0, b, 11)) is inside
+        assert len(calls) < 4 * 10001
 
 
 def _classify(f_text, g_text):

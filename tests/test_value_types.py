@@ -130,7 +130,7 @@ DEFAULTS = {"attained": False, "k_label": "sqrt(2)", "pairs_checked": 0,
             "artifacts": [], "collides_with": None, "label": "", "color": ""}
 
 # types with a mutable field, or a field without a hash
-UNHASHABLE = {QIReport, DemoReport, PlaneSplice}
+UNHASHABLE = {QIReport, DemoReport}
 
 
 @pytest.mark.parametrize("cls, make, defaulted, text", CASES, ids=IDS)
