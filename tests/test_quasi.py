@@ -572,3 +572,61 @@ def test_random_search_checks_pairs_as_drawn():
         tracemalloc.stop()
     assert_same([got], [want])
     assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# the grid and random strategies read one pair stream
+
+
+GRID_POINTS = [(Fraction(i, 2), Fraction(j, 2))
+               for i in range(-8, 9) for j in range(-8, 9)]
+
+
+def oracle_grid_search(qmap, params, budget):
+    # brute force: the first budget pairs of the grid's product, in order
+    checked = 0
+    for a in GRID_POINTS:
+        for b in GRID_POINTS:
+            if checked == budget:
+                return None, checked
+            checked += 1
+            found = qmap.check_pair(a, b, params)
+            if found:
+                return found[0], checked
+    return None, checked
+
+
+class CountingMap:
+    """A map that counts the pairs it is asked to check."""
+
+    def __init__(self, qmap):
+        self.qmap, self.name, self.pairs = qmap, qmap.name, 0
+
+    def check_pair(self, p, q, params):
+        self.pairs += 1
+        return self.qmap.check_pair(p, q, params)
+
+
+# the floor map at c = 1 first fails at pair 5238 of the 83,521 for k = 7/5
+# and never for k = 3/2; the budgets stop short of that pair, at it, inside
+# the grid and past its end
+@pytest.mark.parametrize("k", [Fraction(7, 5), Fraction(3, 2)])
+@pytest.mark.parametrize("budget", [1, 5238, 5239, 40_000, 83_521, 100_000])
+def test_grid_search_matches_brute_force(k, budget):
+    params = QIParams.from_k(k, 1)
+    want, checked = oracle_grid_search(FloorMap(), params, budget)
+    qmap = CountingMap(FloorMap())
+    got = find_violation(qmap, params, "grid", budget)
+    assert qmap.pairs == checked
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert_same([got], [want])
+    assert (want is None) == (k == Fraction(3, 2) or budget < 5239)
+
+
+@pytest.mark.parametrize("strategy", ["diagonal-ray", "grid", "random"])
+@pytest.mark.parametrize("budget", [0, -1])
+def test_a_budget_below_one_checks_nothing(strategy, budget):
+    qmap = CountingMap(FloorMap())
+    assert find_violation(qmap, QIParams.from_k(1, 0), strategy, budget) is None
+    assert qmap.pairs == 0

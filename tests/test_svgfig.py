@@ -28,6 +28,9 @@ SVG_GOLDEN = [
      "50b6a6462be833dbacff23a7b1e6d6407c565400eba5cccf8507fed0396482e2"),
     (["demo", "trivial-topology", "--svg"],
      "5f14b5d7020cb2f8739955c10506d3b559e841f35657e96b352984d3292c66ed"),
+    # third quadrant: the window's lower corner is negative
+    (["render", "(23)", "(3)", "--steps", "20", "--out"],
+     "2b761e61d3a1efac9538e22c20acd2ec91c547dfec569a00433b4d7db78d5096"),
 ]
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from gridrays.demos import Assertion, CardinalityRow, ConeLengths, DemoReport
 from gridrays.ell1 import PlaneSplice, Polyline
-from gridrays.exactnum import Surd
+from gridrays.exactnum import Surd, sqrt_exact
 from gridrays.quasi import (QIParams, QIReport, RoundtripReport,
                             SurjectivityReport, Violation)
 from gridrays.rays import (Asymptotic, BallQuery, ChainLink, Divergent,
@@ -218,6 +218,27 @@ def test_sturmian_tails_compare_by_line_window_and_offset():
     assert tail != PeriodicTail((0, 1))
     assert repr(tail) == ("SturmianTail(ux=Surd(-1, 1, 2), uy=Surd(2, -1, 2), "
                           "window=2, offset=3)")
+
+
+def test_surds_compare_by_value_and_never_equal_a_rational():
+    # sqrt(8) is stored as 2*sqrt(2), so these three are one value
+    same = [Surd(1, 2, 8), Surd(F(1), F(4), 2), 1 + 4 * sqrt_exact(2)]
+    assert same[0] == same[1] == same[2]
+    assert len({hash(s) for s in same}) == 1
+    assert len({*same, Surd(1, 4, 3), Surd(1, -4, 2)}) == 3
+    root2 = Surd(0, 1, 2)
+    for rational in (F(1), 1, F(0), 0):
+        assert root2 != rational and rational != root2
+        assert not (root2 == rational or rational == root2)
+    assert repr(same[0]) == "Surd(1, 4, 2)"
+
+
+def test_ray_codes_never_equal_their_literals():
+    code = parse_ray("0(01)")
+    assert code.literal() == "0(01)"
+    assert code != "0(01)" and "0(01)" != code
+    assert not (code == "0(01)" or "0(01)" == code)
+    assert repr(code) == "RayCode('0(01)')"
 
 
 @pytest.mark.parametrize("cls, make, defaulted, text", CASES, ids=IDS)
