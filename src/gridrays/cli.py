@@ -295,6 +295,7 @@ def _cmd_qi_check(args) -> int:
     from . import quasi
     qmap = _qi_map(args)
     params = _qi_params(args)
+    targets = None  # the surjectivity probes; genset has none
     if args.map == "genset":
         # product order, streamed: O(count) memory for any radius
         ball = partial(quasi.iter_lattice_ball, args.radius)
@@ -306,17 +307,14 @@ def _cmd_qi_check(args) -> int:
         import random
         rng = random.Random(args.seed)
         pairs = [(rng.choice(ball), rng.choice(ball)) for _ in range(args.count)]
+        targets = quasi.sample_plane_points(args.box, 256, args.seed + 1)
     else:
         pairs = quasi.sample_plane_pairs(args.box, args.count, args.seed)
-    report = quasi.check_embedding(qmap, params, pairs)
-    if args.map == "floor":
         targets = [quasi.floor_map(p) for p, _ in pairs[:256]]
-        surj = quasi.quasi_surjectivity_bound(qmap, targets)
-        report.surjectivity_bound = surj.bound
-    elif args.map == "inclusion":
-        targets = quasi.sample_plane_points(args.box, 256, args.seed + 1)
-        surj = quasi.quasi_surjectivity_bound(qmap, targets)
-        report.surjectivity_bound = surj.bound
+    report = quasi.check_embedding(qmap, params, pairs)
+    if targets is not None:
+        report.surjectivity_bound = quasi.quasi_surjectivity_bound(
+            qmap, targets).bound
     payload = {
         "map": report.map_name,
         "k": report.params.k_label,
@@ -403,14 +401,8 @@ def _cmd_demo_trivial_topology(args) -> int:
     q = _ball_query(args)
     report, demo = demos.demo_trivial_topology(f, g, q)
     if args.svg:
-        from . import svgfig
-        horizon = int(q.b) + 10
-        win = _ray_window([demo.f, demo.g, demo.g_s], horizon)
-        scene = svgfig.Scene(win)
-        for ray, label in ((demo.f, "f"), (demo.g, "g"), (demo.g_s, "g_s")):
-            scene.add_path([(float(x), float(y))
-                            for x, y in ray.points(horizon)], label)
-        scene.write(args.svg)
+        _ray_scene([(demo.f, "f"), (demo.g, "g"), (demo.g_s, "g_s")],
+                   int(q.b) + 10).write(args.svg)
         report.artifacts.append(args.svg)
     _emit_demo(args, report, extra={"s": demo.s, "g_s": demo.g_s.literal()})
     return 0 if report.ok else 1
@@ -457,13 +449,18 @@ def _emit_demo(args, report, extra: Optional[dict] = None) -> None:
     _emit(args, report.inputs, out, lines)
 
 
-def _ray_window(ray_list, horizon: int) -> tuple[float, float, float, float]:
-    xs, ys = [0.0], [0.0]
-    for ray in ray_list:
-        for x, y in ray.points(horizon):
-            xs.append(float(x))
-            ys.append(float(y))
-    return (min(xs), max(xs) + 1, min(ys), max(ys) + 1)
+def _ray_scene(labelled, steps: int) -> svgfig.Scene:
+    """A scene of each (ray, label) pair's first ``steps`` steps, its window
+    spanning those points and the origin."""
+    from . import svgfig
+    paths = [([(float(x), float(y)) for x, y in ray.points(steps)], label)
+             for ray, label in labelled]
+    xs = [0.0, *(x for pts, _ in paths for x, _ in pts)]
+    ys = [0.0, *(y for pts, _ in paths for _, y in pts)]
+    scene = svgfig.Scene((min(xs), max(xs) + 1, min(ys), max(ys) + 1))
+    for pts, label in paths:
+        scene.add_path(pts, label)
+    return scene
 
 
 def _cmd_render(args) -> int:
@@ -471,11 +468,7 @@ def _cmd_render(args) -> int:
         raise CliError("render needs --out PATH")
     from . import rays, svgfig
     ray_list = [_parse_ray_arg(lit) for lit in args.rays]
-    win = _ray_window(ray_list, args.steps)
-    scene = svgfig.Scene(win)
-    for i, (lit, ray) in enumerate(zip(args.rays, ray_list)):
-        scene.add_path([(float(x), float(y)) for x, y in ray.points(args.steps)],
-                       label=lit)
+    scene = _ray_scene(zip(ray_list, args.rays), args.steps)
     if args.with_line:
         for ray in ray_list:
             ux, uy = ray.direction()

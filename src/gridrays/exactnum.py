@@ -15,6 +15,8 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Union
 
+from .lattice import Value
+
 Exact = Union[int, Fraction, "Surd"]
 
 
@@ -96,7 +98,7 @@ def floor_sqrt(a: int, b: int, d: int, den: int) -> int:
     return a // den
 
 
-class Surd:
+class Surd(Value):
     """An irrational number a + b*sqrt(d), with a, b rational and d squarefree."""
 
     __slots__ = ("a", "b", "d")
@@ -203,16 +205,6 @@ class Surd:
 
     def __ge__(self, other):
         return exact_sign(self - other) >= 0
-
-    def __eq__(self, other):
-        if isinstance(other, Surd):
-            return (self.a, self.b, self.d) == (other.a, other.b, other.d)
-        if isinstance(other, (int, Fraction)):
-            return False  # a Surd is always irrational
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.d))
 
     # -- conversions -----------------------------------------------------
 

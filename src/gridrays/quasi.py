@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice, product
 from math import floor, isqrt
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -318,27 +319,19 @@ def find_violation(qmap: Map, params: QIParams, strategy: str,
                 return Violation(pair, found[0].side, found[0].margin)
         return None
     if strategy == "grid":
-        pts = [(Fraction(i, 2), Fraction(j, 2))
-               for i in range(-8, 9) for j in range(-8, 9)]
-        checked = 0
-        for a in pts:
-            for b in pts:
-                if checked >= budget:
-                    return None
-                checked += 1
-                found = qmap.check_pair(a, b, params)
-                if found:
-                    return found[0]
-        return None
-    if strategy == "random":
-        # pairs are checked as they are drawn, so an early witness is cheap
+        pairs = product([(Fraction(i, 2), Fraction(j, 2))
+                         for i in range(-8, 9) for j in range(-8, 9)], repeat=2)
+    elif strategy == "random":
         pts = _plane_points(box, seed)
-        for _ in range(budget):
-            found = qmap.check_pair(next(pts), next(pts), params)
-            if found:
-                return found[0]
-        return None
-    raise ValueError(f"unknown strategy {strategy!r}")
+        pairs = zip(pts, pts)
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    # pairs are checked as they are drawn, so an early witness is cheap
+    for a, b in islice(pairs, max(budget, 0)):
+        found = qmap.check_pair(a, b, params)
+        if found:
+            return found[0]
+    return None
 
 
 class RoundtripReport(Value):

@@ -253,7 +253,7 @@ Tail = Union[PeriodicTail, SturmianTail]
 # ray codes
 
 
-class RayCode:
+class RayCode(Value):
     """A finite preamble plus an infinite tail of geodesic digits.
 
     Stores exactly what it is given; use :func:`validate` to check the
@@ -373,14 +373,6 @@ class RayCode:
         head = f"{pre}+" if pre else ""
         off = f"+{t.offset}" if t.offset else ""
         return f"{head}slope[{t.ux}:{t.uy}]@{t.window + 1}{off}"
-
-    def __eq__(self, other):
-        return (isinstance(other, RayCode)
-                and self.preamble == other.preamble
-                and self.tail == other.tail)
-
-    def __hash__(self):
-        return hash((self.preamble, self.tail))
 
     def __repr__(self):
         return f"RayCode({self.literal()!r})"

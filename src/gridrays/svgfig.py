@@ -73,20 +73,13 @@ class Scene:
             '<rect width="100%" height="100%" fill="#ffffff"/>',
             '<g stroke="#dddddd" stroke-width="1">',
         ]
-        x = int(xmin)
-        while x <= int(xmax):
-            a = self._to_px((x, ymin))
-            b = self._to_px((x, ymax))
-            out.append(f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
-                       f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}"/>')
-            x += 1
-        y = int(ymin)
-        while y <= int(ymax):
-            a = self._to_px((xmin, y))
-            b = self._to_px((xmax, y))
-            out.append(f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
-                       f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}"/>')
-            y += 1
+        # the vertical grid lines, then the horizontal ones
+        ends = [((x, ymin), (x, ymax)) for x in range(int(xmin), int(xmax) + 1)]
+        ends += [((xmin, y), (xmax, y)) for y in range(int(ymin), int(ymax) + 1)]
+        for a, b in ends:
+            (x1, y1), (x2, y2) = self._to_px(a), self._to_px(b)
+            out.append(f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
+                       f'x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>')
         out.append("</g>")
         for idx, item in enumerate(self.items):
             color = _escape(item.color or PALETTE[idx % len(PALETTE)])
