@@ -71,10 +71,7 @@ def _fmt(value):
 
 
 def _parse_gens(text: str) -> lattice.GeneratingSet:
-    vecs = []
-    for part in text.split(";"):
-        vecs.append(lattice.parse_point(part))
-    return lattice.GeneratingSet(vecs)
+    return lattice.GeneratingSet(map(lattice.parse_point, text.split(";")))
 
 
 def _parse_ray_arg(text: str) -> rays.RayCode:

@@ -22,7 +22,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .lattice import WINDOW_SIGNS, Value, quadrant_windows
-from .rays import PeriodicTail, RayCode, Staircase, WINDOW_DIGITS
+from .rays import RayCode, Staircase, WINDOW_DIGITS, staircase_tail
 
 Vec = tuple[Fraction, Fraction]
 
@@ -281,13 +281,12 @@ def project_to_lattice(ray: Polyline) -> RayCode:
     # reflected frame, over D: both coordinates nondecreasing
     den = ray._den
     rverts = [(sx * x, sy * y) for x, y in ray._xy]
-    # a segment a -> c is its line's staircase from a, cut after the n grid
-    # lines crossed in (a, c]; the tail repeats every (p+q)/gcd(p, q) steps
+    # the tail, checked against the period cap first; a segment a -> c is
+    # its line's staircase from a, cut after the n grid lines crossed in (a, c]
+    tail = staircase_tail(sx * ray._mv[-1][0], sy * ray._mv[-1][1], hdig,
+                          vdig, rverts[-1], den)
     digits: list[int] = []
     for (ax, ay), (cx, cy) in zip(rverts, rverts[1:]):
         n = cx // den - ax // den + cy // den - ay // den
         digits += Staircase(cx - ax, cy - ay, (ax, ay), den).digits(n, hdig, vdig)
-    p, q = sx * ray._mv[-1][0], sy * ray._mv[-1][1]
-    per = Staircase(p, q, rverts[-1], den).digits((p + q) // gcd(p, q),
-                                                 hdig, vdig)
-    return RayCode(digits, PeriodicTail(tuple(per))).canonical()
+    return RayCode(digits, tail).canonical()

@@ -61,8 +61,13 @@ class BallExceeded(Exception):
 
 
 def parse_point(text: str) -> LatticePoint:
-    x, y = text.split(",")
-    return int(x), int(y)
+    """The point of an "x,y" literal; anything else is one ValueError."""
+    try:
+        x, y = text.split(",")
+        return int(x), int(y)
+    except ValueError:
+        raise ValueError(f"expected a point x,y of two integers, got {text!r}"
+                         ) from None
 
 
 def format_point(p: LatticePoint) -> str:

@@ -202,6 +202,11 @@ class GensetMap:
 
     def check_pair(self, p: LatticePoint, q: LatticePoint,
                    params: QIParams) -> list[Violation]:
+        # a plane pair would grow both tables to the cap for nothing
+        if p[0].denominator * p[1].denominator * q[0].denominator \
+                * q[1].denominator != 1:
+            raise ValueError(f"pair ({p[0]}, {p[1]}), ({q[0]}, {q[1]}) is not "
+                             "a pair of lattice points")
         dx = self._dist(self.S, p, q)
         dy = self._dist(self.S2, p, q)
         return _violations((p, q), params, dy, dx * dx, 1, True)

@@ -39,6 +39,8 @@ WINDOW_DIGITS: dict[int, tuple[int, int]] = {
 
 DIVERGENCE_PROBE = 10  # bound used when reporting a divergence witness
 
+MAX_PERIOD = 100_000  # longest period a rational staircase may have
+
 
 class InvalidRay(ValueError):
     """A ray code failed validation."""
@@ -571,14 +573,24 @@ def digitize(dx: Exact, dy: Exact) -> RayCode:
     ratio = ay / ax
     if is_rational(ratio):
         ratio = Fraction(ratio)
-        p, q = ratio.denominator, ratio.numerator
-        if p + q > 100_000:
-            raise ValueError(
-                f"rational direction {q}/{p} has period {p + q}; "
-                "reduce the fraction or pass an exact irrational")
-        per = tuple(Staircase(p, q).digits(p + q, h, v))
-        return RayCode((), PeriodicTail(per)).canonical()
+        tail = staircase_tail(ratio.denominator, ratio.numerator, h, v)
+        return RayCode((), tail).canonical()
     return RayCode((), SturmianTail(ax, ay, w))
+
+
+def staircase_tail(p: int, q: int, hdig: int, vdig: int, anchor=(0, 0),
+                   scale: int = 1) -> PeriodicTail:
+    """One period of the staircase of the integer direction (p, q) >= 0
+    from ``anchor`` (over ``scale``): (p + q)/gcd(p, q) digits, refused
+    past MAX_PERIOD before any digit is built."""
+    g = gcd(p, q)
+    n = (p + q) // g
+    if n > MAX_PERIOD:
+        raise ValueError(
+            f"rational direction {q // g}/{p // g} has period {n}; "
+            "reduce the fraction or pass an exact irrational")
+    return PeriodicTail(tuple(Staircase(p, q, anchor, scale).digits(n, hdig,
+                                                                    vdig)))
 
 
 def direction_of(ray: RayCode) -> tuple[Exact, Exact]:

@@ -693,10 +693,47 @@ ERROR_GOLDEN = [
      "error: BallExceeded: generator (0, -1) outside radius 2 in S2\n"),
     (["ball", "(01)", "(001)", "--K", "5", "--eps", "1"],
      "error: --K expects two rationals a,b, got '5'\n"),
+    (["metric", "1,2", "3"],
+     "error: ValueError: expected a point x,y of two integers, got '3'\n"),
+    (["count", "0,0", "a,b"],
+     "error: ValueError: expected a point x,y of two integers, got 'a,b'\n"),
+    (["bfs-metric", "0,0", "1,1", "--gens", "1,0;x"],
+     "error: ValueError: expected a point x,y of two integers, got 'x'\n"),
+    (["qi-violate", "--map", "genset", "--gens", "1,0;0,1", "--gens2",
+      "1,0;0,1", "--strategy", "random", "--budget", "50", "--k", "1",
+      "--c", "0"],
+     "error: ValueError: pair (94, 61/8), (-34, 30) is not a pair of lattice "
+     "points\n"),
+    (["qi-check", "--map", "genset", "--gens", "1,0;0,1", "--gens2",
+      "1,0;100,1", "--cap", "5", "--radius", "3"],
+     "error: ValueError: pair (-3, 0), (-2, -1) outside radius cap 5\n"),
 ]
 
 
-@pytest.mark.parametrize("argv, err", ERROR_GOLDEN,
-                         ids=[g[0][0] for g in ERROR_GOLDEN])
+def _row_ids(rows) -> list[str]:
+    """Each row's subcommand, with "-2", "-3", ... on its repeats."""
+    names = [argv[0] for argv, _ in rows]
+    return [n if i == names.index(n) else f"{n}-{names[:i + 1].count(n)}"
+            for i, n in enumerate(names)]
+
+
+@pytest.mark.parametrize("argv, err", ERROR_GOLDEN, ids=_row_ids(ERROR_GOLDEN))
 def test_library_error_stderr_is_byte_identical(argv, err, capsys):
     assert run(argv, capsys) == (1, "", err)
+
+
+def test_long_project_period_is_refused_before_any_digit(monkeypatch, capsys):
+    from gridrays import rays
+    calls = []
+    digits = rays.Staircase.digits
+    monkeypatch.setattr(rays.Staircase, "digits",
+                        lambda line, *a: calls.append(a) or digits(line, *a))
+    assert run(["project", "0,0 >1/100000"], capsys) == (
+        1, "", "error: ValueError: rational direction 100000/1 has period "
+        "100001; reduce the fraction or pass an exact irrational\n")
+    assert calls == []
+    # the same cap and message as digitize
+    assert run(["digitize", "1", "100000"], capsys)[2] == (
+        "error: ValueError: rational direction 100000/1 has period 100001; "
+        "reduce the fraction or pass an exact irrational\n")
+    assert calls == []

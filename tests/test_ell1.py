@@ -176,6 +176,18 @@ def test_project_pure_directions():
     assert project_to_lattice(P("0,0 >2/1")) == digitize(2, 1)
 
 
+def test_project_period_cap_is_digitize_s():
+    # (1 + 99999)/gcd(1, 99999) = 100,000 digits, the longest period allowed
+    code = project_to_lattice(P("0,0 >1/99999"))
+    assert code == digitize(1, 99999)
+    assert len(code.tail.period) == 100_000
+    assert code.tail.period.count(0) == 1
+    with pytest.raises(ValueError, match="has period 100001"):
+        project_to_lattice(P("0,0;1,2 >1/100000"))
+    with pytest.raises(ValueError, match="has period 100001"):
+        project_to_lattice(P("0,0 >2/200000"))
+
+
 def test_project_staircase_is_identity():
     # a lattice staircase polyline projects to exactly its digit code
     path = P("0,0;1,0;1,1;2,1 >1/1")
