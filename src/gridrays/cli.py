@@ -463,7 +463,7 @@ def _ray_scene(labelled, steps: int) -> svgfig.Scene:
 def _cmd_render(args) -> int:
     if not args.out:
         raise CliError("render needs --out PATH")
-    from . import rays, svgfig
+    from . import rays
     ray_list = [_parse_ray_arg(lit) for lit in args.rays]
     scene = _ray_scene(zip(ray_list, args.rays), args.steps)
     if args.with_line:

@@ -176,7 +176,7 @@ def test_project_pure_directions():
     assert project_to_lattice(P("0,0 >2/1")) == digitize(2, 1)
 
 
-def test_project_period_cap_is_digitize_s():
+def test_project_shares_the_period_cap_of_digitize():
     # (1 + 99999)/gcd(1, 99999) = 100,000 digits, the longest period allowed
     code = project_to_lattice(P("0,0 >1/99999"))
     assert code == digitize(1, 99999)
