@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 from fractions import Fraction
-from functools import partial
 from itertools import islice
 from typing import Optional
 
@@ -292,21 +292,13 @@ def _cmd_qi_check(args) -> int:
     from . import quasi
     qmap = _qi_map(args)
     params = _qi_params(args)
+    strategy = "grid" if args.map == "genset" else "random"
+    pairs = list(islice(quasi.iter_pairs(qmap, strategy, args.seed, args.box,
+                                         args.radius), args.count))
     targets = None  # the surjectivity probes; genset has none
-    if args.map == "genset":
-        # product order, streamed: O(count) memory for any radius
-        ball = partial(quasi.iter_lattice_ball, args.radius)
-        pairs = list(islice(((p, q) for p in ball() for q in ball()),
-                            args.count))
-    elif args.map == "inclusion":
-        # rng.choice reads only len and indices: O(1) memory for any radius
-        ball = quasi.LatticeBall(args.radius)
-        import random
-        rng = random.Random(args.seed)
-        pairs = [(rng.choice(ball), rng.choice(ball)) for _ in range(args.count)]
+    if args.map == "inclusion":
         targets = quasi.sample_plane_points(args.box, 256, args.seed + 1)
-    else:
-        pairs = quasi.sample_plane_pairs(args.box, args.count, args.seed)
+    elif args.map == "floor":
         targets = [quasi.floor_map(p) for p, _ in pairs[:256]]
     report = quasi.check_embedding(qmap, params, pairs)
     if targets is not None:
@@ -575,8 +567,19 @@ COMMANDS = [
 REGISTRY = {name: ops for name, _, ops, _, _ in COMMANDS}
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that reads a token of "-" and a digit, such as the point
+    "-3,4" or the rational "-3/2", as an argument rather than an option.
+    Its subparsers are of its class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern admits only "-3" and "-3.5"
+        self._negative_number_matcher = re.compile(r"^-\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gridrays",
         description="Exact computations on the grid's geodesic rays, "
                     "boundary codes, and quasi-isometries.")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice, repeat
 from math import floor, isqrt
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -164,7 +164,7 @@ def _margin(params: QIParams, m0: int, m1: int, t: int) -> Exact:
 class FloorMap:
     """f(x, y) = (floor x, floor y) from (R^2, l2) to the grid."""
 
-    name = "floor"
+    name, domain = "floor", "plane"
 
     def check_pair(self, p: PlanePoint, q: PlanePoint,
                    params: QIParams) -> list[Violation]:
@@ -175,7 +175,7 @@ class FloorMap:
 class InclusionMap:
     """The inclusion of the grid (word metric) into (R^2, l2)."""
 
-    name = "inclusion"
+    name, domain = "inclusion", "lattice"
 
     def check_pair(self, p: LatticePoint, q: LatticePoint,
                    params: QIParams) -> list[Violation]:
@@ -192,7 +192,7 @@ class GensetMap:
         self.S = S
         self.S2 = S2
         self.radius_cap = radius_cap
-        self.name = "genset"
+        self.name, self.domain = "genset", "lattice"
 
     def _dist(self, S: GeneratingSet, p: LatticePoint, q: LatticePoint) -> int:
         d = S.distance((q[0] - p[0], q[1] - p[1]), self.radius_cap)
@@ -239,35 +239,27 @@ def _plane_points(box, seed: int) -> Iterator[PlanePoint]:
 def sample_plane_points(box: tuple[Fraction, Fraction], count: int,
                         seed: int) -> list[PlanePoint]:
     """Seeded rational points in [lo, hi]^2 with small denominators."""
-    pts = _plane_points(box, seed)
-    return [next(pts) for _ in range(count)]
+    return list(islice(_plane_points(box, seed), count))
 
 
 def sample_plane_pairs(box, count, seed) -> list[tuple[PlanePoint, PlanePoint]]:
-    pts = _plane_points(box, seed)
-    return [(next(pts), next(pts)) for _ in range(count)]
-
-
-def iter_lattice_ball(radius: int) -> Iterator[LatticePoint]:
-    """The grid points of l1 norm <= radius, x-major, one at a time."""
-    for x in range(-radius, radius + 1):
-        for y in range(-radius + abs(x), radius - abs(x) + 1):
-            yield x, y
-
-
-def lattice_ball(radius: int) -> list[LatticePoint]:
-    return list(iter_lattice_ball(radius))
+    return list(islice(iter_pairs(FloorMap(), "random", seed, box), count))
 
 
 class LatticeBall:
-    """``lattice_ball(radius)`` as a sequence that lists nothing: index i
-    maps to the i-th point in O(1) integer operations."""
+    """The grid points of l1 norm <= radius, x-major, as a sequence that
+    lists nothing: index i maps to the i-th point in O(1) integer ops."""
 
     def __init__(self, radius: int):
         self.radius = radius
 
     def __len__(self) -> int:
         return 2 * self.radius * (self.radius + 1) + 1
+
+    def __iter__(self) -> Iterator[LatticePoint]:
+        r = self.radius
+        return ((x, y) for x in range(-r, r + 1)
+                for y in range(abs(x) - r, r - abs(x) + 1))
 
     def __getitem__(self, i: int) -> LatticePoint:
         n = len(self)
@@ -282,6 +274,30 @@ class LatticeBall:
         # the columns x = -r + j for j <= r hold 2j + 1 points each, j^2 before
         j = isqrt(i)
         return j - self.radius, i - j * j - j
+
+
+def iter_pairs(qmap: Map, strategy: str, seed: int = 0,
+               box: tuple[Fraction, Fraction] = (Fraction(-100), Fraction(100)),
+               radius: int = 10) -> Iterator[Pair]:
+    """Pairs (p, q) from the map's domain, drawn lazily: ``grid`` walks the
+    product of the half-integer points of [-4, 4]^2 or of the l1 ball of
+    ``radius``; ``random`` pairs consecutive seeded points of ``box``, or
+    draws both points from the ball with a seeded ``rng.choice``."""
+    ball = LatticeBall(radius)
+    if strategy == "grid":
+        pts = ball if qmap.domain == "lattice" else [
+            (Fraction(i, 2), Fraction(j, 2))
+            for i in range(-8, 9) for j in range(-8, 9)]
+        # nested loops, since product would list a ball before its first pair
+        return ((p, q) for p in pts for q in pts)
+    if strategy == "random":
+        if qmap.domain == "plane":
+            pts = _plane_points(box, seed)
+            return zip(pts, pts)
+        # rng.choice reads only len and indices: O(1) memory for any radius
+        choice = random.Random(seed).choice
+        return ((choice(ball), choice(ball)) for _ in repeat(None))
+    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +321,9 @@ def find_violation(qmap: Map, params: QIParams, strategy: str,
     """Search for a witness pair violating one inequality.
 
     Strategies: ``diagonal-ray`` scans the pairs ((0,0), (n,n)) where the
-    violating family for k < sqrt(2) lives; ``grid`` scans half-integer
-    points near the origin; ``random`` draws seeded pairs from the box.
+    violating family for k < sqrt(2) lives; ``grid`` and ``random`` check
+    the pairs of :func:`iter_pairs`, from the map's own domain (plane or
+    lattice), as they are drawn, so an early witness is cheap.
     """
     if strategy == "diagonal-ray":
         # on the lattice diagonal both plane maps see d = 2n and d^2 = 2n^2
@@ -323,16 +340,7 @@ def find_violation(qmap: Map, params: QIParams, strategy: str,
                 pair = ((zero, zero), (Fraction(n), Fraction(n)))
                 return Violation(pair, found[0].side, found[0].margin)
         return None
-    if strategy == "grid":
-        pairs = product([(Fraction(i, 2), Fraction(j, 2))
-                         for i in range(-8, 9) for j in range(-8, 9)], repeat=2)
-    elif strategy == "random":
-        pts = _plane_points(box, seed)
-        pairs = zip(pts, pts)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    # pairs are checked as they are drawn, so an early witness is cheap
-    for a, b in islice(pairs, max(budget, 0)):
+    for a, b in islice(iter_pairs(qmap, strategy, seed, box), max(budget, 0)):
         found = qmap.check_pair(a, b, params)
         if found:
             return found[0]

@@ -6,6 +6,7 @@ element order is fixed, so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 from .lattice import Value
@@ -73,9 +74,11 @@ class Scene:
             '<rect width="100%" height="100%" fill="#ffffff"/>',
             '<g stroke="#dddddd" stroke-width="1">',
         ]
-        # the vertical grid lines, then the horizontal ones
-        ends = [((x, ymin), (x, ymax)) for x in range(int(xmin), int(xmax) + 1)]
-        ends += [((xmin, y), (xmax, y)) for y in range(int(ymin), int(ymax) + 1)]
+        # the vertical grid lines, then the horizontal ones, made lazily so
+        # that the peak stays near the size of the output
+        ends = chain(
+            (((x, ymin), (x, ymax)) for x in range(int(xmin), int(xmax) + 1)),
+            (((xmin, y), (xmax, y)) for y in range(int(ymin), int(ymax) + 1)))
         for a, b in ends:
             (x1, y1), (x2, y2) = self._to_px(a), self._to_px(b)
             out.append(f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" '

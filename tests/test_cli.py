@@ -194,8 +194,34 @@ def test_genset_pairs_are_the_ball_product(radius, count, capsys, monkeypatch):
     run(["qi-check", "--map", "genset", "--gens", "1,0;0,1",
          "--gens2", "1,0;1,1", "--radius", str(radius), "--count", str(count)],
         capsys)
-    ball = quasi.lattice_ball(radius)
+    ball = list(quasi.LatticeBall(radius))
     assert seen == list(itertools.islice(itertools.product(ball, ball), count))
+
+
+def test_genset_qi_violate_searches_lattice_pairs(capsys):
+    # grid and random once drew plane points, and exited 1 at the first
+    code, out, err = run(["--format", "json", "qi-violate", "--map", "genset",
+                          "--gens", "1,0;0,1", "--gens2", "1,0;1,1",
+                          "--strategy", "grid", "--k", "1", "--c", "0"],
+                         capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["output"] == {
+        "pair": [[-10, 0], [-9, -1]], "side": "upper", "margin": "5"}
+
+
+@pytest.mark.parametrize("qmap", [
+    ["--map", "inclusion"],
+    ["--map", "genset", "--gens", "1,0;0,1", "--gens2", "1,0;1,1"]])
+@pytest.mark.parametrize("strategy", ["grid", "random"])
+def test_lattice_qi_violate_reports_only_lattice_pairs(qmap, strategy,
+                                                       capsys):
+    # the inclusion's grid search once reported (-4,-4), (-7/2,-7/2)
+    code, out, _ = run(["--format", "json", "qi-violate", *qmap,
+                        "--strategy", strategy, "--k", "1", "--c", "0"],
+                       capsys)
+    pair = json.loads(out)["output"]["pair"]
+    assert code == 0
+    assert all(type(x) is int for pt in pair for x in pt)
 
 
 def test_qi_violate_exit_codes(capsys):
@@ -700,10 +726,8 @@ ERROR_GOLDEN = [
     (["bfs-metric", "0,0", "1,1", "--gens", "1,0;x"],
      "error: ValueError: expected a point x,y of two integers, got 'x'\n"),
     (["qi-violate", "--map", "genset", "--gens", "1,0;0,1", "--gens2",
-      "1,0;0,1", "--strategy", "random", "--budget", "50", "--k", "1",
-      "--c", "0"],
-     "error: ValueError: pair (94, 61/8), (-34, 30) is not a pair of lattice "
-     "points\n"),
+      "1,0;100,1", "--cap", "5", "--strategy", "grid"],
+     "error: ValueError: pair (-10, 0), (-9, -1) outside radius cap 5\n"),
     (["qi-check", "--map", "genset", "--gens", "1,0;0,1", "--gens2",
       "1,0;100,1", "--cap", "5", "--radius", "3"],
      "error: ValueError: pair (-3, 0), (-2, -1) outside radius cap 5\n"),
@@ -720,6 +744,34 @@ def _row_ids(rows) -> list[str]:
 @pytest.mark.parametrize("argv, err", ERROR_GOLDEN, ids=_row_ids(ERROR_GOLDEN))
 def test_library_error_stderr_is_byte_identical(argv, err, capsys):
     assert run(argv, capsys) == (1, "", err)
+
+
+# a token of "-" and a digit is an argument, not an option: each of these
+# was a usage error (exit 2) unless "--" came before it, or for --box ever
+NEGATIVE_LEADING = [
+    (["metric", "0,0", "-3,4"], (0, "7\n", "")),
+    (["count", "0,0", "-2,3"], (0, "10\n", "")),
+    (["enumerate", "-1,-2", "1,-1"], (0, "001\n010\n100\n", "")),
+    (["bfs-metric", "-1,0", "1,1"], (0, "3\n", "")),
+    (["ell1-check", "-1,0;1,1"], (0, '{"endpoint_distance": "3", '
+                                     '"geodesic": true, "length": "3"}\n', "")),
+    (["project", "-1,0;0,2"],
+     (1, "", "error: ValueError: a final direction is required\n")),
+    (["ell1-splice", "-1,0;1,1", "0,0;1,0 >1/0", "1"],
+     (1, "", "error: ValueError: f must be a ray\n")),
+    (["ell1-splice", "0,0;1,1 >1/1", "0,0;1,0 >1/0", "-1/2"],
+     (1, "", "error: ValueError: splice parameter must be nonnegative\n")),
+    (["digitize", "-3/2", "1", "--steps", "6"], (0, "(21221)\n212212\n", "")),
+    (["qi-check", "--box", "-5,5", "--count", "10"],
+     (0, '{"D": "1", "c": "2", "checked": 10, "k": "2", "k_sq": "4", '
+         '"map": "floor", "violation_count": 0, "violations": []}\n', "")),
+]
+
+
+@pytest.mark.parametrize("argv, want", NEGATIVE_LEADING,
+                         ids=_row_ids(NEGATIVE_LEADING))
+def test_a_negative_leading_number_is_an_argument(argv, want, capsys):
+    assert run(argv, capsys) == want
 
 
 def test_long_project_period_is_refused_before_any_digit(monkeypatch, capsys):

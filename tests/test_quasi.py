@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +14,7 @@ from gridrays.exactnum import Surd, sqrt_exact
 from gridrays.lattice import GeneratingSet, standard_generators, word_metric
 from gridrays.quasi import (FloorMap, GensetMap, InclusionMap, LatticeBall,
                             QIParams, Violation, check_embedding, find_violation,
-                            floor_chain_holds, floor_map, lattice_ball,
+                            floor_chain_holds, floor_map, iter_pairs,
                             quasi_surjectivity_bound, roundtrip_displacement,
                             sample_plane_pairs, sample_plane_points,
                             sq_euclidean)
@@ -23,8 +24,8 @@ fracs = st.fractions(min_value=-50, max_value=50, max_denominator=64)
 
 @pytest.mark.parametrize("radius", range(31))
 def test_lattice_ball_sequence_is_the_list(radius):
-    # every index, negative ones too, against the listed x-major ball
-    ball, seq = lattice_ball(radius), LatticeBall(radius)
+    # every index, negative ones too, against the x-major nested loop
+    ball, seq = list(LatticeBall(radius)), LatticeBall(radius)
     assert len(seq) == len(ball)
     assert [seq[i] for i in range(-len(ball), len(ball))] == ball + ball
     for i in (len(ball), len(ball) + 7, -len(ball) - 1, -len(ball) - 9):
@@ -38,7 +39,7 @@ def test_lattice_ball_draws_like_the_list():
     # rng.choice reads only len and one index, so the draws are the same
     for seed in range(5):
         draws = []
-        for ball in (lattice_ball(12), LatticeBall(12)):
+        for ball in (list(LatticeBall(12)), LatticeBall(12)):
             rng = random.Random(seed)
             draws.append([rng.choice(ball) for _ in range(200)])
         assert draws[0] == draws[1]
@@ -95,7 +96,7 @@ def test_sqrt2_constants_hold_on_diagonal():
 def test_inclusion_exact_boundary():
     # on the diagonal the inclusion meets k = sqrt(2) with c = 0 exactly
     params = QIParams.from_k_squared(2, 0)
-    ball = lattice_ball(6)
+    ball = list(LatticeBall(6))
     report = check_embedding(InclusionMap(), params,
                              [(a, b) for a in ball[:40] for b in ball[:40]])
     assert report.ok
@@ -135,7 +136,7 @@ def test_genset_map_certificate():
     S = standard_generators()
     S2 = GeneratingSet([(1, 0), (1, 1)])
     gm = GensetMap(S, S2, radius_cap=40)
-    pts = lattice_ball(5)
+    pts = list(LatticeBall(5))
     pairs = [(a, b) for a in pts for b in pts]
     report = check_embedding(gm, QIParams.from_k(2, 0), pairs)
     assert report.ok
@@ -255,7 +256,7 @@ def test_genset_kernel_matches_oracle(p, q, k_sq, const):
 
 
 def test_kernel_matches_oracle_on_surd_margins():
-    pts = lattice_ball(3)
+    pts = list(LatticeBall(3))
     pairs = [(a, b) for a in pts for b in pts]
     surds = 0
     for k_sq, const in [(Fraction(3, 2), Fraction(1, 3)), (2, Fraction(1, 2)),
@@ -273,7 +274,7 @@ def test_inclusion_never_factors_k_sq(monkeypatch):
         raise AssertionError(f"factored {n}")
 
     monkeypatch.setattr(exactnum, "_split_square", boom)
-    pts = lattice_ball(4)
+    pts = list(LatticeBall(4))
     pairs = [(a, b) for a in pts for b in pts]
     for const in (Fraction(0), Fraction(1, 3)):
         report = check_embedding(InclusionMap(),
@@ -286,7 +287,7 @@ def test_sqrt_of_k_sq_taken_once_and_only_for_surd_margins(monkeypatch):
     calls = []
     monkeypatch.setattr(quasi, "sqrt_exact",
                         lambda x: calls.append(x) or sqrt_exact(x))
-    pts = lattice_ball(4)
+    pts = list(LatticeBall(4))
     pairs = [(a, b) for a in pts for b in pts]
     rational = check_embedding(InclusionMap(),
                                QIParams.from_k_squared(Fraction(3, 2), 0), pairs)
@@ -530,10 +531,19 @@ def test_diagonal_scan_matches_oracle_at_irrational_k():
                 assert_same([got], [want])
 
 
+def oracle_random_pairs(domain, count, seed, box, radius=10):
+    # the eager draws: consecutive sampler points, or rng.choice over the
+    # listed ball twice per pair
+    if domain == "plane":
+        pts = oracle_sample_plane_points(box, 2 * count, seed)
+        return list(zip(pts[::2], pts[1::2]))
+    ball, rng = list(LatticeBall(radius)), random.Random(seed)
+    return [(rng.choice(ball), rng.choice(ball)) for _ in range(count)]
+
+
 def oracle_random_search(qmap, params, budget, seed, box):
-    # the eager search: sample all pairs, then check them in order
-    pts = oracle_sample_plane_points(box, 2 * budget, seed)
-    for pair in zip(pts[::2], pts[1::2]):
+    # the eager search: draw all pairs, then check them in order
+    for pair in oracle_random_pairs(qmap.domain, budget, seed, box):
         found = qmap.check_pair(*pair, params)
         if found:
             return found[0]
@@ -543,14 +553,16 @@ def oracle_random_search(qmap, params, budget, seed, box):
 DEFAULT_SEARCH_BOX = (Fraction(-100), Fraction(100))
 
 
-# witnesses at pairs 0, 40 and 227, a budget that stops one pair short of
-# 227, and a certificate that holds
+# plane witnesses at pairs 0 and 40, a certificate that holds on the plane
+# and one that holds on the radius-10 ball, and a lattice witness at pair
+# 141 with a budget that stops one pair short of it
 @pytest.mark.parametrize("qmap, k, c, budget, box", [
     (FloorMap(), 1, 0, 500, DEFAULT_SEARCH_BOX),
     (FloorMap(), Fraction(3, 2), 1, 500, (Fraction(-5), Fraction(5))),
     (InclusionMap(), Fraction(7, 5), 2, 500, DEFAULT_SEARCH_BOX),
-    (InclusionMap(), Fraction(7, 5), 2, 227, DEFAULT_SEARCH_BOX),
+    (InclusionMap(), Fraction(4, 3), Fraction(3, 4), 141, DEFAULT_SEARCH_BOX),
     (FloorMap(), 2, 2, 300, DEFAULT_SEARCH_BOX),
+    (InclusionMap(), Fraction(4, 3), Fraction(3, 4), 500, DEFAULT_SEARCH_BOX),
 ])
 def test_random_search_matches_eager_oracle(qmap, k, c, budget, box):
     params = QIParams.from_k(k, c)
@@ -601,6 +613,7 @@ class CountingMap:
 
     def __init__(self, qmap):
         self.qmap, self.name, self.pairs = qmap, qmap.name, 0
+        self.domain = qmap.domain
 
     def check_pair(self, p, q, params):
         self.pairs += 1
@@ -630,3 +643,58 @@ def test_a_budget_below_one_checks_nothing(strategy, budget):
     qmap = CountingMap(FloorMap())
     assert find_violation(qmap, QIParams.from_k(1, 0), strategy, budget) is None
     assert qmap.pairs == 0
+
+
+# ---------------------------------------------------------------------------
+# each map draws its pairs from its own domain
+
+
+MAPS = [FloorMap(), InclusionMap(), GENSET]
+
+
+def oracle_pairs(domain, strategy, count, seed, box, radius):
+    if strategy == "random":
+        return oracle_random_pairs(domain, count, seed, box, radius)
+    pts = GRID_POINTS if domain == "plane" else list(LatticeBall(radius))
+    return list(islice(product(pts, repeat=2), count))
+
+
+@pytest.mark.parametrize("qmap", MAPS, ids=lambda m: m.name)
+@pytest.mark.parametrize("strategy", ["grid", "random"])
+@pytest.mark.parametrize("seed, radius, box", [
+    (0, 1, DEFAULT_SEARCH_BOX), (3, 4, (Fraction(-7), Fraction(5))),
+    (11, 10, (Fraction(0), Fraction(1, 2))), (29, 25, DEFAULT_SEARCH_BOX)])
+def test_pair_source_matches_eager_oracle(qmap, strategy, seed, radius, box):
+    got = list(islice(iter_pairs(qmap, strategy, seed, box, radius), 3000))
+    assert got == oracle_pairs(qmap.domain, strategy, 3000, seed, box, radius)
+    if qmap.domain == "lattice":
+        assert all(type(x) is int for pair in got for pt in pair for x in pt)
+
+
+# k = 1, c = 0 first fails at pair 1 of the grid and 0 of the draws,
+# k = 3/2, c = 1 at pairs 24 and 6, and k = 2, c = 0 holds on both streams
+@pytest.mark.parametrize("strategy", ["grid", "random"])
+@pytest.mark.parametrize("k, c", [(1, 0), (Fraction(3, 2), 1), (2, 0)])
+def test_genset_search_finds_the_first_violation_of_its_stream(strategy, k, c):
+    params = QIParams.from_k(k, c)
+    gm = GensetMap(standard_generators(), GeneratingSet([(1, 0), (1, 1)]),
+                   radius_cap=40)
+    want = None
+    for pair in oracle_pairs("lattice", strategy, 3000, 5, None, 10):
+        found = gm.check_pair(*pair, params)
+        if found:
+            want = found[0]
+            break
+    got = find_violation(GENSET, params, strategy, 3000, seed=5)
+    assert (got is None) == (want is None) == (k == 2)
+    if want is not None:
+        assert_same([got], [want])
+        assert all(type(x) is int for pt in got.pair for x in pt)
+
+
+def test_genset_refuses_a_plane_pair():
+    # the pair sources never draw one; the guard checks library input
+    with pytest.raises(ValueError, match=r"^pair \(94, 61/8\), \(-34, 30\) is "
+                                         r"not a pair of lattice points$"):
+        GENSET.check_pair((Fraction(94), Fraction(61, 8)),
+                          (Fraction(-34), Fraction(30)), QIParams.from_k(1, 0))

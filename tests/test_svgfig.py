@@ -1,6 +1,7 @@
 """SVG figures: well-formed XML whatever the labels, and stable bytes."""
 
 import hashlib
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 from gridrays.cli import main
@@ -40,3 +41,16 @@ def test_figures_are_byte_identical(tmp_path, capsys):
         assert main([*argv, str(target)]) == 0
         assert hashlib.sha256(target.read_bytes()).hexdigest() == want
     capsys.readouterr()
+
+
+def test_grid_lines_are_made_one_at_a_time():
+    # 40,002 grid lines; listing every line's ends first peaked at 6.3 times
+    # the length of the output
+    tracemalloc.start()
+    try:
+        svg = Scene((0, 20000, 0, 20000)).render()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert svg.count("<line ") == 40002
+    assert peak < 5 * len(svg)
