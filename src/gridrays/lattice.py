@@ -162,7 +162,11 @@ def bfs_distances(S: GeneratingSet, radius_cap: int) -> dict[LatticePoint, int]:
     fresh dict the caller may keep or change."""
     if radius_cap < 0:
         raise ValueError("radius_cap must be nonnegative")
-    return {p: d for p, d in S.grow(radius_cap).items() if d <= radius_cap}
+    table = S.grow(radius_cap)
+    if S.radius == radius_cap:
+        return dict(table)
+    # an earlier query grew the shared table past the cap
+    return {p: d for p, d in table.items() if d <= radius_cap}
 
 
 def bfs_metric(S: GeneratingSet, p: LatticePoint, q: LatticePoint,

@@ -40,9 +40,12 @@ def sq_euclidean(p: PlanePoint, q: PlanePoint) -> Fraction:
 def _pair_terms(p, q) -> tuple[int, int, int, int]:
     """Integers (X, Y, t, g) for two rational points (int or Fraction
     coordinates): p - q = (X/t, Y/t) with t > 0, and g is the word metric
-    between floor(p) and floor(q)."""
-    a, b, e, f = p[0].numerator, p[0].denominator, p[1].numerator, p[1].denominator
-    h, i, m, n = q[0].numerator, q[0].denominator, q[1].numerator, q[1].denominator
+    between floor(p) and floor(q). Each coordinate is read once, through
+    the public ``as_integer_ratio`` of int and Fraction."""
+    a, b = p[0].as_integer_ratio()
+    e, f = p[1].as_integer_ratio()
+    h, i = q[0].as_integer_ratio()
+    m, n = q[1].as_integer_ratio()
     g = abs(a // b - h // i) + abs(e // f - m // n)
     X, tx = a * i - h * b, b * i
     Y, ty = e * n - m * f, f * n
@@ -223,17 +226,38 @@ _DENOMINATORS = (1, 2, 3, 4, 5, 7, 8, 16, 32, 64)
 
 
 def _plane_points(box, seed: int) -> Iterator[PlanePoint]:
-    """Endless seeded stream of points in [lo, hi]^2 with small denominators."""
+    """Endless seeded stream of points in [lo, hi]^2 with small denominators.
+
+    The draws are those of ``rng.choice(_DENOMINATORS)`` and two
+    ``rng.randint(nlo, nhi)``, read from ``getrandbits`` through the same
+    rejection loops (n values: k = n.bit_length() bits, redrawn while >= n),
+    so each seed gives the same points. An empty numerator range raises
+    ValueError at the draw that picks its denominator."""
     lo, hi = Fraction(box[0]), Fraction(box[1])
-    # numerator range per denominator, truncated toward zero
-    span = {den: (int(lo * den), int(hi * den)) for den in _DENOMINATORS}
-    rng = random.Random(seed)
-    choice, randint = rng.choice, rng.randint
+    # (den, nlo, width, bits) per denominator; numerators truncated toward 0
+    rows = []
+    for den in _DENOMINATORS:
+        nlo = int(lo * den)
+        width = int(hi * den) - nlo + 1
+        rows.append((den, nlo, width, width.bit_length()))
+    bits = random.Random(seed).getrandbits
+    nrows = len(rows)
+    krows = nrows.bit_length()
     while True:
-        den = choice(_DENOMINATORS)
-        nlo, nhi = span[den]
-        yield (Fraction(randint(nlo, nhi), den),
-               Fraction(randint(nlo, nhi), den))
+        r = bits(krows)
+        while r >= nrows:
+            r = bits(krows)
+        den, nlo, width, k = rows[r]
+        if width < 1:
+            raise ValueError(f"empty numerator range for denominator {den} "
+                             f"in the box [{lo}, {hi}]")
+        x = bits(k)
+        while x >= width:
+            x = bits(k)
+        y = bits(k)
+        while y >= width:
+            y = bits(k)
+        yield Fraction(nlo + x, den), Fraction(nlo + y, den)
 
 
 def sample_plane_points(box: tuple[Fraction, Fraction], count: int,
@@ -329,15 +353,16 @@ def find_violation(qmap: Map, params: QIParams, strategy: str,
         # on the lattice diagonal both plane maps see d = 2n and d^2 = 2n^2
         lattice_pair = isinstance(qmap, (FloorMap, InclusionMap))
         target = not isinstance(qmap, InclusionMap)
-        zero = Fraction(0)
+        # the pair's coordinates come from the map's domain
+        num = int if qmap.domain == "lattice" else Fraction
+        zero = num(0)
         for n in range(1, budget + 1):
             if lattice_pair:
                 found = _violations(None, params, 2 * n, 2 * n * n, 1, target)
             else:
-                found = qmap.check_pair((zero, zero), (Fraction(n), Fraction(n)),
-                                        params)
+                found = qmap.check_pair((zero, zero), (num(n), num(n)), params)
             if found:
-                pair = ((zero, zero), (Fraction(n), Fraction(n)))
+                pair = ((zero, zero), (num(n), num(n)))
                 return Violation(pair, found[0].side, found[0].margin)
         return None
     for a, b in islice(iter_pairs(qmap, strategy, seed, box), max(budget, 0)):
@@ -365,9 +390,10 @@ def roundtrip_displacement(samples: Sequence[PlanePoint]) -> RoundtripReport:
     best_n, best_d = 0, 1
     arg = samples[0] if samples else (Fraction(0), Fraction(0))
     for p in samples:
-        b, f = p[0].denominator, p[1].denominator
+        a, b = p[0].as_integer_ratio()
+        e, f = p[1].as_integer_ratio()
         # p - floor(p) = (x/(b f), y/(b f)), with numerators mod b and mod f
-        x, y = p[0].numerator % b * f, p[1].numerator % f * b
+        x, y = a % b * f, e % f * b
         sn, sd = x * x + y * y, b * b * f * f
         if sn * best_d > best_n * sd:
             best_n, best_d, arg = sn, sd, p
@@ -400,9 +426,10 @@ def quasi_surjectivity_bound(qmap: Map,
                 raise ValueError(f"target {t} is not a lattice point")
     elif isinstance(qmap, InclusionMap):
         for t in targets:
-            b, f = t[0].denominator, t[1].denominator
+            a, b = t[0].as_integer_ratio()
+            e, f = t[1].as_integer_ratio()
             # nearest corner of the cell: min(frac, 1 - frac) per axis
-            x, y = t[0].numerator % b, t[1].numerator % f
+            x, y = a % b, e % f
             x, y = min(x, b - x) * f, min(y, f - y) * b
             sn, sd = x * x + y * y, b * b * f * f
             if sn * best_d > best_n * sd:

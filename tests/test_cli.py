@@ -212,10 +212,11 @@ def test_genset_qi_violate_searches_lattice_pairs(capsys):
 @pytest.mark.parametrize("qmap", [
     ["--map", "inclusion"],
     ["--map", "genset", "--gens", "1,0;0,1", "--gens2", "1,0;1,1"]])
-@pytest.mark.parametrize("strategy", ["grid", "random"])
+@pytest.mark.parametrize("strategy", ["grid", "random", "diagonal-ray"])
 def test_lattice_qi_violate_reports_only_lattice_pairs(qmap, strategy,
                                                        capsys):
-    # the inclusion's grid search once reported (-4,-4), (-7/2,-7/2)
+    # the inclusion's grid search once reported (-4,-4), (-7/2,-7/2), and
+    # the diagonal scan "0" for 0
     code, out, _ = run(["--format", "json", "qi-violate", *qmap,
                         "--strategy", strategy, "--k", "1", "--c", "0"],
                        capsys)
@@ -419,10 +420,12 @@ GOLDEN = [
     (["qi-violate", "--k", "7/5", "--c", "2", "--strategy", "diagonal-ray"], 0,
      "6dec30eca099889781319ee0048c4af2e47e9d3804638ffe3d652458b33444cd",
      "2c761f4c51b7114074dfd91336cb1faf32be04d80cbde4dd20d6872e18b59915"),
+    # re-frozen when the diagonal witness became a pair of lattice ints,
+    # as grid and random report it (it printed "0" for 0 in both forms)
     (["qi-violate", "--map", "inclusion", "--k", "7/5", "--c", "0",
       "--strategy", "diagonal-ray"], 0,
-     "3b7ff2a04f9fd40c6dcb2939249732549680d967b2fdd8d7d54bbb8ce411d22a",
-     "2f33b65a20d866a636a56ffaeed098adce5f813ec2488941cd86123f6240db62"),
+     "d0f72f9786954fab8741905b935b0e2c83444e4ce91ea1353e468494c31776f4",
+     "13f1e599bc8c8d5a78351b3d10b1f89f71ee32e144b0e376147be9c35bb9d5e3"),
     (["qi-violate", "--k", "1", "--c", "0", "--strategy", "grid"], 0,
      "20a79c8cba4955a89f6da6e46fbb6d537a775b1da8a137ac1052f417f86bce44",
      "1db6191a8df3e255105cd376edb3299bb510b685fbeb117c34fb318e1fcc2c45"),

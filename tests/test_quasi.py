@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import islice, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gridrays import exactnum, quasi
 from gridrays.exactnum import Surd, sqrt_exact
@@ -334,6 +334,17 @@ def oracle_sample_plane_points(box, count, seed):
     return pts
 
 
+def oracle_pair_terms(p, q):
+    a, b, e, f = p[0].numerator, p[0].denominator, p[1].numerator, p[1].denominator
+    h, i, m, n = q[0].numerator, q[0].denominator, q[1].numerator, q[1].denominator
+    g = abs(a // b - h // i) + abs(e // f - m // n)
+    X, tx = a * i - h * b, b * i
+    Y, ty = e * n - m * f, f * n
+    if tx == ty:
+        return X, Y, tx, g
+    return X * ty, Y * tx, tx * ty, g
+
+
 def oracle_floor_chain_holds(p, q):
     d_grid = word_metric(floor_map(p), floor_map(q))
     adx, ady = abs(p[0] - q[0]), abs(p[1] - q[1])
@@ -449,6 +460,66 @@ def test_sampler_rejects_an_empty_box_like_the_oracle():
         sample_plane_points(box, 3, 0)
 
 
+# box ends: ints and Fractions, equal and inverted ends, and boxes whose
+# integer width is a power of two, where k = w.bit_length() rejects half the
+# draws and (w - 1).bit_length() would reject none
+box_ends = st.one_of(st.integers(-10**4, 10**4),
+                     st.fractions(min_value=-10**4, max_value=10**4,
+                                  max_denominator=100))
+sampler_boxes = st.one_of(
+    st.tuples(box_ends, box_ends),
+    box_ends.map(lambda x: (x, x)),
+    st.tuples(st.integers(-10**4, 10**4 - 2**13), st.integers(0, 13)).map(
+        lambda lw: (lw[0], lw[0] + 2**lw[1] - 1)))
+
+
+def _draws_until_error(points, count):
+    """The first ``count`` points of a stream, or those before its
+    ValueError, and whether it raised."""
+    got = []
+    try:
+        for pt in islice(points, count):
+            got.append(pt)
+    except ValueError:
+        return got, True
+    return got, False
+
+
+@example(box=(0, 3), seed=0)
+@example(box=(Fraction(1, 3), Fraction(1, 4)), seed=0)
+@given(box=sampler_boxes, seed=st.integers(0, 2**32))
+def test_sampler_matches_oracle_on_drawn_seeds_and_boxes(box, seed):
+    got, raised = _draws_until_error(quasi._plane_points(box, seed), 64)
+    assert got == oracle_sample_plane_points(box, len(got), seed)
+    assert all(type(c) is Fraction for p in got for c in p)
+    if raised:
+        # the oracle raises at the same draw
+        with pytest.raises(ValueError):
+            oracle_sample_plane_points(box, len(got) + 1, seed)
+    else:
+        assert len(got) == 64
+
+
+def test_sampler_raises_at_the_draw_of_an_empty_denominator():
+    # in [1/3, 1/4] only the denominators 3, 7, 16, 32 and 64 have no
+    # numerator, so each seed yields points until it draws one of them
+    box = (Fraction(1, 3), Fraction(1, 4))
+    counts = [len(_draws_until_error(quasi._plane_points(box, seed), 64)[0])
+              for seed in range(4)]
+    assert counts == [3, 0, 1, 1]
+
+
+# int, Fraction and mixed coordinates, negative numerators included
+pair_coords = st.one_of(st.integers(-10**6, 10**6), fracs, wide_fracs)
+
+
+@given(st.tuples(pair_coords, pair_coords), st.tuples(pair_coords, pair_coords))
+def test_pair_terms_match_the_property_reading_oracle(p, q):
+    got = quasi._pair_terms(p, q)
+    assert got == oracle_pair_terms(p, q)
+    assert all(type(v) is int for v in got)
+
+
 @given(st.lists(st.tuples(st.one_of(fracs, wide_fracs),
                           st.one_of(fracs, wide_fracs)), max_size=8))
 def test_roundtrip_matches_oracle(samples):
@@ -507,7 +578,9 @@ def test_diagonal_scan_matches_oracle(k, c):
             assert got is None
         else:
             assert_same([got], [want])
-            assert all(type(x) is Fraction for pt in got.pair for x in pt)
+            # the witness is a pair of the map's own domain
+            num = Fraction if qmap.domain == "plane" else int
+            assert all(type(x) is num for pt in got.pair for x in pt)
     gm = GensetMap(standard_generators(), GeneratingSet([(1, 0), (1, 1)]),
                    radius_cap=40)
     got = find_violation(gm, params, "diagonal-ray", 20)
@@ -516,6 +589,7 @@ def test_diagonal_scan_matches_oracle(k, c):
     assert (got is None) == (want is None)
     if want is not None:
         assert_same([got], [want])
+        assert all(type(x) is int for pt in got.pair for x in pt)
 
 
 def test_diagonal_scan_matches_oracle_at_irrational_k():
