@@ -15,7 +15,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Optional
 
 # every subcommand needs lattice; the other modules load in the handlers
@@ -293,14 +293,15 @@ def _cmd_qi_check(args) -> int:
     qmap = _qi_map(args)
     params = _qi_params(args)
     strategy = "grid" if args.map == "genset" else "random"
-    pairs = list(islice(quasi.iter_pairs(qmap, strategy, args.seed, args.box,
-                                         args.radius), args.count))
+    pairs = islice(quasi.iter_pairs(qmap, strategy, args.seed, args.box,
+                                    args.radius), args.count)
+    head = list(islice(pairs, 256))  # the floor map's probes; the rest streams
     targets = None  # the surjectivity probes; genset has none
     if args.map == "inclusion":
         targets = quasi.sample_plane_points(args.box, 256, args.seed + 1)
     elif args.map == "floor":
-        targets = [quasi.floor_map(p) for p, _ in pairs[:256]]
-    report = quasi.check_embedding(qmap, params, pairs)
+        targets = [quasi.floor_map(p) for p, _ in head]
+    report = quasi.check_embedding(qmap, params, chain(head, pairs))
     if targets is not None:
         report.surjectivity_bound = quasi.quasi_surjectivity_bound(
             qmap, targets).bound

@@ -95,9 +95,13 @@ class GeneratingSet:
     The symmetric closure is applied on construction. The set is rejected
     unless the gcd of its 2x2 minors is 1: by the Smith normal form that
     is exactly when the vectors generate the grid, and a set of rank 1
-    has gcd 0. Distances from the origin live in one BFS table per set,
-    grown a layer at a time and only as far as a query needs; every
-    distance in this package reads it.
+    has gcd 0. A closure of four vectors is then +-a, +-b with
+    det(a, b) = +-1, so (i, j) -> i*a + j*b carries the standard grid
+    onto its Cayley graph and the word length of v is the l1 norm of v's
+    basis coordinates: no search runs. A larger set keeps its distances
+    from the origin in one BFS table, grown a layer at a time and only as
+    far as a query needs. Every distance in this package reads one of the
+    two.
     """
 
     def __init__(self, generators: Iterable[LatticePoint]):
@@ -114,6 +118,8 @@ class GeneratingSet:
         if gcd(*(ax * by - ay * bx for (ax, ay), (bx, by)
                  in combinations(self.vectors, 2))) != 1:
             raise GenerationError(f"{self.vectors} does not generate the grid")
+        # sorted, a closure +-a, +-b ends with one of each pair
+        self._basis = self.vectors[2:] if len(self.vectors) == 4 else None
         self.radius = 0
         self._table: dict[LatticePoint, int] = {ORIGIN: 0}
         self._frontier: list[LatticePoint] = [ORIGIN]  # the last layer
@@ -138,6 +144,11 @@ class GeneratingSet:
 
     def distance(self, v: LatticePoint, cap: int) -> Optional[int]:
         """Word length of v, or None if it exceeds ``cap``."""
+        if self._basis:
+            (ax, ay), (bx, by) = self._basis
+            x, y = v
+            d = abs(x * by - y * bx) + abs(y * ax - x * ay)
+            return d if d <= cap else None
         while v not in self._table and self.radius < cap:
             self._grow_layer()
         d = self._table.get(v)
@@ -159,9 +170,19 @@ def standard_generators() -> GeneratingSet:
 
 def bfs_distances(S: GeneratingSet, radius_cap: int) -> dict[LatticePoint, int]:
     """Distances from the origin out to ``radius_cap`` in Cay(Z^2, S), as a
-    fresh dict the caller may keep or change."""
+    fresh dict the caller may keep or change. A basis +-a, +-b writes the
+    ball {i*a + j*b: |i| + |j| <= radius_cap} directly; a larger set reads
+    its BFS table."""
     if radius_cap < 0:
         raise ValueError("radius_cap must be nonnegative")
+    if S._basis:
+        (ax, ay), (bx, by) = S._basis
+        ball = {}
+        for i in range(-radius_cap, radius_cap + 1):
+            r = radius_cap - abs(i)
+            for j in range(-r, r + 1):
+                ball[i * ax + j * bx, i * ay + j * by] = abs(i) + abs(j)
+        return ball
     table = S.grow(radius_cap)
     if S.radius == radius_cap:
         return dict(table)

@@ -205,7 +205,8 @@ class GensetMap:
 
     def check_pair(self, p: LatticePoint, q: LatticePoint,
                    params: QIParams) -> list[Violation]:
-        # a plane pair would grow both tables to the cap for nothing
+        # a plane pair has no word length: a basis would read fractional
+        # coordinates, and a larger set would grow its table for nothing
         if p[0].denominator * p[1].denominator * q[0].denominator \
                 * q[1].denominator != 1:
             raise ValueError(f"pair ({p[0]}, {p[1]}), ({q[0]}, {q[1]}) is not "

@@ -180,6 +180,47 @@ def test_inclusion_qi_check_draws_from_a_closed_form_ball(capsys):
         (1, "64431e1694503dabbc5ca30a6423c6aad4594b09869ec0711de2c3a4bd4580c1")]
 
 
+def test_floor_qi_check_streams_its_pairs(capsys):
+    # listing the 5,000 pairs traced 2.6 MB; only the first 256, the floor
+    # map's surjectivity probes, are listed now. The bytes are frozen from
+    # that listing.
+    from gridrays import quasi  # noqa: F401  imported before tracing
+    tracemalloc.start()
+    try:
+        outs = [run(["--format", fmt, "qi-check", "--count", "5000"], capsys)
+                for fmt in ("text", "json")]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert [(code, hashlib.sha256(out.encode()).hexdigest())
+            for code, out, _ in outs] == [
+        (0, "06499abccffc5879c75357f5cb45f68ad1c5923fedcc6edcbe9eca354a6655fe"),
+        (0, "ee02f686ab0e2d80dbc6c7aa40f3acd344cbfdee38f5f803e9dffc6fb38f748a")]
+
+
+def test_bfs_metric_reads_a_far_basis_in_closed_form():
+    # (0, 1) = (3000, 1) - 3000 (1, 0) is 3001 steps out; a BFS to it grows
+    # about N^2 = 9 M nodes, and at N = 300 already peaked at 49 MB RSS. The
+    # child runs under a 256 MB address-space limit, so a search dies there.
+    resource = pytest.importorskip("resource")
+    code = ("import sys, tracemalloc\n"
+            "from gridrays.cli import main\n"
+            "tracemalloc.start()\n"
+            "code = main(sys.argv[1:])\n"
+            "print(tracemalloc.get_traced_memory()[1], file=sys.stderr)\n"
+            "sys.exit(code)")
+    limit = 256 * 2**20
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "bfs-metric", "0,0", "0,1",
+         "--gens", "1,0;3000,1", "--cap", "5000"], env=env,
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stdout) == (0, "3001\n"), proc.stderr
+    assert int(proc.stderr) < 2**20
+
+
 @pytest.mark.parametrize("radius, count", [(1, 1), (1, 4), (1, 25), (2, 30),
                                            (3, 300), (4, 2000)])
 def test_genset_pairs_are_the_ball_product(radius, count, capsys, monkeypatch):
@@ -187,6 +228,7 @@ def test_genset_pairs_are_the_ball_product(radius, count, capsys, monkeypatch):
     seen, check = [], quasi.check_embedding
 
     def spy(qmap, params, pairs):
+        pairs = list(pairs)  # the pairs come as a stream
         seen.extend(pairs)
         return check(qmap, params, pairs)
 

@@ -140,10 +140,17 @@ def test_generation_beyond_the_old_search_radius():
     assert not _oracle_generates([(1, 0), (100, 1)])
     S = GeneratingSet([(1, 0), (100, 1)])
     assert bfs_metric(S, (0, 0), (0, 1), 100) is None
-    assert S.radius == 100
     assert bfs_metric(S, (0, 0), (0, 1), 101) == 101
     assert bfs_metric(S, (0, 0), (0, 1), 100) is None
-    assert S.radius == 101
+    assert S.radius == 0  # a basis reads coordinates and grows no table
+    # a third vector keeps the lazy BFS, grown only as far as the cap
+    S3 = GeneratingSet([(1, 0), (100, 1), (101, 1)])
+    assert bfs_metric(S3, (0, 0), (0, 1), 100) is None
+    assert S3.radius == 100
+    assert bfs_metric(S3, (0, 0), (0, 1), 101) == 101 == \
+        _oracle_bfs_distances(S3.vectors, 101)[(0, 1)]
+    assert bfs_metric(S3, (0, 0), (0, 1), 100) is None
+    assert S3.radius == 101
 
 
 query = st.one_of(
@@ -184,17 +191,88 @@ def test_queries_in_any_order_match_a_fresh_bfs(gens, queries):
 
 
 def test_bfs_distances_hands_out_a_fresh_dict():
-    S = GeneratingSet([(1, 0), (1, 1)])
-    got = bfs_distances(S, 6)
-    assert S.radius == 6  # grown only as far as asked
-    got[(1, 0)] = 99
-    got[(40, 40)] = 1
-    del got[(1, 1)]
-    assert bfs_distances(S, 2) == _oracle_bfs_distances(S.vectors, 2)
-    assert bfs_distances(S, 6) == _oracle_bfs_distances(S.vectors, 6)
-    assert bfs_metric(S, (0, 0), (1, 0), 6) == 1
-    assert bfs_metric(S, (0, 0), (1, 1), 6) == 1
-    assert bfs_metric(S, (0, 0), (40, 40), 6) is None
+    # a basis writes its ball from coordinates; a third vector reads the
+    # BFS table, grown only as far as asked
+    for gens, radius in (([(1, 0), (1, 1)], 0), ([(1, 0), (1, 1), (0, 1)], 6)):
+        S = GeneratingSet(gens)
+        got = bfs_distances(S, 6)
+        assert S.radius == radius
+        got[(1, 0)] = 99
+        got[(40, 40)] = 1
+        del got[(1, 1)]
+        assert bfs_distances(S, 2) == _oracle_bfs_distances(S.vectors, 2)
+        assert bfs_distances(S, 6) == _oracle_bfs_distances(S.vectors, 6)
+        assert bfs_metric(S, (0, 0), (1, 0), 6) == 1
+        assert bfs_metric(S, (0, 0), (1, 1), 6) == 1
+        assert bfs_metric(S, (0, 0), (40, 40), 6) is None
+
+
+# -- two-vector sets in closed form, against the BFS oracle -------------------
+
+
+#: every basis (a, b) of Z^2 with entries in [-6, 6]
+BASES = [((ax, ay), (bx, by))
+         for ax, ay, bx, by in itertools.product(range(-6, 7), repeat=4)
+         if abs(ax * by - ay * bx) == 1]
+POINTS_30 = st.tuples(st.integers(-30, 30), st.integers(-30, 30))
+
+
+def _oracle_lipschitz(S, S2, cap):
+    """(m, n) from the oracle tables, or None where a generator is past cap."""
+    d1 = _oracle_bfs_distances(S.vectors, cap)
+    d2 = _oracle_bfs_distances(S2.vectors, cap)
+    if not all(s in d2 for s in S.vectors) or not all(s in d1 for s in S2.vectors):
+        return None
+    return max(d2[s] for s in S.vectors), max(d1[s] for s in S2.vectors)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(BASES),
+       st.lists(st.sampled_from([0, 1, 2, 3]), max_size=2),
+       st.integers(0, 12), POINTS_30, POINTS_30,
+       st.tuples(st.integers(-13, 13), st.integers(-13, 13)))
+def test_basis_distances_match_the_bfs_oracle(basis, extra, cap, p, q, ij):
+    a, b = basis
+    # a repeated or negated generator still closes to the four vectors +-a, +-b
+    more = [(a, b, (-a[0], -a[1]), (-b[0], -b[1]))[k] for k in extra]
+    S = GeneratingSet([a, b, *more])
+    assert len(S.vectors) == 4
+    want = _oracle_bfs_distances(S.vectors, cap)
+    assert bfs_distances(S, cap) == want
+    v = (ij[0] * a[0] + ij[1] * b[0], ij[0] * a[1] + ij[1] * b[1])
+    gm = GensetMap(S, S, radius_cap=cap)
+    for p, q in ((p, q), (p, (p[0] + v[0], p[1] + v[1]))):
+        d = want.get((q[0] - p[0], q[1] - p[1]))
+        if cap >= 1:
+            assert bfs_metric(S, p, q, cap) == d
+        if d is None:
+            with pytest.raises(ValueError, match="outside radius cap"):
+                gm._dist(S, p, q)
+        else:
+            assert gm._dist(S, p, q) == d
+    assert bfs_metric(S, (0, 0), v, 26) == abs(ij[0]) + abs(ij[1])
+    std = standard_generators()
+    for pair in ((S, std), (std, S)):
+        if cap < 1:
+            with pytest.raises(ValueError):
+                generating_set_lipschitz(*pair, radius_cap=cap)
+        elif (mn := _oracle_lipschitz(*pair, cap)) is None:
+            with pytest.raises(BallExceeded):
+                generating_set_lipschitz(*pair, radius_cap=cap)
+        else:
+            assert generating_set_lipschitz(*pair, radius_cap=cap) == mn
+    assert S.radius == 0  # no table was grown
+
+
+def test_three_vectors_keep_the_lazy_bfs():
+    S = GeneratingSet([(1, 0), (0, 1), (1, -1)])
+    assert S.radius == 0
+    assert bfs_metric(S, (0, 0), (3, -3), 10) == 3
+    assert S.radius == 3  # grown only as far as the query needed
+    assert bfs_distances(S, 7) == _oracle_bfs_distances(S.vectors, 7)
+    assert S.radius == 7
+    assert bfs_metric(S, (0, 0), (3, 3), 10) == 6
+    assert S.radius == 7
 
 
 def test_caps_below_the_range_raise():

@@ -18,6 +18,7 @@ from gridrays.quasi import (FloorMap, GensetMap, InclusionMap, LatticeBall,
                             quasi_surjectivity_bound, roundtrip_displacement,
                             sample_plane_pairs, sample_plane_points,
                             sq_euclidean)
+from test_lattice import _oracle_bfs_distances
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=64)
 
@@ -299,22 +300,30 @@ def test_sqrt_of_k_sq_taken_once_and_only_for_surd_margins(monkeypatch):
 
 
 def test_genset_builds_each_distance_table_once(monkeypatch):
-    # each set grows its own table, one BFS layer at a time and only as far
-    # as a pair needs: repeated out-of-cap pairs grow no layer twice, and
-    # S2's table stays untouched until a pair reaches it
+    # a set of three or more vectors grows its own table, one BFS layer at
+    # a time and only as far as a pair needs: repeated out-of-cap pairs grow
+    # no layer twice, and S2's table stays untouched until a pair reaches
+    # it; a basis reads coordinates and grows none
     grown = []
     real = GeneratingSet._grow_layer
     monkeypatch.setattr(GeneratingSet, "_grow_layer",
                         lambda S: grown.append((S, S.radius + 1)) or real(S))
-    gm = GensetMap(standard_generators(), GeneratingSet([(1, 0), (1, 1)]),
-                   radius_cap=3)
     params = QIParams.from_k(2, 0)
-    for n in range(10, 15):
-        with pytest.raises(ValueError):
-            gm.check_pair((0, 0), (n, 0), params)
-    assert grown == [(gm.S, 1), (gm.S, 2), (gm.S, 3)]
-    gm.check_pair((0, 0), (1, 1), params)
-    assert grown == [(gm.S, 1), (gm.S, 2), (gm.S, 3), (gm.S2, 1)]
+    for S, S2, layers in (
+            (standard_generators(), GeneratingSet([(1, 0), (1, 1)]), ()),
+            (GeneratingSet([(1, 0), (0, 1), (1, -1)]),
+             GeneratingSet([(1, 0), (1, 1), (0, 1)]), (1, 2, 3))):
+        grown.clear()
+        gm = GensetMap(S, S2, radius_cap=3)
+        for n in range(10, 15):
+            with pytest.raises(ValueError):
+                gm.check_pair((0, 0), (n, 0), params)
+        assert grown == [(S, d) for d in layers]
+        gm.check_pair((0, 0), (1, 1), params)
+        assert grown == [(S, d) for d in layers] + [(S2, 1)] * bool(layers)
+        for T in (S, S2):
+            want = _oracle_bfs_distances(T.vectors, 3)
+            assert all(T.distance(q, 3) == want.get(q) for q in LatticeBall(5))
 
 
 # ---------------------------------------------------------------------------
