@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import accumulate, count, repeat
-from math import ceil, floor, gcd, lcm
-from operator import add, floordiv, mul, sub
+from itertools import accumulate, compress, count, repeat
+from math import ceil, floor, gcd, isqrt, lcm
+from operator import add, floordiv, itemgetter, mul, sub
 from typing import Optional, Union
 
 from .exactnum import (Exact, Surd, _make, exact_ceil, exact_floor,
@@ -59,18 +59,21 @@ def digit_windows(digits) -> set[int]:
     return quadrant_windows(map(DISPLACEMENTS.__getitem__, ds))
 
 
-def _realize(digit: int, w: int) -> int:
-    """Write an east digit as 0 or 4 to fit window w."""
-    if digit in (0, 4):
-        return 4 if w == 3 else 0
-    return digit
+#: bytes.translate tables writing east digits as 0, or as 4 in window 3
+_REALIZE = ((bytes.maketrans(b"\4", b"\0"),) * 3
+            + (bytes.maketrans(b"\0", b"\4"),))
+_DX, _DY = ({d: v[i] for d, v in DISPLACEMENTS.items()} for i in (0, 1))
+
+
+def _realize(digits, w: int) -> tuple[int, ...]:
+    """The digits with east ones written as 0 or 4 to fit window w."""
+    return tuple(bytes(digits).translate(_REALIZE[w]))
 
 
 def _walk(digits) -> list[LatticePoint]:
     """Positions after 0, 1, ..., len(digits) steps from the origin."""
-    return list(accumulate((DISPLACEMENTS[d] for d in digits),
-                           lambda p, s: (p[0] + s[0], p[1] + s[1]),
-                           initial=ORIGIN))
+    return list(zip(accumulate(map(_DX.__getitem__, digits), initial=0),
+                    accumulate(map(_DY.__getitem__, digits), initial=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +116,14 @@ class Staircase:
         self._p, self._q = int(a * den), int(b * den)
         self._p0, self._q0 = int(a0 * den), int(b0 * den)
         self._d, self._den = d or d0, den
+
+    @classmethod
+    def from_origin(cls, ux: Surd) -> "Staircase":
+        """The staircase of speed ux leaving the origin (rho = 0)."""
+        out, den = object.__new__(cls), lcm(ux.a.denominator, ux.b.denominator)
+        out._p, out._q, out._p0, out._q0 = int(ux.a * den), int(ux.b * den), 0, 0
+        out._d, out._den = ux.d, den
+        return out
 
     def horizontal(self, n: int) -> int:
         """H(n), the number of horizontal steps among the first n."""
@@ -204,15 +215,13 @@ class SturmianTail(Value):
             raise ValueError("offset must be nonnegative")
         if exact_sign(ax) <= 0 or exact_sign(ay) <= 0:
             raise ValueError("Sturmian directions must have positive components")
-        ratio = ay / ax
-        if is_rational(ratio):
+        ux = ax / (ax + ay)  # l1-normalized; rational iff ay/ax is
+        if not isinstance(ux, Surd):
             raise ValueError("rational direction; use a periodic tail")
-        total = ax + ay
-        self.ux = ax / total  # l1-normalized direction magnitudes
-        self.uy = ay / total
+        self.ux, self.uy = ux, 1 - ux
         self.window = window
         self.offset = offset
-        self._line = Staircase(self.ux, self.uy)
+        self._line = Staircase.from_origin(ux)
         self._h0 = self._line.horizontal(offset)
 
     def horizontal(self, k: int) -> int:
@@ -353,8 +362,7 @@ class RayCode(Value):
 
     def canonical(self) -> "RayCode":
         if isinstance(self.tail, SturmianTail):
-            w = self.tail.window
-            pre = tuple(_realize(d, w) for d in self.preamble)
+            pre = _realize(self.preamble, self.tail.window)
             if pre == self.preamble:
                 return self
             return RayCode(pre, self.tail)
@@ -443,9 +451,7 @@ def parse_ray(text: str) -> RayCode:
     text = text.strip()
     m = _LITERAL.match(text)
     if m:
-        pre = tuple(int(c) for c in m.group(1))
-        per = tuple(int(c) for c in m.group(2))
-        return RayCode(pre, PeriodicTail(per))
+        return RayCode(m.group(1), PeriodicTail(tuple(map(int, m.group(2)))))
     m = _SLOPE.match(text)
     if m:
         p, q, quad = int(m.group(1)), int(m.group(2)), int(m.group(3))
@@ -532,13 +538,14 @@ def n_map(ray: RayCode, width: Fraction = Fraction(1, 1 << 64)
     Exact for periodic tails; a certified enclosure of at most the given
     width for Sturmian tails.
     """
+    if width <= 0:
+        raise ValueError("enclosure width must be positive")
     _require_valid(ray)
     m = ray.m()
     if isinstance(ray.tail, PeriodicTail):
         return m + _b_value(ray.preamble, ray.tail.period, m)
-    k = len(ray.preamble)
-    while Fraction(1, 1 << k) > width:
-        k += 1
+    # the least k >= len(preamble) with 2^-k <= width, i.e. 2^k >= ceil(1/width)
+    k = max(len(ray.preamble), (ceil(1 / Fraction(width)) - 1).bit_length())
     lo = Fraction(_bits(ray.digits(k), m), 1 << k)
     return Enclosure(m + lo, m + lo + Fraction(1, 1 << k))
 
@@ -566,13 +573,8 @@ def digitize(dx: Exact, dy: Exact) -> RayCode:
         return axis_ray(h)
     if sgx == 0:
         return axis_ray(v)
-    if is_rational(ax):
-        ax = Fraction(ax)
-    if is_rational(ay):
-        ay = Fraction(ay)
-    ratio = ay / ax
+    ratio = (Fraction(ay) if is_rational(ay) else ay) / ax
     if is_rational(ratio):
-        ratio = Fraction(ratio)
         tail = staircase_tail(ratio.denominator, ratio.numerator, h, v)
         return RayCode((), tail).canonical()
     return RayCode((), SturmianTail(ax, ay, w))
@@ -652,6 +654,18 @@ def _mechanical(ray: RayCode):
     return sx, sy, a, lo, period
 
 
+def _direction_key(ray: RayCode) -> tuple:
+    """Integers equal for two rays iff their directions are: a periodic
+    tail's (lap x, lap y, period) over their gcd, or a Sturmian tail's
+    (window, speed)."""
+    t = ray.tail
+    if isinstance(t, SturmianTail):
+        return t.window, t.speed()
+    (lx, ly), n = t._table[-1], len(t.period)
+    g = gcd(lx, ly, n)
+    return lx // g, ly // g, n // g
+
+
 def _first_passage(f: RayCode, g: RayCode, M: int, lo: int = 0,
                    hi: Optional[int] = None) -> Optional[int]:
     """Least t in [lo, hi] (no upper end when hi is None) with
@@ -680,7 +694,7 @@ def _first_passage(f: RayCode, g: RayCode, M: int, lo: int = 0,
     t0 = max(len(f.preamble), len(g.preamble))
     if hi is not None and all(isinstance(r.tail, PeriodicTail) for r in (f, g)):
         pf, pg = len(f.tail.period), len(g.tail.period)
-        if hi - lo > t0 + pf + pg and f.direction() == g.direction():
+        if hi - lo > t0 + pf + pg and _direction_key(f) == _direction_key(g):
             if _periodic_supremum(f, g) <= M:
                 return None  # the supremum is attained, so no time passes M
             hi = min(hi, max(lo, t0) + lcm(pf, pg))
@@ -752,12 +766,19 @@ def _sturmian_line_bound(ray: RayCode) -> Exact:
     cy = ay_ + by + (o - p) * uy
     bound = abs(cx) + abs(cy) + 2
     # a valid preamble stays in the tail's quadrant, so its deviation at
-    # step s is 2*|X - s*a| with X = |x| and a = |ux| = (P + Q*sqrt(d))/D;
-    # the largest is kept as integers: 2*(top_a + top_b*sqrt(d))/D
+    # step s is 2*|v_s|/D, v_s = D*|x| - s*(P + Q*sqrt(d)). The key
+    # |D*|x|*2^64 - s*W|, W = P*2^64 + sign(Q)*floor(|Q|*sqrt(d)*2^64), is
+    # within s of 2^64*|v_s|: only keys within 2n + 2 of the largest can
+    # hold the largest |v_s|, compared exactly as 2*(top_a + top_b*sqrt(d))/D
     P, Q, d, D = t.speed()
+    R = isqrt(Q * Q * d << 128)
+    W = (P << 64) + (R if Q > 0 else -R)
+    xs = list(map(abs, map(itemgetter(0), ray._pre)))
+    keys = list(map(abs, map(sub, map(mul, xs, repeat(D << 64)), count(0, W))))
+    cut = max(keys) - 2 * len(keys) - 2
     top_a = top_b = 0
-    for s, (x, _) in enumerate(ray._pre):
-        a, b = D * abs(x) - s * P, -s * Q
+    for s in compress(count(), map(cut.__le__, keys)):
+        a, b = D * xs[s] - s * P, -s * Q
         if sign_sqrt(a, b, d) < 0:
             a, b = -a, -b
         if sign_sqrt(a - top_a, b - top_b, d) > 0:
@@ -801,7 +822,10 @@ def _periodic_supremum(f: RayCode, g: RayCode) -> int:
               default=0)
     pf, pg = len(f.tail.period), len(g.tail.period)
     n, k = lcm(pf, pg), gcd(pf, pg)
-    for s in (1, -1):
+    # a ray of window w has sx*x + sy*y = t, (sx, sy) = WINDOW_SIGNS[w], so
+    # the form s = sx*sy vanishes on both rays in each window they share
+    shared = {mul(*WINDOW_SIGNS[w]) for w in digit_windows(f._digits | g._digits)}
+    for s in {1, -1} - shared:
         for (fmax, fmin), (gmax, gmin) in zip(_deviation_classes(f, n, k, s),
                                               _deviation_classes(g, n, k, s)):
             top = max(top, (fmax - gmin) // n, (gmax - fmin) // n)
@@ -819,7 +843,7 @@ def are_asymptotic(f: RayCode, g: RayCode) -> Verdict:
     """
     _require_valid(f)
     _require_valid(g)
-    if f.direction() != g.direction():
+    if _direction_key(f) != _direction_key(g):
         t = _first_passage(f, g, DIVERGENCE_PROBE)
         return Divergent(t, word_metric(f.point_at(t), g.point_at(t)))
     if isinstance(f.tail, PeriodicTail) and isinstance(g.tail, PeriodicTail):
@@ -856,11 +880,13 @@ def splice(f: RayCode, g: RayCode, s: int) -> RayCode:
         )
     # a Sturmian g fits only its own window, so min(common) is that window
     w = min(common)
-    pre = [_realize(d, w) for d in prefix + g.preamble[s:]]
+    pre = _realize(prefix + g.preamble[s:], w)
     k = max(s - len(g.preamble), 0)  # tail steps g has taken by time s
     if isinstance(g.tail, SturmianTail):
-        return RayCode(pre, g.tail.advanced(k))
-    per = tuple(_realize(d, w) for d in g.tail.period)
+        out = RayCode(pre, g.tail.advanced(k))
+        out._valid = _digit_rules(out._digits)  # realized in w: canonical
+        return out
+    per = _realize(g.tail.period, w)
     k %= len(per)
     return RayCode(pre, PeriodicTail(per[k:] + per[:k])).canonical()
 

@@ -4,13 +4,15 @@ The oracles below are the bodies that used to live in ``rays``: the
 point-list supremum of ``are_asymptotic`` over transient + lcm, the
 per-digit ``Staircase.digits``, the shift-sum ``b_map``, the loop
 ``_primitive`` and ``_canonical_periodic``, ``RayCode.digits`` by
-``digit_at``, and ``digit_windows`` once per digit. The kernels must give
-the same verdicts, digits and values.
+``digit_at``, ``digit_windows`` once per digit, and the pairwise walk and
+per-digit realize. The kernels must give the same verdicts, digits and
+values.
 """
 
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate, product
 from math import gcd, lcm
 
 import pytest
@@ -26,6 +28,7 @@ from gridrays.rays import (Asymptotic, BallQuery, PeriodicTail, RayCode,
                            splice, validate)
 
 from conftest import digit_windows_oracle
+from test_quadrant_windows import _realize as realize_oracle
 
 F = Fraction
 SIGNS = ((1, 1), (-1, 1), (-1, -1), (1, -1))  # by quadrant window
@@ -126,6 +129,13 @@ def digits_oracle(ray, n):
     return tuple(ray.digit_at(i) for i in range(1, n + 1))
 
 
+def walk_oracle(digits):
+    """``rays._walk`` as it was: one lambda call per step."""
+    return list(accumulate((DISPLACEMENTS[d] for d in digits),
+                           lambda p, s: (p[0] + s[0], p[1] + s[1]),
+                           initial=(0, 0)))
+
+
 # -- strategies --------------------------------------------------------------------
 
 windows = st.sampled_from(range(4))
@@ -141,13 +151,14 @@ def _axis_windows(w, horizontal):
 
 
 @st.composite
-def equal_direction_pairs(draw, coprime=False):
+def equal_direction_pairs(draw, coprime=False, axis=False):
     """Two periodic rays of one direction in window w, periods 1..60 and
-    preambles up to 20; axis rays take each preamble from either window
-    along their axis, writing the period's digit in that window."""
+    preambles up to 20; axis rays (every pair when ``axis``) take each
+    preamble from either window along their axis, writing the period's
+    digit in that window."""
     w = draw(windows)
     p1 = draw(st.integers(1, 30 if coprime else 60))
-    a1 = draw(st.integers(0, p1))
+    a1 = draw(st.sampled_from((0, p1)) if axis else st.integers(0, p1))
     g1 = gcd(a1, p1)
     a, p = a1 // g1, p1 // g1  # horizontal steps a per p steps, reduced
     top = 60 // p
@@ -184,8 +195,10 @@ def periodic_rays(draw, max_period=60):
 
 
 @settings(deadline=None, max_examples=300)
-@given(equal_direction_pairs())
+@given(st.one_of(equal_direction_pairs(), equal_direction_pairs(axis=True)))
 def test_periodic_supremum_matches_point_lists(pair):
+    # the form x + sx*sy*y is t on every ray of window (sx, sy), so it is
+    # skipped only for windows both rays fit; axis pairs may share none
     f, g = pair
     assert f.direction() == g.direction()
     want = Asymptotic(periodic_supremum_oracle(f, g), attained=True)
@@ -247,6 +260,25 @@ def test_long_block_periods_in_bounded_memory(monkeypatch):
         tracemalloc.stop()
     assert verdict == Asymptotic(5000, attained=True)
     assert peak < 16 * 2 ** 20
+
+
+# -- digit strings at C speed ----------------------------------------------------------
+
+
+def test_walk_and_realize_match_the_per_digit_oracles_on_every_digit():
+    for word in product(range(5), repeat=3):
+        assert rays._walk(word) == walk_oracle(word)
+        for w in range(4):
+            assert rays._realize(word, w) == \
+                tuple(realize_oracle(d, w) for d in word)
+
+
+@settings(deadline=None)
+@given(windows, st.lists(st.integers(0, 4), max_size=2000))
+def test_walk_and_realize_match_the_per_digit_oracles(w, digits):
+    assert rays._walk(digits) == walk_oracle(digits)
+    assert rays._realize(digits, w) == \
+        tuple(realize_oracle(d, w) for d in digits)
 
 
 # -- closed-form staircase digits ------------------------------------------------------

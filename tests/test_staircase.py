@@ -4,6 +4,8 @@ The oracles below are the merge loops that used to live in ``rays`` and
 ``ell1``: they walk grid-line crossings one at a time, horizontal first on
 ties. The kernel computes the same digits in closed form, so digits,
 positions, ``n_map`` enclosures and Sturmian line bounds must agree exactly.
+So must the Sturmian tail built from its one division, the integer
+direction keys and the halving loop of ``n_map``'s enclosure width.
 """
 
 import random
@@ -17,11 +19,12 @@ from hypothesis import assume, given, settings, strategies as st
 from gridrays import exactnum, rays
 from gridrays.ell1 import Polyline, project_to_lattice
 from gridrays.exactnum import exact_floor, sqrt_exact
-from gridrays.lattice import DISPLACEMENTS, word_metric
+from gridrays.lattice import DISPLACEMENTS, WINDOW_SIGNS, word_metric
 from gridrays.rays import (Enclosure, RayCode, Staircase, SturmianTail,
                            WINDOW_DIGITS, digitize, n_map, periodic_ray)
 
 from conftest import make_monotone_polyline, polylines, window_of_signs
+from test_periodic_kernels import equal_direction_pairs, periodic_rays
 
 F = Fraction
 
@@ -181,6 +184,25 @@ class SturmianRayOracle:
         return bound
 
 
+def sturmian_tail_oracle(ax, ay):
+    """``SturmianTail.__init__`` as it was: ay/ax tested, ux and uy each
+    divided out, the staircase built through the Surd path of Staircase."""
+    assert not exactnum.is_rational(ay / ax)
+    total = ax + ay
+    ux, uy = ax / total, ay / total
+    return ux, uy, Staircase(ux, uy)
+
+
+def n_map_loop_oracle(ray, width):
+    """``n_map`` of a Sturmian ray as it was: k found by halving."""
+    m, k = ray.m(), len(ray.preamble)
+    while Fraction(1, 1 << k) > width:
+        k += 1
+    bits = [d - m for d in ray.digits(k)]
+    lo = Fraction(sum(b << (k - 1 - i) for i, b in enumerate(bits)), 1 << k)
+    return Enclosure(m + lo, m + lo + Fraction(1, 1 << k))
+
+
 def line_bound_oracle(ray):
     """``rays._sturmian_line_bound`` as it was: Surd deviations per preamble
     step."""
@@ -259,6 +281,80 @@ def test_sturmian_ray_matches_stream_oracle(direction, w, offset, data):
     assert rays._sturmian_line_bound(ray) == oracle.line_bound(*ray.direction())
 
 
+@settings(deadline=None, max_examples=60)
+@given(irrational_directions(), st.sampled_from(range(4)), st.integers(0, 300))
+def test_sturmian_tail_matches_the_divided_construction(direction, w, offset):
+    tail = SturmianTail(*direction, w, offset)
+    ux, uy, line = sturmian_tail_oracle(*direction)
+    assert (tail.ux, tail.uy) == (ux, uy)
+    assert (type(tail.ux), type(tail.uy)) == (type(ux), type(uy))
+    assert tail.speed() == line.speed()
+    h0 = line.horizontal(offset)
+    assert [tail.horizontal(k) for k in range(201)] == \
+        [line.horizontal(offset + k) - h0 for k in range(201)]
+
+
+def test_rational_sturmian_directions_are_refused():
+    root = sqrt_exact(2)
+    for ax, ay in [(1, 2), (F(1, 2), F(3, 4)), (2, F(5, 3)),
+                   (root, 3 * root), (1 + root, 2 + 2 * root)]:
+        with pytest.raises(ValueError, match="^rational direction"):
+            SturmianTail(ax, ay, 0)
+
+
+windows = st.sampled_from(range(4))
+
+
+@st.composite
+def sturmian_pairs(draw):
+    """Two Sturmian rays: one line in two windows, the line scaled, the
+    line with its speeds swapped, or two lines; any offsets."""
+    ax, ay = draw(irrational_directions())
+    kind, c = draw(st.integers(0, 2)), draw(positive)
+    bx, by = ((c * ax, c * ay) if kind == 0 else (ay, ax) if kind == 1
+              else draw(irrational_directions()))
+    return tuple(RayCode((), SturmianTail(x, y, draw(windows),
+                                          draw(st.integers(0, 50))))
+                 for x, y in ((ax, ay), (bx, by)))
+
+
+@st.composite
+def mixed_pairs(draw):
+    ax, ay = draw(irrational_directions())
+    line = RayCode((), SturmianTail(ax, ay, draw(windows)))
+    return draw(periodic_rays()), line
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(equal_direction_pairs(), equal_direction_pairs(axis=True),
+                 st.tuples(periodic_rays(), periodic_rays()),
+                 sturmian_pairs(), mixed_pairs()))
+def test_direction_keys_match_direction_equality(pair):
+    f, g = pair
+    same = f.direction() == g.direction()
+    assert (rays._direction_key(f) == rays._direction_key(g)) == same
+    assert (rays._direction_key(g) == rays._direction_key(f)) == same
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 39), st.integers(1, 299), st.integers(0, 100),
+       windows, st.sampled_from([2, 3, 5, 1009]), st.integers(0, 70))
+def test_n_map_width_matches_the_halving_loop(num, den, bits, w, d, s):
+    (sx, sy), (h, v) = WINDOW_SIGNS[w], WINDOW_DIGITS[w]
+    line = digitize(sx, sy * sqrt_exact(d))
+    width = F(num, den << bits)
+    for ray in (line, rays.splice(periodic_ray([h, v, v], [v, h]), line, s)):
+        assert n_map(ray, width) == n_map_loop_oracle(ray, width)
+
+
+def test_n_map_refuses_a_width_that_is_not_positive():
+    # the halving loop never ended on a Sturmian ray at width 0
+    for ray in (digitize(1, sqrt_exact(2)), periodic_ray("0", "01")):
+        for width in (0, F(0), F(-1, 3), -2):
+            with pytest.raises(ValueError, match="width must be positive"):
+                n_map(ray, width)
+
+
 @st.composite
 def spliced_sturmian_rays(draw):
     """A Sturmian line in any window, spliced after a periodic ray at s."""
@@ -300,6 +396,14 @@ def detour_rays(draw):
 def test_line_bound_matches_oracle_at_long_preambles(ray):
     got, want = rays._sturmian_line_bound(ray), line_bound_oracle(ray)
     assert got == want and type(got) is type(want)
+
+
+@settings(deadline=None, max_examples=60)
+@given(spliced_sturmian_rays())
+def test_sturmian_splice_is_valid_from_the_start(ray):
+    fresh = RayCode(ray.preamble, ray.tail)
+    assert ray._valid is not None and fresh._valid is None
+    assert ray._valid == rays.validate(fresh)
 
 
 def test_line_bound_builds_constant_many_surds(monkeypatch):
