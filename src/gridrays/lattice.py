@@ -8,7 +8,8 @@ Python integers are unbounded, so all arithmetic here is exact.
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import cmp_to_key
+from itertools import combinations, count, islice, repeat
 from math import comb, gcd
 from typing import Iterable, Iterator, Optional
 
@@ -89,19 +90,25 @@ def word_metric(p: LatticePoint, q: LatticePoint) -> int:
     return abs(p[0] - q[0]) + abs(p[1] - q[1])
 
 
+#: counter-clockwise order on the half-turn [0, pi)
+_ANGLE = cmp_to_key(lambda a, b: a[1] * b[0] - a[0] * b[1])
+
+
 class GeneratingSet:
     """A finite symmetric generating set of the grid, owner of its word metric.
 
-    The symmetric closure is applied on construction. The set is rejected
-    unless the gcd of its 2x2 minors is 1: by the Smith normal form that
-    is exactly when the vectors generate the grid, and a set of rank 1
-    has gcd 0. A closure of four vectors is then +-a, +-b with
-    det(a, b) = +-1, so (i, j) -> i*a + j*b carries the standard grid
-    onto its Cayley graph and the word length of v is the l1 norm of v's
-    basis coordinates: no search runs. A larger set keeps its distances
-    from the origin in one BFS table, grown a layer at a time and only as
-    far as a query needs. Every distance in this package reads one of the
-    two.
+    The symmetric closure is applied on construction. List it
+    counter-clockwise as s_0 ... s_{m-1} and give the edge s_i -> s_{i+1}
+    the normal n_i, so n_i . s_i = n_i . s_{i+1} = det(s_i, s_{i+1}). If
+    every such det is 1 and no |n_i . s| exceeds 1, the hull is unimodular:
+    v in cone(s_i, s_{i+1}) is a s_i + b s_{i+1} with integers a, b >= 0, so
+    n_i . v = a + b is reached, and no generator raises any n_i . v by more
+    than 1. The word length is then max_i n_i . v (the gauge of conv(S)),
+    with no search; a basis +-a, +-b is the four-edge case. Any other set is
+    accepted iff the gcd of its 2x2 minors is 1, which by the Smith normal
+    form is exactly when it generates the grid (rank 1 gives gcd 0), and
+    keeps its distances from the origin in one BFS table, grown a layer at
+    a time and only as far as a query needs.
     """
 
     def __init__(self, generators: Iterable[LatticePoint]):
@@ -115,11 +122,29 @@ class GeneratingSet:
         if not vecs:
             raise GenerationError("empty generating set")
         self.vectors: tuple[LatticePoint, ...] = tuple(sorted(vecs))
-        if gcd(*(ax * by - ay * bx for (ax, ay), (bx, by)
-                 in combinations(self.vectors, 2))) != 1:
-            raise GenerationError(f"{self.vectors} does not generate the grid")
-        # sorted, a closure +-a, +-b ends with one of each pair
-        self._basis = self.vectors[2:] if len(self.vectors) == 4 else None
+        # the half-turn [0, pi) counter-clockwise; the other half is its
+        # negation, with the same dets and negated normals
+        half = [v for v in vecs if v[1] > 0 or v[1] == 0 < v[0]]
+        half.sort(key=_ANGLE)
+        ring = half + [(-x, -y) for x, y in half]
+        # n_i of each edge s_i -> s_{i+1} of the half-turn with det 1
+        normals = [(by - ay, ax - bx) for (ax, ay), (bx, by)
+                   in zip(ring, ring[1:len(half) + 1]) if ax * by - ay * bx == 1]
+        # distance reads |n . v|, so one normal per edge direction; a
+        # unimodular hull has 0 as its only interior lattice point, so it is
+        # a reflexive polygon, with two or three edge directions
+        axes = list(dict.fromkeys(n if n > (0, 0) else (-n[0], -n[1])
+                                  for n in normals))
+        if len(normals) == len(half) and len(axes) <= 3 and all(
+                -1 <= nx * x + ny * y <= 1 for nx, ny in normals for x, y in half):
+            self._ring = ring  # the boundary of conv(S), counter-clockwise
+            self._normals = axes[0] + axes[1]
+            self._third = axes[2] if len(axes) == 3 else None
+        else:
+            self._ring = self._normals = self._third = None
+            if gcd(*(ax * by - ay * bx for (ax, ay), (bx, by)
+                     in combinations(self.vectors, 2))) != 1:
+                raise GenerationError(f"{self.vectors} does not generate the grid")
         self.radius = 0
         self._table: dict[LatticePoint, int] = {ORIGIN: 0}
         self._frontier: list[LatticePoint] = [ORIGIN]  # the last layer
@@ -144,10 +169,18 @@ class GeneratingSet:
 
     def distance(self, v: LatticePoint, cap: int) -> Optional[int]:
         """Word length of v, or None if it exceeds ``cap``."""
-        if self._basis:
-            (ax, ay), (bx, by) = self._basis
+        if self._normals:
             x, y = v
-            d = abs(x * by - y * bx) + abs(y * ax - x * ay)
+            a, b, c, e = self._normals
+            d = abs(a * x + b * y)
+            m = abs(c * x + e * y)
+            if m > d:
+                d = m
+            if self._third:
+                a, b = self._third
+                m = abs(a * x + b * y)
+                if m > d:
+                    d = m
             return d if d <= cap else None
         while v not in self._table and self.radius < cap:
             self._grow_layer()
@@ -170,18 +203,19 @@ def standard_generators() -> GeneratingSet:
 
 def bfs_distances(S: GeneratingSet, radius_cap: int) -> dict[LatticePoint, int]:
     """Distances from the origin out to ``radius_cap`` in Cay(Z^2, S), as a
-    fresh dict the caller may keep or change. A basis +-a, +-b writes the
-    ball {i*a + j*b: |i| + |j| <= radius_cap} directly; a larger set reads
-    its BFS table."""
+    fresh dict the caller may keep or change. A set with a unimodular hull
+    writes its ball cone by cone, with no search: in cone(s_i, s_{i+1}) the
+    k + 1 points k*s_{i+1} + j*(s_i - s_{i+1}), j = 0 .. k, are the points
+    at distance k. Any other set reads its BFS table."""
     if radius_cap < 0:
         raise ValueError("radius_cap must be nonnegative")
-    if S._basis:
-        (ax, ay), (bx, by) = S._basis
-        ball = {}
-        for i in range(-radius_cap, radius_cap + 1):
-            r = radius_cap - abs(i)
-            for j in range(-r, r + 1):
-                ball[i * ax + j * bx, i * ay + j * by] = abs(i) + abs(j)
+    if S._ring:
+        ring, ball = S._ring, {}
+        for (ax, ay), (bx, by) in zip(ring, ring[1:] + ring[:1]):
+            dx, dy = ax - bx, ay - by
+            for k in range(radius_cap + 1):
+                ball.update(zip(zip(islice(count(k * bx, dx), k + 1),
+                                    count(k * by, dy)), repeat(k)))
         return ball
     table = S.grow(radius_cap)
     if S.radius == radius_cap:

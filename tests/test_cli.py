@@ -199,10 +199,10 @@ def test_floor_qi_check_streams_its_pairs(capsys):
         (0, "ee02f686ab0e2d80dbc6c7aa40f3acd344cbfdee38f5f803e9dffc6fb38f748a")]
 
 
-def test_bfs_metric_reads_a_far_basis_in_closed_form():
-    # (0, 1) = (3000, 1) - 3000 (1, 0) is 3001 steps out; a BFS to it grows
-    # about N^2 = 9 M nodes, and at N = 300 already peaked at 49 MB RSS. The
-    # child runs under a 256 MB address-space limit, so a search dies there.
+def _bfs_metric_under_256_mb(gens):
+    """Runs ``bfs-metric 0,0 0,1 --gens <gens> --cap 5000`` in a child under
+    a 256 MB address-space limit, set on that child only; returns its exit
+    code, stdout and stderr, whose last line is the traced peak in bytes."""
     resource = pytest.importorskip("resource")
     code = ("import sys, tracemalloc\n"
             "from gridrays.cli import main\n"
@@ -214,11 +214,27 @@ def test_bfs_metric_reads_a_far_basis_in_closed_form():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", code, "bfs-metric", "0,0", "0,1",
-         "--gens", "1,0;3000,1", "--cap", "5000"], env=env,
+         "--gens", gens, "--cap", "5000"], env=env,
         capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
-    assert (proc.returncode, proc.stdout) == (0, "3001\n"), proc.stderr
-    assert int(proc.stderr) < 2**20
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_bfs_metric_reads_a_far_basis_in_closed_form():
+    # (0, 1) = (3000, 1) - 3000 (1, 0) is 3001 steps out; a BFS to it grows
+    # about N^2 = 9 M nodes, and at N = 300 already peaked at 49 MB RSS. The
+    # child runs under a 256 MB address-space limit, so a search dies there.
+    code, out, err = _bfs_metric_under_256_mb("1,0;3000,1")
+    assert (code, out) == (0, "3001\n"), err
+    assert int(err) < 2**20
+
+
+def test_bfs_metric_reads_a_far_unimodular_hull_in_closed_form():
+    # (3001, 1) - (3000, 1) = (1, 0): each edge of the hull has det 1, so
+    # the word length is max_i n_i . v, with n = (-1, 3001) giving 3001
+    code, out, err = _bfs_metric_under_256_mb("1,0;3000,1;3001,1")
+    assert (code, out) == (0, "3001\n"), err
+    assert int(err) < 2**20
 
 
 @pytest.mark.parametrize("radius, count", [(1, 1), (1, 4), (1, 25), (2, 30),

@@ -142,15 +142,23 @@ def test_generation_beyond_the_old_search_radius():
     assert bfs_metric(S, (0, 0), (0, 1), 100) is None
     assert bfs_metric(S, (0, 0), (0, 1), 101) == 101
     assert bfs_metric(S, (0, 0), (0, 1), 100) is None
-    assert S.radius == 0  # a basis reads coordinates and grows no table
-    # a third vector keeps the lazy BFS, grown only as far as the cap
+    assert S.radius == 0  # a basis reads its gauge and grows no table
+    # a third vector on a unimodular hull reads the gauge as well
     S3 = GeneratingSet([(1, 0), (100, 1), (101, 1)])
     assert bfs_metric(S3, (0, 0), (0, 1), 100) is None
-    assert S3.radius == 100
     assert bfs_metric(S3, (0, 0), (0, 1), 101) == 101 == \
         _oracle_bfs_distances(S3.vectors, 101)[(0, 1)]
     assert bfs_metric(S3, (0, 0), (0, 1), 100) is None
-    assert S3.radius == 101
+    assert S3.radius == 0
+    # the edge (102, 1) -> (100, 1) has det 2: the lazy BFS, grown only as
+    # far as the cap
+    T3 = GeneratingSet([(1, 0), (100, 1), (102, 1)])
+    assert bfs_metric(T3, (0, 0), (0, 1), 100) is None
+    assert T3.radius == 100
+    assert bfs_metric(T3, (0, 0), (0, 1), 101) == 101 == \
+        _oracle_bfs_distances(T3.vectors, 101)[(0, 1)]
+    assert bfs_metric(T3, (0, 0), (0, 1), 100) is None
+    assert T3.radius == 101
 
 
 query = st.one_of(
@@ -191,9 +199,10 @@ def test_queries_in_any_order_match_a_fresh_bfs(gens, queries):
 
 
 def test_bfs_distances_hands_out_a_fresh_dict():
-    # a basis writes its ball from coordinates; a third vector reads the
-    # BFS table, grown only as far as asked
-    for gens, radius in (([(1, 0), (1, 1)], 0), ([(1, 0), (1, 1), (0, 1)], 6)):
+    # a unimodular hull writes its ball cone by cone; (1, 2) -> (-1, 0) has
+    # det 2, so that set reads the BFS table, grown only as far as asked
+    for gens, radius in (([(1, 0), (1, 1)], 0), ([(1, 0), (1, 1), (0, 1)], 0),
+                         ([(1, 0), (1, 1), (1, 2)], 6)):
         S = GeneratingSet(gens)
         got = bfs_distances(S, 6)
         assert S.radius == radius
@@ -265,14 +274,100 @@ def test_basis_distances_match_the_bfs_oracle(basis, extra, cap, p, q, ij):
 
 
 def test_three_vectors_keep_the_lazy_bfs():
+    # the hexagonal set's hull is unimodular: it reads the gauge
     S = GeneratingSet([(1, 0), (0, 1), (1, -1)])
-    assert S.radius == 0
     assert bfs_metric(S, (0, 0), (3, -3), 10) == 3
-    assert S.radius == 3  # grown only as far as the query needed
     assert bfs_distances(S, 7) == _oracle_bfs_distances(S.vectors, 7)
-    assert S.radius == 7
     assert bfs_metric(S, (0, 0), (3, 3), 10) == 6
-    assert S.radius == 7
+    assert S.radius == 0
+    # the edge (2, 1) -> (0, 1) has det 2: the lazy BFS
+    T = GeneratingSet([(1, 0), (0, 1), (2, 1)])
+    assert T.radius == 0
+    assert bfs_metric(T, (0, 0), (3, -3), 10) == 6
+    assert T.radius == 6  # grown only as far as the query needed
+    assert bfs_distances(T, 7) == _oracle_bfs_distances(T.vectors, 7)
+    assert T.radius == 7
+    assert bfs_metric(T, (0, 0), (3, 3), 10) == 4
+    assert T.radius == 7
+
+
+# -- unimodular hulls read their gauge, against the BFS oracle ---------------
+
+
+#: GL2(Z) matrices with entries in [-3, 3]; each carries a set with a
+#: unimodular hull onto another
+UNIMODULAR = [m for m in itertools.product(range(-3, 4), repeat=4)
+              if abs(m[0] * m[3] - m[1] * m[2]) == 1]
+#: sets whose hull is unimodular: a basis, the hexagonal set, the square
+#: [-1, 1]^2 and a parallelogram with a generator inside each edge, and
+#: {(1, 0), (N, 1), (N + 1, 1)}. Such a hull holds no lattice point but 0
+#: and its boundary generators, so a vector added inside it is a repeat.
+GAUGE_SETS = [[(1, 0), (0, 1)], [(1, 0), (0, 1), (1, -1)],
+              [(1, 0), (0, 1), (1, 1), (1, -1)],
+              [(1, 0), (1, 1), (1, 2), (0, 1)],
+              *([(1, 0), (n, 1), (n + 1, 1)] for n in range(7))]
+#: sets that keep the BFS: an edge of det 2, or dets all 1 in angular order
+#: with (1, 1) and (1, 2) inside the hull, which only the supporting lines see
+BFS_SETS = [[(1, 0), (0, 1), (2, 1)], [(1, 0), (1, 1), (1, 2)],
+            [(1, 0), (1, 1), (2, 3), (1, 2), (0, 1)],
+            *([(1, 0), (n, 1), (n + 2, 1)] for n in range(5))]
+
+
+@st.composite
+def mapped_sets(draw):
+    """(vectors, gauge): a set from either list under a GL2(Z) map, with
+    repeated or negated generators added."""
+    gauge = draw(st.booleans())
+    a, b, c, d = draw(st.sampled_from(UNIMODULAR))
+    gens = [(a * x + b * y, c * x + d * y)
+            for x, y in draw(st.sampled_from(GAUGE_SETS if gauge else BFS_SETS))]
+    for i, sign in draw(st.lists(st.tuples(st.integers(0, 4),
+                                           st.sampled_from([1, -1])),
+                                 max_size=3)):
+        x, y = gens[i % len(gens)]
+        gens.append((sign * x, sign * y))
+    return draw(st.permutations(gens)), gauge
+
+
+@settings(deadline=None)
+@given(mapped_sets(), st.integers(0, 10), POINTS_30, POINTS_30,
+       st.tuples(st.integers(0, 13), st.integers(0, 13)), st.data())
+def test_gauge_distances_match_the_bfs_oracle(drawn, cap, p, q, ij, data):
+    gens, gauge = drawn
+    S = GeneratingSet(gens)
+    want = _oracle_bfs_distances(S.vectors, cap)
+    assert bfs_distances(S, cap) == want
+    gm = GensetMap(S, S, radius_cap=cap)
+    for p, q in ((p, q), (p, (p[0] + 1, p[1])), (p, p)):
+        d = want.get((q[0] - p[0], q[1] - p[1]))
+        if cap >= 1:
+            assert bfs_metric(S, p, q, cap) == d
+        if d is None:
+            with pytest.raises(ValueError, match="outside radius cap"):
+                gm._dist(S, p, q)
+        else:
+            assert gm._dist(S, p, q) == d
+    std = standard_generators()
+    for pair in ((S, std), (std, S)):
+        if cap >= 1:
+            mn = _oracle_lipschitz(*pair, cap)
+            if mn is None:
+                with pytest.raises(BallExceeded):
+                    generating_set_lipschitz(*pair, radius_cap=cap)
+            else:
+                assert generating_set_lipschitz(*pair, radius_cap=cap) == mn
+    # a far point: i s + j t lies within i + j of the origin
+    s = data.draw(st.sampled_from(S.vectors))
+    t = data.draw(st.sampled_from(S.vectors))
+    v = (ij[0] * s[0] + ij[1] * t[0], ij[0] * s[1] + ij[1] * t[1])
+    far = sum(ij)
+    assert bfs_metric(S, (0, 0), v, max(far, 1)) == \
+        _oracle_bfs_distances(S.vectors, far, targets={v})[v]
+    # the gauge grows no table; any other set grows its own as far as asked
+    if gauge:
+        assert S.radius == 0
+    else:
+        assert S.radius >= cap
 
 
 def test_caps_below_the_range_raise():

@@ -300,10 +300,10 @@ def test_sqrt_of_k_sq_taken_once_and_only_for_surd_margins(monkeypatch):
 
 
 def test_genset_builds_each_distance_table_once(monkeypatch):
-    # a set of three or more vectors grows its own table, one BFS layer at
-    # a time and only as far as a pair needs: repeated out-of-cap pairs grow
-    # no layer twice, and S2's table stays untouched until a pair reaches
-    # it; a basis reads coordinates and grows none
+    # a set whose hull is not unimodular grows its own table, one BFS layer
+    # at a time and only as far as a pair needs: repeated out-of-cap pairs
+    # grow no layer twice, and S2's table stays untouched until a pair
+    # reaches it; a unimodular hull reads its gauge and grows none
     grown = []
     real = GeneratingSet._grow_layer
     monkeypatch.setattr(GeneratingSet, "_grow_layer",
@@ -312,7 +312,9 @@ def test_genset_builds_each_distance_table_once(monkeypatch):
     for S, S2, layers in (
             (standard_generators(), GeneratingSet([(1, 0), (1, 1)]), ()),
             (GeneratingSet([(1, 0), (0, 1), (1, -1)]),
-             GeneratingSet([(1, 0), (1, 1), (0, 1)]), (1, 2, 3))):
+             GeneratingSet([(1, 0), (1, 1), (0, 1)]), ()),
+            (GeneratingSet([(1, 0), (0, 1), (2, 1)]),
+             GeneratingSet([(1, 0), (1, 1), (1, 2)]), (1, 2, 3))):
         grown.clear()
         gm = GensetMap(S, S2, radius_cap=3)
         for n in range(10, 15):
