@@ -23,16 +23,16 @@ Exact = Union[int, Fraction, "Surd"]
 def _split_square(n: int) -> tuple[int, int]:
     """Return (s, d) with n = s*s*d and d squarefree.
 
-    Trial division runs only while f^3 <= m, so it costs about n^(1/3)
-    steps. The cofactor m left over has no prime factor below f and is
-    below f^3, so it is 1, p, p^2 or p*q with p != q: a square exactly when
-    isqrt(m)^2 == m, and squarefree otherwise.
+    The power of 2 is read off the low bits, then odd f are tried while
+    f^3 <= m: about n^(1/3)/2 steps. The cofactor m left has no prime
+    factor below f and is below f^3, so it is 1, p, p^2 or p*q with p != q:
+    a square exactly when isqrt(m)^2 == m, and squarefree otherwise.
     """
     if n <= 0:
         raise ValueError("expected a positive integer")
-    s, d = 1, 1
-    f = 2
-    m = n
+    k = (n & -n).bit_length() - 1  # the exponent of 2 in n
+    m, s, d = n >> k, 1 << (k // 2), 1 << (k % 2)
+    f = 3
     while f * f * f <= m:
         k = 0
         while m % f == 0:
@@ -41,7 +41,7 @@ def _split_square(n: int) -> tuple[int, int]:
         s *= f ** (k // 2)
         if k % 2:
             d *= f
-        f += 1
+        f += 2
     r = isqrt(m)
     if r * r == m:
         return s * r, d

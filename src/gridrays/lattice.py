@@ -254,15 +254,6 @@ def normalize_word(word: str) -> str:
     return word.replace("4", "0")
 
 
-def word_endpoint(word: str, start: LatticePoint = ORIGIN) -> LatticePoint:
-    x, y = start
-    for c in normalize_word(word):
-        dx, dy = DISPLACEMENTS[int(c)]
-        x += dx
-        y += dy
-    return (x, y)
-
-
 def is_geodesic_word(word: str) -> bool:
     """True iff the word never backtracks: its steps share a closed
     quadrant, i.e. its length equals the metric it spans."""

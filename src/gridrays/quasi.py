@@ -31,12 +31,6 @@ def floor_map(p: PlanePoint) -> LatticePoint:
     return (floor(p[0]), floor(p[1]))
 
 
-def sq_euclidean(p: PlanePoint, q: PlanePoint) -> Fraction:
-    dx = p[0] - q[0]
-    dy = p[1] - q[1]
-    return dx * dx + dy * dy
-
-
 def _pair_terms(p, q) -> tuple[int, int, int, int]:
     """Integers (X, Y, t, g) for two rational points (int or Fraction
     coordinates): p - q = (X/t, Y/t) with t > 0, and g is the word metric
@@ -197,12 +191,6 @@ class GensetMap:
         self.radius_cap = radius_cap
         self.name, self.domain = "genset", "lattice"
 
-    def _dist(self, S: GeneratingSet, p: LatticePoint, q: LatticePoint) -> int:
-        d = S.distance((q[0] - p[0], q[1] - p[1]), self.radius_cap)
-        if d is None:
-            raise ValueError(f"pair {p}, {q} outside radius cap {self.radius_cap}")
-        return d
-
     def check_pair(self, p: LatticePoint, q: LatticePoint,
                    params: QIParams) -> list[Violation]:
         # a plane pair has no word length: a basis would read fractional
@@ -211,8 +199,11 @@ class GensetMap:
                 * q[1].denominator != 1:
             raise ValueError(f"pair ({p[0]}, {p[1]}), ({q[0]}, {q[1]}) is not "
                              "a pair of lattice points")
-        dx = self._dist(self.S, p, q)
-        dy = self._dist(self.S2, p, q)
+        v, cap = (q[0] - p[0], q[1] - p[1]), self.radius_cap
+        dx = self.S.distance(v, cap)
+        dy = None if dx is None else self.S2.distance(v, cap)
+        if dy is None:
+            raise ValueError(f"pair {p}, {q} outside radius cap {cap}")
         return _violations((p, q), params, dy, dx * dx, 1, True)
 
 

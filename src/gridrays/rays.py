@@ -20,11 +20,11 @@ import re
 from fractions import Fraction
 from itertools import accumulate, compress, count, repeat
 from math import ceil, floor, gcd, isqrt, lcm
-from operator import add, floordiv, itemgetter, mul, sub
+from operator import add, floordiv, itemgetter, mul, ne, rshift, sub
 from typing import Optional, Union
 
-from .exactnum import (Exact, Surd, _make, exact_ceil, exact_floor,
-                       exact_sign, floor_sqrt, is_rational, sign_sqrt)
+from .exactnum import (Exact, Surd, _make, exact_ceil, exact_sign, floor_sqrt,
+                       sign_sqrt)
 from .lattice import (DISPLACEMENTS, ORIGIN, WINDOW_SIGNS, LatticePoint,
                       Value, quadrant_windows, word_metric)
 
@@ -89,48 +89,48 @@ class Staircase:
     clamped to [0, n] (the lower mechanical word; Lothaire, Algebraic
     Combinatorics on Words, ch. 2), ux being the l1-normalized horizontal
     speed and rho = frac(x0)*uy - frac(y0)*ux. The floor is the tie rule,
-    the clamp covers axis-parallel lines. ux and rho are kept as integers
-    (P + Q*sqrt(d))/D, so H(n) costs integer ops and one isqrt. The anchor
-    is given over ``scale``; an all-integer line builds no Fraction.
+    the clamp covers axis-parallel lines. ux = (P + Q*sqrt(d))/D and
+    rho = P0/D are integers, the anchor given over ``scale``, so H(n) costs
+    integer ops and one isqrt; an irrational line leaves the origin.
     """
 
-    __slots__ = ("_p", "_q", "_p0", "_q0", "_d", "_den")
+    __slots__ = ("_p", "_q", "_p0", "_d", "_den")
 
-    def __init__(self, dx: Exact, dy: Exact, anchor=(0, 0), scale: int = 1):
+    def __init__(self, dx: int, dy: int, anchor=(0, 0), scale: int = 1):
         x0, y0 = anchor
-        if all(type(v) is int for v in (dx, dy, x0, y0)):
-            # ux = dx/(dx+dy), rho = ((x0 mod s)*dy - (y0 mod s)*dx)/(s*(dx+dy))
-            self._p, self._p0 = dx * scale, x0 % scale * dy - y0 % scale * dx
-            self._q = self._q0 = self._d = 0
-            self._den = (dx + dy) * scale
-            return
-        if scale != 1:
-            x0, y0 = Fraction(x0, scale), Fraction(y0, scale)
-        ux = (Fraction(dx) if is_rational(dx) else dx) / (dx + dy)
-        uy = 1 - ux
-        rho = (x0 - exact_floor(x0)) * uy - (y0 - exact_floor(y0)) * ux
-        (a, b, d), (a0, b0, d0) = ((x.a, x.b, x.d) if isinstance(x, Surd)
-                                   else (Fraction(x), Fraction(0), 0)
-                                   for x in (ux, rho))
-        den = lcm(a.denominator, b.denominator, a0.denominator, b0.denominator)
-        self._p, self._q = int(a * den), int(b * den)
-        self._p0, self._q0 = int(a0 * den), int(b0 * den)
-        self._d, self._den = d or d0, den
+        # ux = dx/(dx+dy), rho = ((x0 mod s)*dy - (y0 mod s)*dx)/(s*(dx+dy))
+        self._p, self._p0 = dx * scale, x0 % scale * dy - y0 % scale * dx
+        self._q = self._d = 0
+        self._den = (dx + dy) * scale
 
     @classmethod
-    def from_origin(cls, ux: Surd) -> "Staircase":
-        """The staircase of speed ux leaving the origin (rho = 0)."""
-        out, den = object.__new__(cls), lcm(ux.a.denominator, ux.b.denominator)
-        out._p, out._q, out._p0, out._q0 = int(ux.a * den), int(ux.b * den), 0, 0
-        out._d, out._den = ux.d, den
+    def from_origin(cls, P: int, Q: int, d: int, D: int) -> "Staircase":
+        """The staircase of ux = (P + Q*sqrt(d))/D from the origin."""
+        out = object.__new__(cls)
+        out._p, out._q, out._p0, out._d, out._den = P, Q, 0, d, D
         return out
 
     def horizontal(self, n: int) -> int:
         """H(n), the number of horizontal steps among the first n."""
         k = n + 1
-        h = floor_sqrt(k * self._p + self._p0, k * self._q + self._q0,
-                       self._d, self._den)
+        h = floor_sqrt(k * self._p + self._p0, k * self._q, self._d, self._den)
         return 0 if h < 0 else n if h > n else h
+
+    def horizontals(self, n0: int, n1: int) -> list[int]:
+        """H(n), 0 <= n0 <= n < n1, on an irrational line (it leaves the
+        origin, so the clamp never acts): between (n+1)*W >> B and
+        (n+1)*(W+1) >> B, W = floor(2^B*ux), B = 32 + n1.bit_length(). The
+        two differ about once in 2^32 steps, and floor_sqrt decides those."""
+        if not self._q:
+            raise ValueError("bulk counts need an irrational line")
+        B, n = 32 + n1.bit_length(), n1 - n0
+        W = floor_sqrt(self._p << B, self._q << B, self._d, self._den)
+        lo = list(map(rshift, count((n0 + 1) * W, W), repeat(B, n)))
+        hi = list(map(rshift, count((n0 + 1) * (W + 1), W + 1), repeat(B, n)))
+        if lo != hi:
+            for i in compress(count(), map(ne, lo, hi)):
+                lo[i] = self.horizontal(n0 + i)
+        return lo
 
     def speed(self) -> tuple[int, int, int, int]:
         """ux as integers (P, Q, d, D), ux = (P + Q*sqrt(d))/D."""
@@ -215,13 +215,17 @@ class SturmianTail(Value):
             raise ValueError("offset must be nonnegative")
         if exact_sign(ax) <= 0 or exact_sign(ay) <= 0:
             raise ValueError("Sturmian directions must have positive components")
-        ux = ax / (ax + ay)  # l1-normalized; rational iff ay/ax is
-        if not isinstance(ux, Surd):
+        self._start(_speed(ax, ay), window, offset)
+
+    def _start(self, speed: tuple, window: int, offset: int) -> None:
+        """Set the fields from ux = (P + Q*sqrt(d))/D, given as ``speed``."""
+        P, Q, d, D = speed
+        if not Q:
             raise ValueError("rational direction; use a periodic tail")
-        self.ux, self.uy = ux, 1 - ux
-        self.window = window
-        self.offset = offset
-        self._line = Staircase.from_origin(ux)
+        self.ux = _make(Fraction(P, D), Fraction(Q, D), d)
+        self.uy = _make(Fraction(D - P, D), Fraction(-Q, D), d)
+        self.window, self.offset = window, offset
+        self._line = Staircase.from_origin(P, Q, d, D)
         self._h0 = self._line.horizontal(offset)
 
     def horizontal(self, k: int) -> int:
@@ -243,7 +247,12 @@ class SturmianTail(Value):
         return sx * n, sy * (k - n)
 
     def displacements(self, k0: int, k1: int) -> list[LatticePoint]:
-        return list(map(self.displacement, range(k0, k1)))
+        """displacement(k) for 0 <= k0 <= k < k1, from one bulk count."""
+        (sx, sy), o = WINDOW_SIGNS[self.window], self.offset
+        ns = list(map(sub, self._line.horizontals(o + k0, o + k1),
+                      repeat(self._h0)))
+        return list(zip(map(mul, ns, repeat(sx)),
+                        map(mul, map(sub, range(k0, k1), ns), repeat(sy))))
 
     def advanced(self, steps: int) -> "SturmianTail":
         """The same line with ``steps`` more digits consumed."""
@@ -313,7 +322,7 @@ class RayCode(Value):
         if isinstance(tail, PeriodicTail):
             laps, r = divmod(k, len(tail.period))
             return pre + tail.period * laps + tail.period[:r]
-        hs = list(map(tail.horizontal, range(k + 1)))
+        hs = tail._line.horizontals(tail.offset, tail.offset + k + 1)
         h, v = WINDOW_DIGITS[tail.window]
         return pre + tuple(map((v, h).__getitem__, map(sub, hs[1:], hs)))
 
@@ -573,11 +582,32 @@ def digitize(dx: Exact, dy: Exact) -> RayCode:
         return axis_ray(h)
     if sgx == 0:
         return axis_ray(v)
-    ratio = (Fraction(ay) if is_rational(ay) else ay) / ax
-    if is_rational(ratio):
-        tail = staircase_tail(ratio.denominator, ratio.numerator, h, v)
-        return RayCode((), tail).canonical()
-    return RayCode((), SturmianTail(ax, ay, w))
+    # uy = P/D when rational, so ay/ax = P/(D - P) in lowest terms; uy
+    # first, so a mixed-radicand error names dy's radicand first
+    P, Q, d, D = _speed(ay, ax)
+    if not Q:
+        return RayCode((), staircase_tail(D - P, P, h, v)).canonical()
+    tail = object.__new__(SturmianTail)
+    tail._start((D - P, -Q, d, D), w, 0)
+    return RayCode((), tail)
+
+
+def _speed(ax: Exact, ay: Exact) -> tuple[int, int, int, int]:
+    """ax/(ax + ay) as Staircase.speed() gives it, over gcd(P, Q, D) with
+    D > 0; Q = 0 iff ay/ax is rational. Over one lcm, ax = a1 + b1*sqrt(d),
+    ay = a2 + b2*sqrt(d), and the conjugate of their sum s + t*sqrt(d) gives
+    ((a1*s - b1*t*d) + (b1*a2 - a1*b2)*sqrt(d))/(s*s - t*t*d)."""
+    (a1, b1, d1), (a2, b2, d2) = ((x.a, x.b, x.d) if isinstance(x, Surd)
+                                  else (x, 0, 0) for x in (ax, ay))
+    if d1 and d2 and d1 != d2:
+        raise ValueError(f"cannot mix sqrt({d1}) and sqrt({d2}) exactly")
+    ratios = [v.as_integer_ratio() for v in (a1, b1, a2, b2)]
+    L = lcm(*(den for _, den in ratios))
+    a1, b1, a2, b2 = (num * (L // den) for num, den in ratios)
+    d, s, t = d1 or d2, a1 + a2, b1 + b2
+    P, Q, D = a1 * s - b1 * t * d, b1 * a2 - a1 * b2, s * s - t * t * d
+    g = gcd(P, Q, D) if D > 0 else -gcd(P, Q, D)
+    return P // g, Q // g, d, D // g
 
 
 def staircase_tail(p: int, q: int, hdig: int, vdig: int, anchor=(0, 0),
@@ -756,21 +786,22 @@ def divergence_time(f: RayCode, g: RayCode, M: int,
 def _sturmian_line_bound(ray: RayCode) -> Exact:
     """Exact c with |ray(t) - t*u|_1 <= c for all t, u the direction."""
     t = ray.tail
-    ux, uy = ray.direction()
-    p = len(ray.preamble)
-    o = t.offset
+    P, Q, d, D = t.speed()
+    (sx, sy), p, o = WINDOW_SIGNS[t.window], len(ray.preamble), t.offset
     # anchor error: ray(t) = A + S(o+t-p) - S(o) with S(n) within 2 of n*u,
-    # S(n) the pure stream's point after n steps; -S(o) = displacement(-o)
-    (ax_, ay_), (bx, by) = ray.point_at(p), t.displacement(-o)
-    cx = ax_ + bx + (o - p) * ux
-    cy = ay_ + by + (o - p) * uy
-    bound = abs(cx) + abs(cy) + 2
+    # S(n) the pure stream's point after n steps; -S(o) = displacement(-o).
+    # D*u = (sx*(P + Q*sqrt(d)), sy*(D - P - Q*sqrt(d))): D*cx, D*cy integral
+    (ax_, ay_), (bx, by), k = ray.point_at(p), t.displacement(-o), o - p
+    bound_a, bound_b = 2 * D, 0
+    for a, b in ((D * (ax_ + bx) + k * sx * P, k * sx * Q),
+                 (D * (ay_ + by) + k * sy * (D - P), -k * sy * Q)):
+        s = sign_sqrt(a, b, d)
+        bound_a, bound_b = bound_a + s * a, bound_b + s * b
     # a valid preamble stays in the tail's quadrant, so its deviation at
     # step s is 2*|v_s|/D, v_s = D*|x| - s*(P + Q*sqrt(d)). The key
     # |D*|x|*2^64 - s*W|, W = P*2^64 + sign(Q)*floor(|Q|*sqrt(d)*2^64), is
     # within s of 2^64*|v_s|: only keys within 2n + 2 of the largest can
     # hold the largest |v_s|, compared exactly as 2*(top_a + top_b*sqrt(d))/D
-    P, Q, d, D = t.speed()
     R = isqrt(Q * Q * d << 128)
     W = (P << 64) + (R if Q > 0 else -R)
     xs = list(map(abs, map(itemgetter(0), ray._pre)))
@@ -783,8 +814,9 @@ def _sturmian_line_bound(ray: RayCode) -> Exact:
             a, b = -a, -b
         if sign_sqrt(a - top_a, b - top_b, d) > 0:
             top_a, top_b = a, b
-    dev = _make(Fraction(2 * top_a, D), Fraction(2 * top_b, D), d)
-    return dev if dev > bound else bound
+    if sign_sqrt(2 * top_a - bound_a, 2 * top_b - bound_b, d) > 0:
+        bound_a, bound_b = 2 * top_a, 2 * top_b
+    return _make(Fraction(bound_a, D), Fraction(bound_b, D), d)
 
 
 def _deviation_classes(ray: RayCode, n: int, g: int, s: int):

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import strategies as st
 
 from gridrays import rays
 from gridrays.ell1 import Polyline
-from gridrays.rays import WINDOW_DIGITS, RayCode, periodic_ray
+from gridrays.exactnum import Surd, exact_floor, is_rational
+from gridrays.rays import WINDOW_DIGITS, RayCode, Staircase, periodic_ray
 
 
 # -- oracles: the closed-quadrant tests as they were -------------------------
@@ -72,6 +74,27 @@ def shared_quadrant(f, g):
 def is_geodesic_word_oracle(word):
     digits = set(word.replace("4", "0"))
     return not ({"0", "2"} <= digits or {"1", "3"} <= digits)
+
+
+def exact_staircase(dx, dy, anchor=(0, 0), scale=1):
+    """``Staircase(dx, dy, anchor, scale)`` for Fraction and Surd speeds and
+    anchors, as its constructor used to build it: ux and rho divided out as
+    exact values, then written over one common denominator. The library
+    keeps only the integer constructor and ``Staircase.from_origin``."""
+    x0, y0 = anchor
+    if scale != 1:
+        x0, y0 = Fraction(x0, scale), Fraction(y0, scale)
+    ux = (Fraction(dx) if is_rational(dx) else dx) / (dx + dy)
+    uy = 1 - ux
+    rho = (x0 - exact_floor(x0)) * uy - (y0 - exact_floor(y0)) * ux
+    (a, b, d), (a0, b0, d0) = ((x.a, x.b, x.d) if isinstance(x, Surd)
+                               else (Fraction(x), Fraction(0), 0)
+                               for x in (ux, rho))
+    assert b0 == 0, "an irrational rho has no integer form"
+    den = lcm(a.denominator, b.denominator, a0.denominator)
+    out = Staircase.from_origin(int(a * den), int(b * den), d or d0, den)
+    out._p0 = int(a0 * den)
+    return out
 
 
 # -- generators ----------------------------------------------------------------

@@ -20,11 +20,11 @@ from gridrays.ell1 import (Polyline, check_monotone_commitment, ell1_distance,
                            is_geodesic_polyline, parse_polyline,
                            project_to_lattice, splice_plane)
 from gridrays.lattice import WINDOW_SIGNS, quadrant_windows, word_metric
-from gridrays.rays import (WINDOW_DIGITS, Asymptotic, Staircase,
-                           are_asymptotic, digitize, periodic_ray)
+from gridrays.rays import (WINDOW_DIGITS, Asymptotic, are_asymptotic,
+                           digitize, periodic_ray)
 
-from conftest import (make_backtracking_polyline, make_monotone_polyline,
-                      polyline_args, signs_monotone)
+from conftest import (exact_staircase, make_backtracking_polyline,
+                      make_monotone_polyline, polyline_args, signs_monotone)
 
 F = Fraction
 
@@ -401,10 +401,11 @@ def frac_project_to_lattice(ray):
     digits = []
     for a, c in zip(rverts, rverts[1:]):
         n = floor(c[0]) - floor(a[0]) + floor(c[1]) - floor(a[1])
-        digits += Staircase(c[0] - a[0], c[1] - a[1], a).digits(n, hdig, vdig)
+        digits += exact_staircase(c[0] - a[0], c[1] - a[1], a).digits(n, hdig,
+                                                                     vdig)
     p, q = rdir
-    per = Staircase(p, q, rverts[-1]).digits((p / (p + q)).denominator,
-                                             hdig, vdig)
+    per = exact_staircase(p, q, rverts[-1]).digits((p / (p + q)).denominator,
+                                                   hdig, vdig)
     return periodic_ray(digits, per)
 
 

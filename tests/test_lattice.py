@@ -8,15 +8,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridrays import lattice
-from gridrays.lattice import (BallExceeded, GeneratingSet, GenerationError,
-                              bfs_distances, bfs_metric, enumerate_geodesics,
+from gridrays.lattice import (DISPLACEMENTS, ORIGIN, BallExceeded,
+                              GeneratingSet, GenerationError, bfs_distances,
+                              bfs_metric, enumerate_geodesics,
                               generating_set_lipschitz, geodesic_count,
                               is_geodesic_word, iter_geodesics,
-                              standard_generators, word_endpoint, word_metric)
-from gridrays.quasi import GensetMap
+                              normalize_word, standard_generators, word_metric)
+from gridrays.quasi import GensetMap, QIParams
 
 coords = st.integers(min_value=-200, max_value=200)
 points = st.tuples(coords, coords)
+
+
+def word_endpoint(word, start=ORIGIN):
+    """The point a word reaches, one step at a time (once in ``lattice``)."""
+    x, y = start
+    for c in normalize_word(word):
+        dx, dy = DISPLACEMENTS[int(c)]
+        x += dx
+        y += dy
+    return (x, y)
+
+
+def _map_distance(gm, p, q):
+    """d(p, q) as ``gm = GensetMap(S, S, cap)`` reads it: its pair check
+    refuses a pair past the radius cap, and finds no violation at k = 1,
+    c = 0 otherwise."""
+    assert gm.check_pair(p, q, QIParams.from_k(1, 0)) == []
+    return gm.S.distance((q[0] - p[0], q[1] - p[1]), gm.radius_cap)
 
 
 def _oracle_bfs(vectors, start, goal, cap):
@@ -192,10 +211,10 @@ def test_queries_in_any_order_match_a_fresh_bfs(gens, queries):
         else:
             gm = GensetMap(S, S, radius_cap=cap)
             if q in want:
-                assert gm._dist(S, (0, 0), q) == want[q]
+                assert _map_distance(gm, (0, 0), q) == want[q]
             else:
                 with pytest.raises(ValueError, match="outside radius cap"):
-                    gm._dist(S, (0, 0), q)
+                    _map_distance(gm, (0, 0), q)
 
 
 def test_bfs_distances_hands_out_a_fresh_dict():
@@ -256,9 +275,9 @@ def test_basis_distances_match_the_bfs_oracle(basis, extra, cap, p, q, ij):
             assert bfs_metric(S, p, q, cap) == d
         if d is None:
             with pytest.raises(ValueError, match="outside radius cap"):
-                gm._dist(S, p, q)
+                _map_distance(gm, p, q)
         else:
-            assert gm._dist(S, p, q) == d
+            assert _map_distance(gm, p, q) == d
     assert bfs_metric(S, (0, 0), v, 26) == abs(ij[0]) + abs(ij[1])
     std = standard_generators()
     for pair in ((S, std), (std, S)):
@@ -344,9 +363,9 @@ def test_gauge_distances_match_the_bfs_oracle(drawn, cap, p, q, ij, data):
             assert bfs_metric(S, p, q, cap) == d
         if d is None:
             with pytest.raises(ValueError, match="outside radius cap"):
-                gm._dist(S, p, q)
+                _map_distance(gm, p, q)
         else:
-            assert gm._dist(S, p, q) == d
+            assert _map_distance(gm, p, q) == d
     std = standard_generators()
     for pair in ((S, std), (std, S)):
         if cap >= 1:
@@ -378,7 +397,7 @@ def test_caps_below_the_range_raise():
         bfs_distances(S, -1)
     gm = GensetMap(S, S, radius_cap=-1)
     with pytest.raises(ValueError):
-        gm._dist(S, (0, 0), (0, 0))
+        _map_distance(gm, (0, 0), (0, 0))
 
 
 def test_geodesic_count_values():

@@ -27,7 +27,7 @@ from gridrays.rays import (Asymptotic, BallQuery, PeriodicTail, RayCode,
                            divergence_time, n_map, parse_ray, periodic_ray,
                            splice, validate)
 
-from conftest import digit_windows_oracle
+from conftest import digit_windows_oracle, exact_staircase
 from test_quadrant_windows import _realize as realize_oracle
 
 F = Fraction
@@ -308,7 +308,7 @@ def test_anchored_digits_match_per_digit_walk():
                 continue
             for x0 in anchors:
                 for y0 in anchors:
-                    line = Staircase(dx, dy, (x0, y0))
+                    line = exact_staircase(dx, dy, (x0, y0))
                     for n in (0, 1, 17, 40):
                         assert line.digits(n, 2, 3) == \
                             staircase_digits_oracle(line, n, 2, 3)
@@ -316,7 +316,7 @@ def test_anchored_digits_match_per_digit_walk():
 
 def test_closed_form_digits_reject_an_irrational_line():
     with pytest.raises(ValueError):
-        Staircase(1, sqrt_exact(2)).digits(5, 0, 1)
+        exact_staircase(1, sqrt_exact(2)).digits(5, 0, 1)
 
 
 # -- b_map, n_map, _primitive and canonical forms ----------------------------------------

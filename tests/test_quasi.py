@@ -16,8 +16,7 @@ from gridrays.quasi import (FloorMap, GensetMap, InclusionMap, LatticeBall,
                             QIParams, Violation, check_embedding, find_violation,
                             floor_chain_holds, floor_map, iter_pairs,
                             quasi_surjectivity_bound, roundtrip_displacement,
-                            sample_plane_pairs, sample_plane_points,
-                            sq_euclidean)
+                            sample_plane_pairs, sample_plane_points)
 from test_lattice import _oracle_bfs_distances
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=64)
@@ -150,6 +149,13 @@ def test_sampling_is_deterministic():
     assert a != sample_plane_points((Fraction(-10), Fraction(10)), 50, seed=5)
 
 
+def sq_euclidean(p, q):
+    """The squared Euclidean distance (once in ``quasi``)."""
+    dx = p[0] - q[0]
+    dy = p[1] - q[1]
+    return dx * dx + dy * dy
+
+
 def test_sq_euclidean():
     assert sq_euclidean((Fraction(0), Fraction(0)),
                         (Fraction(3), Fraction(4))) == 25
@@ -194,9 +200,17 @@ def oracle_inclusion(p, q, params):
     return out
 
 
+def _oracle_dist(gm, S, p, q):
+    """``GensetMap._dist`` as it was: one radius-capped distance."""
+    d = S.distance((q[0] - p[0], q[1] - p[1]), gm.radius_cap)
+    if d is None:
+        raise ValueError(f"pair {p}, {q} outside radius cap {gm.radius_cap}")
+    return d
+
+
 def oracle_genset(gm, p, q, params):
-    dx = Fraction(gm._dist(gm.S, p, q))
-    dy = Fraction(gm._dist(gm.S2, p, q))
+    dx = Fraction(_oracle_dist(gm, gm.S, p, q))
+    dy = Fraction(_oracle_dist(gm, gm.S2, p, q))
     k_sq, c = params.k_sq, params.c
     out = []
     upper_lhs = dy - c

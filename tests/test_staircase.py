@@ -11,7 +11,7 @@ direction keys and the halving loop of ``n_map``'s enclosure width.
 import random
 import tracemalloc
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -23,7 +23,8 @@ from gridrays.lattice import DISPLACEMENTS, WINDOW_SIGNS, word_metric
 from gridrays.rays import (Enclosure, RayCode, Staircase, SturmianTail,
                            WINDOW_DIGITS, digitize, n_map, periodic_ray)
 
-from conftest import make_monotone_polyline, polylines, window_of_signs
+from conftest import (exact_staircase, make_monotone_polyline, polylines,
+                      window_of_signs)
 from test_periodic_kernels import equal_direction_pairs, periodic_rays
 
 F = Fraction
@@ -186,11 +187,12 @@ class SturmianRayOracle:
 
 def sturmian_tail_oracle(ax, ay):
     """``SturmianTail.__init__`` as it was: ay/ax tested, ux and uy each
-    divided out, the staircase built through the Surd path of Staircase."""
+    divided out, the staircase built through the Surd path of Staircase,
+    now ``exact_staircase``."""
     assert not exactnum.is_rational(ay / ax)
     total = ax + ay
     ux, uy = ax / total, ay / total
-    return ux, uy, Staircase(ux, uy)
+    return ux, uy, exact_staircase(ux, uy)
 
 
 def n_map_loop_oracle(ray, width):
@@ -303,6 +305,144 @@ def test_rational_sturmian_directions_are_refused():
 
 
 windows = st.sampled_from(range(4))
+
+
+def test_sturmian_errors_keep_their_messages():
+    r2, r3 = sqrt_exact(2), sqrt_exact(3)
+    with pytest.raises(ValueError, match=r"^cannot mix sqrt\(2\) and sqrt\(3\) "):
+        SturmianTail(r2, r3, 0)
+    # digitize names dy's radicand first
+    with pytest.raises(ValueError, match=r"^cannot mix sqrt\(3\) and sqrt\(2\) "):
+        digitize(r2, r3)
+    for ax, ay in [(0, r2), (r2, -1), (1 - r2, 1)]:
+        with pytest.raises(ValueError, match="^Sturmian directions must have "
+                                             "positive components$"):
+            SturmianTail(ax, ay, 0)
+
+
+@st.composite
+def quadratic_directions(draw):
+    """(ax, ay) > 0, each a + b*sqrt(d) over one radicand, rational ratios
+    and rational components among them."""
+    d = draw(st.sampled_from(NON_SQUARES))
+    parts = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+    a1, b1, a2, b2 = (draw(parts) for _ in range(4))
+    if draw(st.booleans()):  # ay a rational multiple of ax
+        a2, b2 = a1 * draw(positive), b1 * draw(positive)
+    root = sqrt_exact(d)
+    ax, ay = a1 + b1 * root, a2 + b2 * root
+    assume(exactnum.exact_sign(ax) > 0 and exactnum.exact_sign(ay) > 0)
+    return ax, ay
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(quadratic_directions(), irrational_directions()), windows)
+def test_digitize_matches_the_divided_construction(direction, w):
+    ax, ay = direction
+    (sx, sy), (h, v) = WINDOW_SIGNS[w], WINDOW_DIGITS[w]
+    got = digitize(sx * ax, sy * ay)
+    ratio = (F(ay) if exactnum.is_rational(ay) else ay) / ax
+    if exactnum.is_rational(ratio):
+        want = RayCode((), rays.staircase_tail(ratio.denominator,
+                                               ratio.numerator, h, v))
+        assert got == want.canonical()
+        return
+    ux, uy, line = sturmian_tail_oracle(ax, ay)
+    assert got.preamble == () and (got.tail.ux, got.tail.uy) == (ux, uy)
+    assert (type(got.tail.ux), type(got.tail.uy)) == (type(ux), type(uy))
+    assert (got.tail.window, got.tail.offset) == (w, 0)
+    assert got.tail.speed() == line.speed()
+    assert got == RayCode((), SturmianTail(ax, ay, w))
+
+
+def test_sturmian_paths_do_no_surd_arithmetic(monkeypatch):
+    roots = {d: sqrt_exact(d) for d in (2, 3, 5, 7, 2003)}
+    # built before arithmetic is switched off: a + b*sqrt(d) operands
+    operands = [(F(2, 3), F(1, 2) * roots[7]), (roots[3], 1 + roots[3]),
+                (3 - roots[2], F(5, 4))]
+    head = periodic_ray("", "001")
+
+    def boom(*args):
+        raise AssertionError("Surd arithmetic on a Sturmian path")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(exactnum.Surd, name, boom)
+    rays_built = []
+    for ax, ay in operands:
+        for w in range(4):
+            rays_built.append(RayCode((), SturmianTail(ax, ay, w, 17)))
+    for root in roots.values():
+        ray = digitize(1, root)
+        assert len(ray.digits(300)) == len(ray.points(300)) - 1 == 300
+        assert isinstance(n_map(ray), Enclosure)
+        rays_built += [ray] + [rays.splice(head, ray, s) for s in (40, 700)]
+    bounds = list(map(rays._sturmian_line_bound, rays_built))
+    monkeypatch.undo()
+    assert any(isinstance(b, exactnum.Surd) for b in bounds)
+    assert bounds == list(map(line_bound_oracle, rays_built))
+
+
+def convergent_denominators(line, above, below):
+    """Denominators q in (above, below) of the continued-fraction
+    convergents p/q of the line's speed ux = (P + Q*sqrt(d))/D, expanded
+    exactly: x -> 1/(x - floor(x)), each step one floor_sqrt."""
+    P, Q, d, D = line.speed()
+    q0, q1, out = 0, 1, []
+    while q1 < below:
+        a = exactnum.floor_sqrt(P, Q, d, D)
+        q0, q1 = q1, a * q1 + q0
+        if q1 > above:
+            out.append(q1)
+        # 1/(x - a) = D*((P - a*D) - Q*sqrt(d)) / ((P - a*D)^2 - Q*Q*d)
+        r = P - a * D
+        P, Q, D = D * r, -D * Q, r * r - Q * Q * d
+        g = gcd(P, Q, D) if D > 0 else -gcd(P, Q, D)
+        P, Q, D = P // g, Q // g, D // g
+    return out
+
+
+def test_bulk_horizontals_decide_the_ambiguous_steps_exactly():
+    # near a convergent p/q from below, q*ux lies just above p, and the
+    # fixed-point bracket of H(q - 1) straddles it: only floor_sqrt decides
+    lines = [digitize(sx, sy * sqrt_exact(d)).tail._line
+             for d in range(2, 51) if isqrt(d) ** 2 != d
+             for sx, sy in ((1, 1), (3, 2))]
+    low_end_wrong = 0
+    for line in lines:
+        for q in convergent_denominators(line, 1 << 32, 1 << 80):
+            n0, n1 = q - 1, q + 40
+            want = [line.horizontal(n) for n in range(n0, n1)]
+            assert line.horizontals(n0, n1) == want
+            # the bracket as horizontals takes it, to count the steps where
+            # its low end is wrong
+            B = 32 + n1.bit_length()
+            P, Q, d, D = line.speed()
+            W = exactnum.floor_sqrt(P << B, Q << B, d, D)
+            low_end_wrong += sum((n + 1) * W >> B != h
+                                 for n, h in zip(range(n0, n1), want))
+    assert low_end_wrong >= 50
+
+
+@settings(deadline=None, max_examples=80)
+@given(irrational_directions(), windows, st.integers(0, 10 ** 7),
+       st.integers(0, 400), st.integers(0, 10 ** 6))
+def test_bulk_reads_match_per_step_reads(direction, w, offset, n, n0):
+    tail = SturmianTail(*direction, w, offset)
+    line = tail._line
+    assert line.horizontals(n0, n0 + n) == \
+        [line.horizontal(m) for m in range(n0, n0 + n)]
+    assert tail.displacements(1 + n0, 1 + n0 + n) == \
+        [tail.displacement(k) for k in range(1 + n0, 1 + n0 + n)]
+    ray = RayCode((), tail)
+    assert ray.digits(n) == tuple(map(ray.digit_at, range(1, n + 1)))
+
+
+def test_bulk_counts_refuse_other_lines():
+    for line in (Staircase(2, 3), Staircase(2, 3, (1, 0), 3),
+                 exact_staircase(F(1, 2), F(1, 3), (F(1, 2), 0))):
+        with pytest.raises(ValueError, match="need an irrational line"):
+            line.horizontals(0, 5)
 
 
 @st.composite
@@ -477,7 +617,7 @@ def test_segment_staircase_matches_crossing_merge(x0, y0, dx, dy, w):
     a, c = (x0, y0), (x0 + dx, y0 + dy)
     h, v = WINDOW_DIGITS[w]
     n = floor(c[0]) - floor(a[0]) + floor(c[1]) - floor(a[1])
-    assert Staircase(dx, dy, a).digits(n, h, v) == \
+    assert exact_staircase(dx, dy, a).digits(n, h, v) == \
         segment_crossings_oracle(a, c, h, v)
 
 
@@ -485,7 +625,7 @@ def test_segment_staircase_matches_crossing_merge(x0, y0, dx, dy, w):
 def test_horizontal_counts_the_horizontal_digits(x0, y0, dx, dy, n):
     if dx == dy == 0:
         dx = F(1)
-    line = Staircase(dx, dy, (x0, y0))  # axis-parallel lines included
+    line = exact_staircase(dx, dy, (x0, y0))  # axis-parallel lines included
     assert 0 <= line.horizontal(n) <= n
     assert line.horizontal(n) == line.digits(n, 0, 1).count(0)
 
@@ -498,7 +638,7 @@ def test_tail_staircase_matches_period_loop(x0, y0, p, q, w):
     p, q = F(p, 3), F(q, 2)
     h, v = WINDOW_DIGITS[w]
     period = (p / (p + q)).denominator
-    assert Staircase(p, q, (x0, y0)).digits(period, h, v) == \
+    assert exact_staircase(p, q, (x0, y0)).digits(period, h, v) == \
         tail_period_oracle((x0, y0), (p, q), h, v)
 
 
