@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 from itertools import accumulate, compress, count, repeat
 from math import ceil, floor, gcd, isqrt, lcm
-from operator import add, floordiv, itemgetter, mul, ne, rshift, sub
+from operator import add, floordiv, itemgetter, mul, sub
 from typing import Optional, Union
 
 from .exactnum import (Exact, Surd, _make, exact_ceil, exact_sign, floor_sqrt,
@@ -116,22 +116,6 @@ class Staircase:
         h = floor_sqrt(k * self._p + self._p0, k * self._q, self._d, self._den)
         return 0 if h < 0 else n if h > n else h
 
-    def horizontals(self, n0: int, n1: int) -> list[int]:
-        """H(n), 0 <= n0 <= n < n1, on an irrational line (it leaves the
-        origin, so the clamp never acts): between (n+1)*W >> B and
-        (n+1)*(W+1) >> B, W = floor(2^B*ux), B = 32 + n1.bit_length(). The
-        two differ about once in 2^32 steps, and floor_sqrt decides those."""
-        if not self._q:
-            raise ValueError("bulk counts need an irrational line")
-        B, n = 32 + n1.bit_length(), n1 - n0
-        W = floor_sqrt(self._p << B, self._q << B, self._d, self._den)
-        lo = list(map(rshift, count((n0 + 1) * W, W), repeat(B, n)))
-        hi = list(map(rshift, count((n0 + 1) * (W + 1), W + 1), repeat(B, n)))
-        if lo != hi:
-            for i in compress(count(), map(ne, lo, hi)):
-                lo[i] = self.horizontal(n0 + i)
-        return lo
-
     def speed(self) -> tuple[int, int, int, int]:
         """ux as integers (P, Q, d, D), ux = (P + Q*sqrt(d))/D."""
         return self._p, self._q, self._d, self._den
@@ -215,11 +199,7 @@ class SturmianTail(Value):
             raise ValueError("offset must be nonnegative")
         if exact_sign(ax) <= 0 or exact_sign(ay) <= 0:
             raise ValueError("Sturmian directions must have positive components")
-        self._start(_speed(ax, ay), window, offset)
-
-    def _start(self, speed: tuple, window: int, offset: int) -> None:
-        """Set the fields from ux = (P + Q*sqrt(d))/D, given as ``speed``."""
-        P, Q, d, D = speed
+        P, Q, d, D = _speed(ax, ay)
         if not Q:
             raise ValueError("rational direction; use a periodic tail")
         self.ux = _make(Fraction(P, D), Fraction(Q, D), d)
@@ -247,12 +227,7 @@ class SturmianTail(Value):
         return sx * n, sy * (k - n)
 
     def displacements(self, k0: int, k1: int) -> list[LatticePoint]:
-        """displacement(k) for 0 <= k0 <= k < k1, from one bulk count."""
-        (sx, sy), o = WINDOW_SIGNS[self.window], self.offset
-        ns = list(map(sub, self._line.horizontals(o + k0, o + k1),
-                      repeat(self._h0)))
-        return list(zip(map(mul, ns, repeat(sx)),
-                        map(mul, map(sub, range(k0, k1), ns), repeat(sy))))
+        return list(map(self.displacement, range(k0, k1)))
 
     def advanced(self, steps: int) -> "SturmianTail":
         """The same line with ``steps`` more digits consumed."""
@@ -322,7 +297,7 @@ class RayCode(Value):
         if isinstance(tail, PeriodicTail):
             laps, r = divmod(k, len(tail.period))
             return pre + tail.period * laps + tail.period[:r]
-        hs = tail._line.horizontals(tail.offset, tail.offset + k + 1)
+        hs = list(map(tail.horizontal, range(k + 1)))
         h, v = WINDOW_DIGITS[tail.window]
         return pre + tuple(map((v, h).__getitem__, map(sub, hs[1:], hs)))
 
@@ -587,16 +562,18 @@ def digitize(dx: Exact, dy: Exact) -> RayCode:
     P, Q, d, D = _speed(ay, ax)
     if not Q:
         return RayCode((), staircase_tail(D - P, P, h, v)).canonical()
-    tail = object.__new__(SturmianTail)
-    tail._start((D - P, -Q, d, D), w, 0)
-    return RayCode((), tail)
+    return RayCode((), SturmianTail(ax, ay, w))
 
 
 def _speed(ax: Exact, ay: Exact) -> tuple[int, int, int, int]:
     """ax/(ax + ay) as Staircase.speed() gives it, over gcd(P, Q, D) with
     D > 0; Q = 0 iff ay/ax is rational. Over one lcm, ax = a1 + b1*sqrt(d),
     ay = a2 + b2*sqrt(d), and the conjugate of their sum s + t*sqrt(d) gives
-    ((a1*s - b1*t*d) + (b1*a2 - a1*b2)*sqrt(d))/(s*s - t*t*d)."""
+    ((a1*s - b1*t*d) + (b1*a2 - a1*b2)*sqrt(d))/(s*s - t*t*d). A
+    component that is not int, Fraction or Surd (a float) is refused."""
+    if not (isinstance(ax, (int, Fraction, Surd))
+            and isinstance(ay, (int, Fraction, Surd))):
+        raise ValueError("rational direction; use a periodic tail")
     (a1, b1, d1), (a2, b2, d2) = ((x.a, x.b, x.d) if isinstance(x, Surd)
                                   else (x, 0, 0) for x in (ax, ay))
     if d1 and d2 and d1 != d2:

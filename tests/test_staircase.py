@@ -11,7 +11,7 @@ direction keys and the halving loop of ``n_map``'s enclosure width.
 import random
 import tracemalloc
 from fractions import Fraction
-from math import floor, gcd, isqrt
+from math import floor, gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -320,6 +320,18 @@ def test_sturmian_errors_keep_their_messages():
             SturmianTail(ax, ay, 0)
 
 
+@pytest.mark.parametrize("ax, ay", [(0.5, 0.25), (1, 0.25), (0.5, 1),
+                                    (2 ** 0.5, 1.0), (sqrt_exact(2), 0.5),
+                                    (0.5, sqrt_exact(2))])
+def test_float_components_are_refused(ax, ay):
+    # a float is no exact number: neither digitize nor SturmianTail reads
+    # one, whatever its value
+    for build in (digitize, lambda x, y: SturmianTail(x, y, 0)):
+        with pytest.raises(ValueError, match="^rational direction; use a "
+                                             "periodic tail$"):
+            build(ax, ay)
+
+
 @st.composite
 def quadratic_directions(draw):
     """(ax, ay) > 0, each a + b*sqrt(d) over one radicand, rational ratios
@@ -381,68 +393,6 @@ def test_sturmian_paths_do_no_surd_arithmetic(monkeypatch):
     monkeypatch.undo()
     assert any(isinstance(b, exactnum.Surd) for b in bounds)
     assert bounds == list(map(line_bound_oracle, rays_built))
-
-
-def convergent_denominators(line, above, below):
-    """Denominators q in (above, below) of the continued-fraction
-    convergents p/q of the line's speed ux = (P + Q*sqrt(d))/D, expanded
-    exactly: x -> 1/(x - floor(x)), each step one floor_sqrt."""
-    P, Q, d, D = line.speed()
-    q0, q1, out = 0, 1, []
-    while q1 < below:
-        a = exactnum.floor_sqrt(P, Q, d, D)
-        q0, q1 = q1, a * q1 + q0
-        if q1 > above:
-            out.append(q1)
-        # 1/(x - a) = D*((P - a*D) - Q*sqrt(d)) / ((P - a*D)^2 - Q*Q*d)
-        r = P - a * D
-        P, Q, D = D * r, -D * Q, r * r - Q * Q * d
-        g = gcd(P, Q, D) if D > 0 else -gcd(P, Q, D)
-        P, Q, D = P // g, Q // g, D // g
-    return out
-
-
-def test_bulk_horizontals_decide_the_ambiguous_steps_exactly():
-    # near a convergent p/q from below, q*ux lies just above p, and the
-    # fixed-point bracket of H(q - 1) straddles it: only floor_sqrt decides
-    lines = [digitize(sx, sy * sqrt_exact(d)).tail._line
-             for d in range(2, 51) if isqrt(d) ** 2 != d
-             for sx, sy in ((1, 1), (3, 2))]
-    low_end_wrong = 0
-    for line in lines:
-        for q in convergent_denominators(line, 1 << 32, 1 << 80):
-            n0, n1 = q - 1, q + 40
-            want = [line.horizontal(n) for n in range(n0, n1)]
-            assert line.horizontals(n0, n1) == want
-            # the bracket as horizontals takes it, to count the steps where
-            # its low end is wrong
-            B = 32 + n1.bit_length()
-            P, Q, d, D = line.speed()
-            W = exactnum.floor_sqrt(P << B, Q << B, d, D)
-            low_end_wrong += sum((n + 1) * W >> B != h
-                                 for n, h in zip(range(n0, n1), want))
-    assert low_end_wrong >= 50
-
-
-@settings(deadline=None, max_examples=80)
-@given(irrational_directions(), windows, st.integers(0, 10 ** 7),
-       st.integers(0, 400), st.integers(0, 10 ** 6))
-def test_bulk_reads_match_per_step_reads(direction, w, offset, n, n0):
-    tail = SturmianTail(*direction, w, offset)
-    line = tail._line
-    assert line.horizontals(n0, n0 + n) == \
-        [line.horizontal(m) for m in range(n0, n0 + n)]
-    assert tail.displacements(1 + n0, 1 + n0 + n) == \
-        [tail.displacement(k) for k in range(1 + n0, 1 + n0 + n)]
-    ray = RayCode((), tail)
-    assert ray.digits(n) == tuple(map(ray.digit_at, range(1, n + 1)))
-
-
-def test_bulk_counts_refuse_other_lines():
-    for line in (Staircase(2, 3), Staircase(2, 3, (1, 0), 3),
-                 exact_staircase(F(1, 2), F(1, 3), (F(1, 2), 0))):
-        with pytest.raises(ValueError, match="need an irrational line"):
-            line.horizontals(0, 5)
 
 
 @st.composite
