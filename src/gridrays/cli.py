@@ -336,8 +336,8 @@ def _cmd_qi_violate(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     from . import quasi
-    samples = quasi.sample_plane_points(args.box, args.count, args.seed)
-    report = quasi.roundtrip_displacement(samples)
+    report = quasi.roundtrip_displacement(
+        islice(quasi._plane_points(args.box, args.seed), args.count))
     payload = {"max_sq_displacement": str(report.max_sq_displacement),
                "argmax": [_fmt(c) for c in report.argmax],
                "samples": report.samples,

@@ -6,7 +6,6 @@ CLI turns a failed assertion into a nonzero exit code.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -15,9 +14,6 @@ from .exactnum import Surd
 from .lattice import Value
 from .rays import (BallQuery, Enclosure, RayCode, n_map, parse_ray,
                    trivial_topology_demo, validate)
-
-PRECISION_ENV = "LATTICE_HORIZON_PRECISION"
-DEFAULT_PRECISION_BITS = 64
 
 
 class Assertion(Value):
@@ -45,16 +41,6 @@ class DemoReport(Value):
     @property
     def ok(self) -> bool:
         return all(a.passed for a in self.assertions)
-
-
-def precision_bits() -> int:
-    raw = os.environ.get(PRECISION_ENV)
-    if raw:
-        bits = int(raw)
-        if bits < 8:
-            raise ValueError(f"{PRECISION_ENV} must be at least 8")
-        return bits
-    return DEFAULT_PRECISION_BITS
 
 
 def _pi_bounds(bits: int) -> tuple[Fraction, Fraction]:
@@ -87,13 +73,11 @@ class ConeLengths(Value):
         self.through_cone, self.around_cone = through_cone, around_cone
 
 
-def cone_lengths(epsilon: Fraction,
-                 bits: Optional[int] = None) -> ConeLengths:
+def cone_lengths(epsilon: Fraction, bits: int = 64) -> ConeLengths:
     """Certified enclosures showing the cone geodesic cannot be extended."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    bits = bits if bits is not None else precision_bits()
     lo, hi = Surd(0, 2, 26).bounds(bits)
     through = Enclosure(lo * epsilon, hi * epsilon)
     lo, hi = _pi_bounds(bits)
@@ -107,7 +91,7 @@ def cone_lengths(epsilon: Fraction,
     return ConeLengths(epsilon, through, around, extendable)
 
 
-def demo_cone(epsilon: Fraction, bits: Optional[int] = None) -> DemoReport:
+def demo_cone(epsilon: Fraction, bits: int = 64) -> DemoReport:
     result = cone_lengths(epsilon, bits)
     report = DemoReport("cone", {"epsilon": str(epsilon)})
     report.check("through_longer_than_around", True,

@@ -264,12 +264,8 @@ def is_geodesic_word(word: str) -> bool:
 def enumerate_geodesics(p: LatticePoint, q: LatticePoint,
                         limit: Optional[int] = None) -> list[str]:
     """Distinct geodesic words from p to q in lexicographic digit order."""
-    out: list[str] = []
-    for w in iter_geodesics(p, q):
-        if limit is not None and len(out) >= limit:
-            break
-        out.append(w)
-    return out
+    return list(islice(iter_geodesics(p, q),
+                       None if limit is None else max(limit, 0)))
 
 
 def iter_geodesics(p: LatticePoint, q: LatticePoint) -> Iterator[str]:
@@ -297,16 +293,14 @@ def generating_set_lipschitz(S: GeneratingSet, S2: GeneratingSet,
     where m is the farthest any S-generator sits from the identity in the
     S2-metric and vice versa.
     """
-    m = 0
-    for s in S.vectors:
-        d = bfs_metric(S2, ORIGIN, s, radius_cap)
-        if d is None:
-            raise BallExceeded(f"generator {s} outside radius {radius_cap} in S2")
-        m = max(m, d)
-    n = 0
-    for s2 in S2.vectors:
-        d = bfs_metric(S, ORIGIN, s2, radius_cap)
-        if d is None:
-            raise BallExceeded(f"generator {s2} outside radius {radius_cap} in S")
-        n = max(n, d)
-    return m, n
+    out = []
+    for gens, metric, name in ((S, S2, "S2"), (S2, S, "S")):
+        m = 0
+        for s in gens.vectors:
+            d = bfs_metric(metric, ORIGIN, s, radius_cap)
+            if d is None:
+                raise BallExceeded(
+                    f"generator {s} outside radius {radius_cap} in {name}")
+            m = max(m, d)
+        out.append(m)
+    return out[0], out[1]

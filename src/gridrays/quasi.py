@@ -373,23 +373,25 @@ class RoundtripReport(Value):
         self.samples = samples
 
 
-def roundtrip_displacement(samples: Sequence[PlanePoint]) -> RoundtripReport:
-    """Largest squared l2 displacement of inclusion-after-floor on the samples.
+def roundtrip_displacement(samples: Iterable[PlanePoint]) -> RoundtripReport:
+    """Largest squared l2 displacement of inclusion-after-floor on the samples,
+    read once, so a stream is never listed.
 
     The supremum over the whole plane is 2 (displacement sqrt(2)), never
     attained.
     """
-    best_n, best_d = 0, 1
-    arg = samples[0] if samples else (Fraction(0), Fraction(0))
-    for p in samples:
+    # -1 lets the first point name the argmax when no point leaves its cell
+    best_n, best_d, count = -1, 1, 0
+    arg = (Fraction(0), Fraction(0))
+    for count, p in enumerate(samples, 1):
         a, b = p[0].as_integer_ratio()
         e, f = p[1].as_integer_ratio()
         # p - floor(p) = (x/(b f), y/(b f)), with numerators mod b and mod f
-        x, y = a % b * f, e % f * b
-        sn, sd = x * x + y * y, b * b * f * f
+        x, y, bf = a % b * f, e % f * b, b * f
+        sn, sd = x * x + y * y, bf * bf
         if sn * best_d > best_n * sd:
             best_n, best_d, arg = sn, sd, p
-    return RoundtripReport(Fraction(best_n, best_d), arg, len(samples))
+    return RoundtripReport(Fraction(max(best_n, 0), best_d), arg, count)
 
 
 class SurjectivityReport(Value):

@@ -416,14 +416,12 @@ def periodic_ray(preamble, period) -> RayCode:
 
 
 def east_ray() -> RayCode:
-    return RayCode((), PeriodicTail((0,)))
+    return axis_ray(0)
 
 
 def axis_ray(digit: int) -> RayCode:
     """The axis ray repeating one digit, in canonical form."""
-    if digit in (0, 4):
-        return east_ray()
-    return RayCode((), PeriodicTail((int(digit),)))
+    return RayCode((), PeriodicTail((0 if digit == 4 else int(digit),)))
 
 
 _LITERAL = re.compile(r"^([0-4]*)\(([0-4]+)\)$")

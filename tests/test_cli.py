@@ -693,6 +693,25 @@ def test_certificate_output_is_byte_identical(argv, code, text_sha, json_sha,
     _assert_golden(argv, code, text_sha, json_sha, capsys)
 
 
+def test_demo_cone_bytes_ignore_the_environment():
+    # the cone demo once read its precision from LATTICE_HORIZON_PRECISION:
+    # 128 changed these bytes and 3 exited 1; fresh children, so no import
+    # in this process can have read the variable first
+    argv, code, text_sha, json_sha = next(
+        g for g in GOLDEN if g[0] == ["demo", "cone", "--eps", "1/7"])
+    main_code = "import sys\nfrom gridrays.cli import main\nsys.exit(main())"
+    for precision in ("128", "3"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                   LATTICE_HORIZON_PRECISION=precision)
+        for fmt, want in (("text", text_sha), ("json", json_sha)):
+            proc = subprocess.run(
+                [sys.executable, "-c", main_code, "--format", fmt, *argv],
+                env=env, capture_output=True, timeout=120)
+            assert proc.returncode == code, proc.stderr
+            assert hashlib.sha256(proc.stdout).hexdigest() == want, \
+                (precision, fmt)
+
+
 def test_cardinality_csv_is_byte_identical(capsys):
     code, out, _ = run(["--format", "csv", "demo", "cardinality", "(0)",
                         "(23)", "1(0)", "0(1)"], capsys)

@@ -4,17 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from gridrays import demos
 from gridrays.demos import (cone_lengths, demo_cardinality, demo_cone,
-                            demo_trivial_topology, precision_bits)
+                            demo_trivial_topology)
 from gridrays.rays import BallQuery, parse_ray
-
-
-def test_precision_env_override(monkeypatch):
-    monkeypatch.delenv(demos.PRECISION_ENV, raising=False)
-    assert precision_bits() == demos.DEFAULT_PRECISION_BITS
-    monkeypatch.setenv(demos.PRECISION_ENV, "128")
-    assert precision_bits() == 128
 
 
 def test_cone_lengths_precision_scales(monkeypatch):
@@ -43,15 +35,6 @@ def test_cone_enclosures_contain_their_values(eps, bits):
     assert (PI_100 + Fraction(1, 10**100)) * eps <= around.hi
     for enc in (through, around):
         assert 0 < enc.width <= 4 * eps / 2**bits
-
-
-def test_precision_env_narrows_cone_enclosures(monkeypatch):
-    monkeypatch.setenv(demos.PRECISION_ENV, "64")
-    coarse = cone_lengths(Fraction(1))
-    monkeypatch.setenv(demos.PRECISION_ENV, "128")
-    fine = cone_lengths(Fraction(1))
-    for attr in ("through_cone", "around_cone"):
-        assert 0 < getattr(fine, attr).width < getattr(coarse, attr).width
 
 
 def test_demo_cone_ok():

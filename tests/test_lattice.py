@@ -470,6 +470,85 @@ def test_generating_set_lipschitz_cap():
         generating_set_lipschitz(S2, S, radius_cap=5)
 
 
+# -- one loop over both sides, against the two copies it replaced -------------
+
+
+def _two_loop_lipschitz(S, S2, radius_cap=64):
+    """generating_set_lipschitz as it was: one loop per side."""
+    m = 0
+    for s in S.vectors:
+        d = bfs_metric(S2, ORIGIN, s, radius_cap)
+        if d is None:
+            raise BallExceeded(f"generator {s} outside radius {radius_cap} in S2")
+        m = max(m, d)
+    n = 0
+    for s2 in S2.vectors:
+        d = bfs_metric(S, ORIGIN, s2, radius_cap)
+        if d is None:
+            raise BallExceeded(f"generator {s2} outside radius {radius_cap} in S")
+        n = max(n, d)
+    return m, n
+
+
+def _outcome(f, *args):
+    """The value f returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None)
+@given(st.lists(_small_vectors(4), min_size=1, max_size=4).map(_completed),
+       st.lists(_small_vectors(4), min_size=1, max_size=4).map(_completed),
+       st.integers(0, 8))
+def test_lipschitz_matches_the_two_loop_version(gens, gens2, cap):
+    # entries up to 4 give hulls that are not unimodular as well as gauges
+    got = _outcome(generating_set_lipschitz, GeneratingSet(gens),
+                   GeneratingSet(gens2), cap)
+    assert got == _outcome(_two_loop_lipschitz, GeneratingSet(gens),
+                           GeneratingSet(gens2), cap)
+
+
+def test_lipschitz_measures_s_in_s2_first():
+    # (0, 1) = (4, 1) - 4 (1, 0) is 5 steps in S2, and (4, 1) is 5 in S:
+    # both sides are past a cap of 4, and the S generators are read first
+    S, S2 = standard_generators(), GeneratingSet([(1, 0), (4, 1)])
+    with pytest.raises(BallExceeded,
+                       match=r"^generator \(0, -1\) outside radius 4 in S2$"):
+        generating_set_lipschitz(S, S2, radius_cap=4)
+    with pytest.raises(BallExceeded,
+                       match=r"^generator \(-4, -1\) outside radius 4 in S2$"):
+        generating_set_lipschitz(S2, S, radius_cap=4)
+    assert generating_set_lipschitz(S, S2, radius_cap=5) == (5, 5)
+    with pytest.raises(ValueError, match="radius_cap must be >= 1"):
+        generating_set_lipschitz(S, S2, radius_cap=0)
+
+
+def _break_loop_geodesics(p, q, limit=None):
+    """enumerate_geodesics as it was: append until the limit, then break."""
+    out = []
+    for w in iter_geodesics(p, q):
+        if limit is not None and len(out) >= limit:
+            break
+        out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("q", [(0, 0), (3, 0), (0, -2), (2, 3), (-3, 2),
+                               (-2, -2), (4, -1)])
+def test_enumeration_limit_matches_the_break_loop(q):
+    p = (1, -1)
+    q = (p[0] + q[0], p[1] + q[1])
+    k, total = abs(q[0] - p[0]), geodesic_count(p, q)
+    for limit in (None, -5, -1, 0, 1, k, total - 1, total, total + 1,
+                  total + 10):
+        got = enumerate_geodesics(p, q, limit)
+        assert got == _break_loop_geodesics(p, q, limit), limit
+        assert len(got) == (total if limit is None else
+                            min(max(limit, 0), total))
+
+
 def test_iter_geodesics_lazy():
     it = iter_geodesics((0, 0), (10, 10))
     assert next(it) == "0" * 10 + "1" * 10

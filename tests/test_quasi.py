@@ -558,9 +558,41 @@ def test_roundtrip_matches_oracle(samples):
 @pytest.mark.parametrize("box", BOXES)
 def test_roundtrip_matches_oracle_on_sampled_boxes(box):
     samples = sample_plane_points(box, 500, 9)
-    got = roundtrip_displacement(samples)
-    assert got == oracle_roundtrip_displacement(samples)
-    assert got.argmax is oracle_roundtrip_displacement(samples).argmax
+    want = oracle_roundtrip_displacement(samples)
+    for given_as in (samples, iter(samples)):
+        got = roundtrip_displacement(given_as)
+        assert got == want and got.argmax is want.argmax
+
+
+def test_roundtrip_reads_empty_and_lattice_inputs():
+    empty = quasi.RoundtripReport(Fraction(0), (Fraction(0), Fraction(0)), 0)
+    assert roundtrip_displacement([]) == empty
+    assert roundtrip_displacement(iter([])) == empty
+    # no point leaves its cell: the first point is the argmax
+    lattice = [(Fraction(x), Fraction(-x)) for x in range(5)]
+    got = roundtrip_displacement(p for p in lattice)
+    assert got == oracle_roundtrip_displacement(lattice)
+    assert got.argmax is lattice[0]
+
+
+def test_roundtrip_streams_its_points():
+    # fresh points, so a listing of the 200,000 would hold each of them
+    def points(n):
+        return ((Fraction(i), Fraction(-i)) for i in range(n))
+
+    tracemalloc.start()
+    try:
+        listed = list(points(20_000))
+        _, listed_peak = tracemalloc.get_traced_memory()
+        del listed
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        report = roundtrip_displacement(points(200_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.samples == 200_000 and report.max_sq_displacement == 0
+    assert peak - base < listed_peak
 
 
 @given(st.lists(st.tuples(st.one_of(fracs, wide_fracs, st.integers(-9, 9)),

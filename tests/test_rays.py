@@ -86,6 +86,19 @@ def test_point_at_east():
     assert canon("(23)").point_at(3) == (-2, -1)
 
 
+def test_axis_rays_match_their_old_constructions():
+    def old_axis_ray(digit):
+        if digit in (0, 4):
+            return rays.RayCode((), rays.PeriodicTail((0,)))
+        return rays.RayCode((), rays.PeriodicTail((int(digit),)))
+
+    for digit in range(5):
+        got, want = axis_ray(digit), old_axis_ray(digit)
+        assert got == want and got.literal() == want.literal()
+        assert got.point_at(7) == want.point_at(7)
+    assert east_ray() == old_axis_ray(0) and east_ray().literal() == "(0)"
+
+
 # -- B and N maps -----------------------------------------------------------
 
 
