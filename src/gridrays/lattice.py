@@ -161,12 +161,6 @@ class GeneratingSet:
         self._frontier = frontier
         self.radius = d
 
-    def grow(self, radius: int) -> dict[LatticePoint, int]:
-        """The shared table, grown to at least ``radius``; do not mutate it."""
-        while self.radius < radius:
-            self._grow_layer()
-        return self._table
-
     def distance(self, v: LatticePoint, cap: int) -> Optional[int]:
         """Word length of v, or None if it exceeds ``cap``."""
         if self._normals:
@@ -217,11 +211,12 @@ def bfs_distances(S: GeneratingSet, radius_cap: int) -> dict[LatticePoint, int]:
                 ball.update(zip(zip(islice(count(k * bx, dx), k + 1),
                                     count(k * by, dy)), repeat(k)))
         return ball
-    table = S.grow(radius_cap)
+    while S.radius < radius_cap:
+        S._grow_layer()
     if S.radius == radius_cap:
-        return dict(table)
+        return dict(S._table)
     # an earlier query grew the shared table past the cap
-    return {p: d for p, d in table.items() if d <= radius_cap}
+    return {p: d for p, d in S._table.items() if d <= radius_cap}
 
 
 def bfs_metric(S: GeneratingSet, p: LatticePoint, q: LatticePoint,

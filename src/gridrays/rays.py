@@ -387,11 +387,9 @@ def _primitive(per: tuple[int, ...]) -> tuple[int, ...]:
     return per[:(b + b).find(b, 1)]
 
 
-def _canonical_periodic(pre, per, realized=None):
-    """The canonical (pre, per); ``realized`` is the set of their digits."""
-    pre, per = tuple(pre), tuple(per)
-    if realized is None:  # _primitive reads per as bytes
-        realized = _check_digits(pre + per)
+def _canonical_periodic(pre, per, realized):
+    """The canonical (pre, per) of two digit tuples; ``realized`` is the set
+    of their digits."""
     if realized <= {0, 4}:
         return (), (0,)  # the east ray
     if 4 in realized and 3 not in realized:

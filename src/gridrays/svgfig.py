@@ -9,22 +9,10 @@ from __future__ import annotations
 from itertools import chain
 from typing import Sequence
 
-from .lattice import Value
-
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 CELL = 24.0  # pixels per lattice unit
 MARGIN = 1.5  # lattice units of padding around the window
-
-
-class SceneItem(Value):
-    __slots__ = ("kind", "points", "label", "color")
-
-    def __init__(self, kind: str, points: tuple, label: str = "",
-                 color: str = ""):
-        # kind "path" (polyline through points) or "line" (infinite ray)
-        self.kind, self.points, self.label, self.color = (kind, points, label,
-                                                          color)
 
 
 def _fmt(x: float) -> str:
@@ -43,19 +31,20 @@ class Scene:
         if xmax <= xmin or ymax <= ymin:
             raise ValueError("empty window")
         self.window = (xmin, xmax, ymin, ymax)
-        self.items: list[SceneItem] = []
+        # (dashed, points, label, color); a ray's reference line is dashed
+        self.items: list[tuple[bool, tuple, str, str]] = []
 
     def add_path(self, points: Sequence[tuple[float, float]],
                  label: str = "", color: str = "") -> None:
-        self.items.append(SceneItem("path", tuple(points), label, color))
+        self.items.append((False, tuple(points), label, color))
 
     def add_ray_line(self, direction: tuple[float, float],
                      label: str = "", color: str = "") -> None:
         xmin, xmax, ymin, ymax = self.window
         dx, dy = direction
         scale = 2 * max(xmax - xmin, ymax - ymin) / max(abs(dx) + abs(dy), 1e-9)
-        self.items.append(SceneItem(
-            "line", ((0.0, 0.0), (dx * scale, dy * scale)), label, color))
+        self.items.append(
+            (True, ((0.0, 0.0), (dx * scale, dy * scale)), label, color))
 
     def _to_px(self, p: tuple[float, float]) -> tuple[float, float]:
         xmin, _, _, ymax = self.window
@@ -84,17 +73,17 @@ class Scene:
             out.append(f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
                        f'x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>')
         out.append("</g>")
-        for idx, item in enumerate(self.items):
-            color = _escape(item.color or PALETTE[idx % len(PALETTE)])
+        for idx, (dashed, points, label, color) in enumerate(self.items):
+            color = _escape(color or PALETTE[idx % len(PALETTE)])
             pts = " ".join(f"{_fmt(px)},{_fmt(py)}"
-                           for px, py in map(self._to_px, item.points))
-            dash = ' stroke-dasharray="6 4"' if item.kind == "line" else ""
+                           for px, py in map(self._to_px, points))
+            dash = ' stroke-dasharray="6 4"' if dashed else ""
             out.append(f'<polyline fill="none" stroke="{color}" '
                        f'stroke-width="2"{dash} points="{pts}"/>')
-            if item.label:
-                lx, ly = self._to_px(item.points[-1])
+            if label:
+                lx, ly = self._to_px(points[-1])
                 out.append(f'<text x="{_fmt(lx + 4)}" y="{_fmt(ly - 4)}" '
-                           f'font-size="12" fill="{color}">{_escape(item.label)}</text>')
+                           f'font-size="12" fill="{color}">{_escape(label)}</text>')
         out.append("</svg>")
         return "\n".join(out) + "\n"
 

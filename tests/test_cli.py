@@ -181,9 +181,8 @@ def test_inclusion_qi_check_draws_from_a_closed_form_ball(capsys):
 
 
 def test_floor_qi_check_streams_its_pairs(capsys):
-    # listing the 5,000 pairs traced 2.6 MB; only the first 256, the floor
-    # map's surjectivity probes, are listed now. The bytes are frozen from
-    # that listing.
+    # listing the 5,000 pairs traced 2.6 MB; they are checked 256 at a time
+    # now. The bytes are frozen from that listing.
     from gridrays import quasi  # noqa: F401  imported before tracing
     tracemalloc.start()
     try:
@@ -199,25 +198,97 @@ def test_floor_qi_check_streams_its_pairs(capsys):
         (0, "ee02f686ab0e2d80dbc6c7aa40f3acd344cbfdee38f5f803e9dffc6fb38f748a")]
 
 
+def _qi_check_listed(argv):
+    """The exit code and stdout of ``qi-check`` as it was when it listed
+    every pair: one ``check_embedding`` over the whole list, its first 16
+    violations and their count, and the floor map's probes floored from the
+    first points of its first 256 pairs."""
+    from gridrays import cli, quasi
+    args = build_parser().parse_args(argv)
+    qmap, params = cli._qi_map(args), cli._qi_params(args)
+    strategy = "grid" if args.map == "genset" else "random"
+    pairs = list(itertools.islice(quasi.iter_pairs(
+        qmap, strategy, args.seed, args.box, args.radius), args.count))
+    report = quasi.check_embedding(qmap, params, pairs)
+    D = None
+    if args.map != "genset":
+        targets = (quasi.sample_plane_points(args.box, 256, args.seed + 1)
+                   if args.map == "inclusion"
+                   else [quasi.floor_map(p) for p, _ in pairs[:256]])
+        D = str(quasi.quasi_surjectivity_bound(qmap, targets).bound)
+    output = {"map": qmap.name, "k": params.k_label,
+              "k_sq": str(params.k_sq), "c": str(params.c),
+              "checked": report.pairs_checked,
+              "violations": cli._violations_payload(report.violations[:16]),
+              "violation_count": len(report.violations), "D": D}
+    inputs = {"map": args.map, "count": args.count, "seed": args.seed}
+    return (0 if report.ok else 1), json.dumps(
+        {"op": "qi-check", "input": inputs, "output": output},
+        indent=2, sort_keys=True) + "\n"
+
+
+# (map arguments, the certificate's constants), one passing and one failing
+# certificate per map
+QI_CHECK_CERTIFICATES = [
+    ([], ["--k", "2", "--c", "2"]),
+    ([], ["--k", "1", "--c", "0", "--seed", "3"]),
+    (["--map", "inclusion"], ["--k2", "2", "--c", "0"]),
+    (["--map", "inclusion"], ["--k2", "3/2", "--c", "1/3", "--seed", "5"]),
+    (["--map", "genset", "--gens", "1,0;0,1", "--gens2", "1,0;1,1"],
+     ["--k", "2", "--c", "0"]),
+    (["--map", "genset", "--gens", "1,0;0,1", "--gens2", "1,0;1,1"],
+     ["--k", "1", "--c", "1/2"]),
+]
+
+
+@pytest.mark.parametrize("count", [1, 255, 256, 257, 16 * 256 + 1])
+@pytest.mark.parametrize("qmap, constants", QI_CHECK_CERTIFICATES)
+def test_qi_check_chunks_match_the_listed_check(qmap, constants, count,
+                                                capsys):
+    argv = ["--format", "json", "qi-check", *qmap, *constants,
+            "--count", str(count)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == _qi_check_listed(argv), err
+
+
+def _under_limit(argv, megabytes):
+    """Runs ``python <argv>`` in a child under an address-space limit of
+    ``megabytes``, set on that child only; returns its exit code, stdout
+    and stderr."""
+    resource = pytest.importorskip("resource")
+    limit = megabytes * 2**20
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, *argv], env=env,
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_failing_qi_check_keeps_only_what_it_prints():
+    # nearly every pair violates k = 1, c = 0; keeping each violation
+    # peaked at 80 MB RSS for 100,000 pairs and died of MemoryError under
+    # this limit
+    code, out, err = _under_limit(["-m", "gridrays.cli", "qi-check", "--k",
+                                   "1", "--c", "0", "--count", "200000"], 128)
+    assert code == 1 and "Traceback" not in err, err
+    output = json.loads(out)
+    assert output["checked"] == 200000 and len(output["violations"]) == 16
+    assert 0 < output["violation_count"] <= 2 * 200000
+
+
 def _bfs_metric_under_256_mb(gens):
     """Runs ``bfs-metric 0,0 0,1 --gens <gens> --cap 5000`` in a child under
-    a 256 MB address-space limit, set on that child only; returns its exit
-    code, stdout and stderr, whose last line is the traced peak in bytes."""
-    resource = pytest.importorskip("resource")
+    a 256 MB address-space limit; returns its exit code, stdout and stderr,
+    whose last line is the traced peak in bytes."""
     code = ("import sys, tracemalloc\n"
             "from gridrays.cli import main\n"
             "tracemalloc.start()\n"
             "code = main(sys.argv[1:])\n"
             "print(tracemalloc.get_traced_memory()[1], file=sys.stderr)\n"
             "sys.exit(code)")
-    limit = 256 * 2**20
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "bfs-metric", "0,0", "0,1",
-         "--gens", gens, "--cap", "5000"], env=env,
-        capture_output=True, text=True, timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
-    return proc.returncode, proc.stdout, proc.stderr
+    return _under_limit(["-c", code, "bfs-metric", "0,0", "0,1", "--gens", gens,
+                         "--cap", "5000"], 256)
 
 
 def test_bfs_metric_reads_a_far_basis_in_closed_form():

@@ -362,7 +362,8 @@ digits_0_4 = st.lists(st.integers(0, 4), max_size=20)
 @given(digits_0_4, digits_0_4.filter(bool), st.integers(1, 4))
 def test_canonical_form_matches_pop_loop(pre, per, k):
     per = per * k
-    assert rays._canonical_periodic(pre, per) == \
+    assert rays._canonical_periodic(tuple(pre), tuple(per),
+                                    frozenset(pre + per)) == \
         canonical_periodic_oracle(pre, per)
 
 
@@ -371,7 +372,7 @@ def test_canonical_code_comes_back_uncopied():
     # very same tuples come back
     for pre, per in [((1, 1, 0), (0, 0, 1)), ((2,), (1, 2, 1)),
                      ((3, 4, 4), (4, 3)), ((), (3,))]:
-        got = rays._canonical_periodic(pre, per)
+        got = rays._canonical_periodic(pre, per, frozenset(pre + per))
         assert got == (pre, per)
         assert got[0] is pre and got[1] is per
 

@@ -13,7 +13,6 @@ from gridrays.quasi import (QIParams, QIReport, RoundtripReport,
 from gridrays.rays import (Asymptotic, BallQuery, ChainLink, Divergent,
                            Enclosure, PeriodicTail, RayCode, SturmianTail,
                            TopologyDemo, parse_ray)
-from gridrays.svgfig import SceneItem
 
 F = Fraction
 
@@ -114,11 +113,6 @@ CASES = [
      "PlaneSplice(path=Polyline([(Fraction(0, 1), Fraction(0, 1))], "
      "direction=(Fraction(1, 1), Fraction(1, 1))), bound=Fraction(1, 3), "
      "handoff_gap=Fraction(0, 1))"),
-    (SceneItem, lambda: {"kind": "path", "points": ((0.0, 0.0), (1.0, 2.0)),
-                         "label": "f", "color": "#000000"},
-     ("label", "color"),
-     "SceneItem(kind='path', points=((0.0, 0.0), (1.0, 2.0)), label='f', "
-     "color='#000000')"),
 ]
 
 IDS = [case[0].__name__ for case in CASES]
@@ -127,7 +121,7 @@ IDS = [case[0].__name__ for case in CASES]
 # k_label in from k_sq)
 DEFAULTS = {"attained": False, "k_label": "sqrt(2)", "pairs_checked": 0,
             "violations": [], "surjectivity_bound": None, "assertions": [],
-            "artifacts": [], "collides_with": None, "label": "", "color": ""}
+            "artifacts": [], "collides_with": None}
 
 # types with a mutable field, or a field without a hash
 UNHASHABLE = {QIReport, DemoReport}
