@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import islice, repeat
-from math import floor, isqrt
+from math import floor, gcd, isqrt
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .exactnum import Exact, sign_sqrt, sqrt_exact
@@ -95,15 +95,12 @@ class Violation(Value):
 
 
 class QIReport(Value):
-    __slots__ = ("map_name", "params", "pairs_checked", "violations",
-                 "surjectivity_bound")
+    __slots__ = ("map_name", "params", "pairs_checked", "violations")
 
     def __init__(self, map_name: str, params: QIParams, pairs_checked: int = 0,
-                 violations: Optional[list] = None,
-                 surjectivity_bound: Optional[Fraction] = None):
+                 violations: Optional[list] = None):
         self.map_name, self.params = map_name, params
-        self.pairs_checked, self.surjectivity_bound = (pairs_checked,
-                                                       surjectivity_bound)
+        self.pairs_checked = pairs_checked
         self.violations = [] if violations is None else violations
 
     @property
@@ -217,6 +214,16 @@ Map = Union[FloorMap, InclusionMap, GensetMap]
 _DENOMINATORS = (1, 2, 3, 4, 5, 7, 8, 16, 32, 64)
 
 
+def _fraction(n: int, d: int) -> Fraction:
+    """n/d for integers n and d > 0, reduced by one gcd and built as the
+    stdlib's ``Fraction._from_coprime_ints`` (3.12+) builds it, with none of
+    ``Fraction.__new__``'s type dispatch."""
+    g = gcd(n, d)
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = n // g, d // g
+    return f
+
+
 def _plane_points(box, seed: int) -> Iterator[PlanePoint]:
     """Endless seeded stream of points in [lo, hi]^2 with small denominators.
 
@@ -226,11 +233,13 @@ def _plane_points(box, seed: int) -> Iterator[PlanePoint]:
     so each seed gives the same points. An empty numerator range raises
     ValueError at the draw that picks its denominator."""
     lo, hi = Fraction(box[0]), Fraction(box[1])
-    # (den, nlo, width, bits) per denominator; numerators truncated toward 0
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    # (den, nlo, width, bits) per denominator, nlo = ceil(lo*den) and
+    # nlo + width - 1 = floor(hi*den)
     rows = []
     for den in _DENOMINATORS:
-        nlo = int(lo * den)
-        width = int(hi * den) - nlo + 1
+        nlo = -(-ln * den // ld)
+        width = hn * den // hd - nlo + 1
         rows.append((den, nlo, width, width.bit_length()))
     bits = random.Random(seed).getrandbits
     nrows = len(rows)
@@ -249,7 +258,7 @@ def _plane_points(box, seed: int) -> Iterator[PlanePoint]:
         y = bits(k)
         while y >= width:
             y = bits(k)
-        yield Fraction(nlo + x, den), Fraction(nlo + y, den)
+        yield _fraction(nlo + x, den), _fraction(nlo + y, den)
 
 
 def sample_plane_points(box: tuple[Fraction, Fraction], count: int,

@@ -23,8 +23,7 @@ from math import ceil, floor, gcd, isqrt, lcm
 from operator import add, floordiv, itemgetter, mul, sub
 from typing import Optional, Union
 
-from .exactnum import (Exact, Surd, _make, exact_ceil, exact_sign, floor_sqrt,
-                       sign_sqrt)
+from .exactnum import Exact, Surd, _make, exact_sign, floor_sqrt, sign_sqrt
 from .lattice import (DISPLACEMENTS, ORIGIN, WINDOW_SIGNS, LatticePoint,
                       Value, quadrant_windows, word_metric)
 
@@ -756,8 +755,9 @@ def divergence_time(f: RayCode, g: RayCode, M: int,
     return _first_passage(f, g, M, 0, horizon)
 
 
-def _sturmian_line_bound(ray: RayCode) -> Exact:
-    """Exact c with |ray(t) - t*u|_1 <= c for all t, u the direction."""
+def _sturmian_line_bound(ray: RayCode) -> tuple[int, int]:
+    """Integers (a, b) with |ray(t) - t*u|_1 <= (a + b*sqrt(d))/D for all t,
+    u the direction and (P, Q, d, D) the tail's speed."""
     t = ray.tail
     P, Q, d, D = t.speed()
     (sx, sy), p, o = WINDOW_SIGNS[t.window], len(ray.preamble), t.offset
@@ -788,8 +788,8 @@ def _sturmian_line_bound(ray: RayCode) -> Exact:
         if sign_sqrt(a - top_a, b - top_b, d) > 0:
             top_a, top_b = a, b
     if sign_sqrt(2 * top_a - bound_a, 2 * top_b - bound_b, d) > 0:
-        bound_a, bound_b = 2 * top_a, 2 * top_b
-    return _make(Fraction(bound_a, D), Fraction(bound_b, D), d)
+        return 2 * top_a, 2 * top_b
+    return bound_a, bound_b
 
 
 def _deviation_classes(ray: RayCode, n: int, g: int, s: int):
@@ -854,8 +854,10 @@ def are_asymptotic(f: RayCode, g: RayCode) -> Verdict:
     if isinstance(f.tail, PeriodicTail) and isinstance(g.tail, PeriodicTail):
         return Asymptotic(_periodic_supremum(f, g), attained=True)
     if isinstance(f.tail, SturmianTail) and isinstance(g.tail, SturmianTail):
-        c = _sturmian_line_bound(f) + _sturmian_line_bound(g)
-        return Asymptotic(exact_ceil(c), attained=False)
+        # equal keys are equal speeds, so both bounds are over one d and D
+        _, _, d, D = f.tail.speed()
+        (a, b), (a2, b2) = _sturmian_line_bound(f), _sturmian_line_bound(g)
+        return Asymptotic(-floor_sqrt(-a - a2, -b - b2, d, D), attained=False)
     # mixed periodic/Sturmian with equal direction cannot occur: equal
     # directions force equal rationality, and rational Sturmian input is
     # rejected at construction

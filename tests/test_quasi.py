@@ -17,6 +17,7 @@ from gridrays.quasi import (FloorMap, GensetMap, InclusionMap, LatticeBall,
                             floor_chain_holds, floor_map, iter_pairs,
                             quasi_surjectivity_bound, roundtrip_displacement,
                             sample_plane_pairs, sample_plane_points)
+from test_ell1 import _fractions_built
 from test_lattice import _oracle_bfs_distances
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=64)
@@ -353,7 +354,7 @@ def oracle_sample_plane_points(box, count, seed):
     pts = []
     for _ in range(count):
         den = rng.choice(quasi._DENOMINATORS)
-        nlo, nhi = int(lo * den), int(hi * den)
+        nlo, nhi = math.ceil(lo * den), math.floor(hi * den)
         pts.append((Fraction(rng.randint(nlo, nhi), den),
                     Fraction(rng.randint(nlo, nhi), den)))
     return pts
@@ -430,9 +431,11 @@ def oracle_diagonal(check, params, budget):
 # disagree
 wide_fracs = st.tuples(st.integers(-10**9, 10**9),
                       st.integers(1, 10**6)).map(lambda nd: Fraction(*nd))
+# boxes about 0, and boxes on one side of it, where ceil(lo*den) and
+# floor(hi*den) differ from truncation
 BOXES = [(Fraction(-7, 3), Fraction(5, 2)), (Fraction(-1000), Fraction(1000)),
          (Fraction(0), Fraction(1)), (Fraction(-9, 2), Fraction(-1, 7)),
-         (Fraction(1, 3), Fraction(1, 3)), (Fraction(-5), Fraction(-5))]
+         (Fraction(1, 3), Fraction(7, 4)), (Fraction(-5), Fraction(-5))]
 
 
 @given(wide_fracs, wide_fracs, wide_fracs, wide_fracs, k_squares, constants)
@@ -512,11 +515,16 @@ def _draws_until_error(points, count):
 
 @example(box=(0, 3), seed=0)
 @example(box=(Fraction(1, 3), Fraction(1, 4)), seed=0)
+@example(box=(Fraction(1, 3), Fraction(1, 2)), seed=0)
+@example(box=(Fraction(-9, 2), Fraction(-1, 7)), seed=0)
 @given(box=sampler_boxes, seed=st.integers(0, 2**32))
 def test_sampler_matches_oracle_on_drawn_seeds_and_boxes(box, seed):
     got, raised = _draws_until_error(quasi._plane_points(box, seed), 64)
     assert got == oracle_sample_plane_points(box, len(got), seed)
     assert all(type(c) is Fraction for p in got for c in p)
+    # every point lies in its box (an inverted box yields none)
+    lo, hi = map(Fraction, box)
+    assert all(lo <= c <= hi for p in got for c in p)
     if raised:
         # the oracle raises at the same draw
         with pytest.raises(ValueError):
@@ -526,12 +534,34 @@ def test_sampler_matches_oracle_on_drawn_seeds_and_boxes(box, seed):
 
 
 def test_sampler_raises_at_the_draw_of_an_empty_denominator():
-    # in [1/3, 1/4] only the denominators 3, 7, 16, 32 and 64 have no
-    # numerator, so each seed yields points until it draws one of them
-    box = (Fraction(1, 3), Fraction(1, 4))
-    counts = [len(_draws_until_error(quasi._plane_points(box, seed), 64)[0])
-              for seed in range(4)]
-    assert counts == [3, 0, 1, 1]
+    # the inverted box [1/3, 1/4] has no numerator for any denominator, the
+    # point box [1/3, 1/3] one for 3 alone, and in [1/3, 1/2] only the
+    # denominator 1 has none: each seed yields points until it draws one
+    # without
+    third = Fraction(1, 3)
+    for box, want in (((third, Fraction(1, 4)), [0, 0, 0, 0]),
+                      ((third, third), [0, 1, 0, 0]),
+                      ((third, Fraction(1, 2)), [25, 4, 0, 3])):
+        runs = [_draws_until_error(quasi._plane_points(box, seed), 64)
+                for seed in range(4)]
+        assert [len(got) for got, _ in runs] == want
+        assert all(raised for _, raised in runs)
+    assert _draws_until_error(quasi._plane_points((third, third), 1), 9) == (
+        [(third, third)], True)
+
+
+@given(st.integers(-10**12, 10**12), st.integers(1, 10**6))
+def test_fraction_helper_matches_the_constructor(n, d):
+    got, want = quasi._fraction(n, d), Fraction(n, d)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert (got + 1, got * 3, -got) == (want + 1, want * 3, -want)
+
+
+def test_sampler_builds_fractions_only_for_the_box_ends():
+    for box in BOXES:
+        assert _fractions_built(lambda: sample_plane_points(box, 1000, 7)) <= 2
 
 
 # int, Fraction and mixed coordinates, negative numerators included

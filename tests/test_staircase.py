@@ -18,10 +18,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gridrays import exactnum, rays
 from gridrays.ell1 import Polyline, project_to_lattice
-from gridrays.exactnum import exact_floor, sqrt_exact
+from gridrays.exactnum import exact_ceil, exact_floor, sqrt_exact
 from gridrays.lattice import DISPLACEMENTS, WINDOW_SIGNS, word_metric
-from gridrays.rays import (Enclosure, RayCode, Staircase, SturmianTail,
-                           WINDOW_DIGITS, digitize, n_map, periodic_ray)
+from gridrays.rays import (Asymptotic, Enclosure, RayCode, Staircase,
+                           SturmianTail, WINDOW_DIGITS, are_asymptotic,
+                           digitize, n_map, periodic_ray)
 
 from conftest import (exact_staircase, make_monotone_polyline, polylines,
                       window_of_signs)
@@ -205,6 +206,14 @@ def n_map_loop_oracle(ray, width):
     return Enclosure(m + lo, m + lo + Fraction(1, 1 << k))
 
 
+def line_bound(ray):
+    """``rays._sturmian_line_bound``'s integers (a, b) as the exact number
+    (a + b*sqrt(d))/D, (P, Q, d, D) the tail's speed."""
+    a, b = rays._sturmian_line_bound(ray)
+    _, _, d, D = ray.tail.speed()
+    return exactnum._make(F(a, D), F(b, D), d)
+
+
 def line_bound_oracle(ray):
     """``rays._sturmian_line_bound`` as it was: Surd deviations per preamble
     step."""
@@ -280,7 +289,7 @@ def test_sturmian_ray_matches_stream_oracle(direction, w, offset, data):
     assert ray.points(n) == oracle.points(n)
     assert [ray.point_at(t) for t in range(n, -1, -1)] == oracle.points(n)[::-1]
     assert n_map(ray) == oracle.n_map()
-    assert rays._sturmian_line_bound(ray) == oracle.line_bound(*ray.direction())
+    assert line_bound(ray) == oracle.line_bound(*ray.direction())
 
 
 @settings(deadline=None, max_examples=60)
@@ -367,6 +376,13 @@ def test_digitize_matches_the_divided_construction(direction, w):
     assert got == RayCode((), SturmianTail(ax, ay, w))
 
 
+def surd_sum_verdict(f, g):
+    """``are_asymptotic`` on an equal-direction Sturmian pair as it was: the
+    two line bounds added as Surds, then one exact ceiling."""
+    return Asymptotic(exact_ceil(line_bound_oracle(f) + line_bound_oracle(g)),
+                      attained=False)
+
+
 def test_sturmian_paths_do_no_surd_arithmetic(monkeypatch):
     roots = {d: sqrt_exact(d) for d in (2, 3, 5, 7, 2003)}
     # built before arithmetic is switched off: a + b*sqrt(d) operands
@@ -389,10 +405,39 @@ def test_sturmian_paths_do_no_surd_arithmetic(monkeypatch):
         assert len(ray.digits(300)) == len(ray.points(300)) - 1 == 300
         assert isinstance(n_map(ray), Enclosure)
         rays_built += [ray] + [rays.splice(head, ray, s) for s in (40, 700)]
-    bounds = list(map(rays._sturmian_line_bound, rays_built))
+    bounds = list(map(line_bound, rays_built))
+    # equal-direction pairs: offsets 17 and 5 of one tail, and each line
+    # against its two splices
+    pairs = [(RayCode((), SturmianTail(1, roots[3], w, 17)),
+              RayCode((), SturmianTail(1, roots[3], w, 5))) for w in range(4)]
+    pairs += [(rays_built[i], rays_built[i + j])
+              for i in range(12, len(rays_built), 3) for j in (1, 2)]
+    verdicts = [are_asymptotic(f, g) for f, g in pairs]
     monkeypatch.undo()
     assert any(isinstance(b, exactnum.Surd) for b in bounds)
     assert bounds == list(map(line_bound_oracle, rays_built))
+    assert verdicts == [surd_sum_verdict(f, g) for f, g in pairs]
+
+
+@st.composite
+def equal_direction_sturmian_pairs(draw):
+    """Two Sturmian rays of one direction: the same line, scaled or not, in
+    one window, with their own offsets and preambles."""
+    ax, ay = draw(irrational_directions())
+    w, c = draw(windows), draw(positive)
+    return tuple(
+        RayCode(draw(st.lists(st.sampled_from(WINDOW_DIGITS[w]), max_size=8)),
+                SturmianTail(x, y, w, draw(st.integers(0, 200)))).canonical()
+        for x, y in ((ax, ay), (c * ax, c * ay)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(equal_direction_sturmian_pairs())
+def test_equal_direction_sturmian_verdict_matches_the_surd_sum(pair):
+    f, g = pair
+    want = surd_sum_verdict(f, g)
+    assert are_asymptotic(f, g) == want == are_asymptotic(g, f)
+    assert type(want.bound) is int
 
 
 @st.composite
@@ -484,7 +529,7 @@ def detour_rays(draw):
 @settings(deadline=None, max_examples=40)
 @given(st.one_of(spliced_sturmian_rays(), detour_rays()))
 def test_line_bound_matches_oracle_at_long_preambles(ray):
-    got, want = rays._sturmian_line_bound(ray), line_bound_oracle(ray)
+    got, want = line_bound(ray), line_bound_oracle(ray)
     assert got == want and type(got) is type(want)
 
 

@@ -70,13 +70,12 @@ CASES = [
     (QIReport, lambda: {"map_name": "floor", "params": QIParams(F(1), F(2)),
                         "pairs_checked": 4,
                         "violations": [Violation(((0, 0), (1, 1)), "lower",
-                                                 F(1))],
-                        "surjectivity_bound": F(1)},
-     ("pairs_checked", "violations", "surjectivity_bound"),
+                                                 F(1))]},
+     ("pairs_checked", "violations"),
      "QIReport(map_name='floor', params=QIParams(k_sq=Fraction(1, 1), "
      "c=Fraction(2, 1), k_label='sqrt(1)'), pairs_checked=4, "
      "violations=[Violation(pair=((0, 0), (1, 1)), side='lower', "
-     "margin=Fraction(1, 1))], surjectivity_bound=Fraction(1, 1))"),
+     "margin=Fraction(1, 1))])"),
     (RoundtripReport, lambda: {"max_sq_displacement": F(1, 2),
                                "argmax": (F(1, 2), F(1, 2)), "samples": 3},
      (),
@@ -120,7 +119,7 @@ IDS = [case[0].__name__ for case in CASES]
 # the value each defaulted field takes when it is left out (QIParams fills
 # k_label in from k_sq)
 DEFAULTS = {"attained": False, "k_label": "sqrt(2)", "pairs_checked": 0,
-            "violations": [], "surjectivity_bound": None, "assertions": [],
+            "violations": [], "assertions": [],
             "artifacts": [], "collides_with": None}
 
 # types with a mutable field, or a field without a hash
@@ -272,9 +271,8 @@ def test_mutable_reports():
     report = QIReport("floor", params)
     assert report.ok and report.violations == []
     assert QIReport("floor", params).violations is not report.violations
-    report.surjectivity_bound = F(1)
     report.violations.append(Violation(((0, 0), (0, 1)), "upper", F(1)))
-    assert not report.ok and report.surjectivity_bound == 1
+    assert not report.ok
     demo = DemoReport("cone", {})
     assert DemoReport("cone", {}).assertions is not demo.assertions
     demo.check("x", 1, 1)
