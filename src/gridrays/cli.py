@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import re
 import sys
-from fractions import Fraction
 from itertools import islice
+from math import ceil, floor
 from typing import Optional
 
-# every subcommand needs lattice; the other modules load in the handlers
-# that use them, so a process compiles only what it runs. A handler imports
-# rays before ell1, demos or svgfig even where it names only those: rays
-# compiled inside another module's import raised a child's peak RSS by
+# every subcommand needs lattice; the other modules, json and fractions
+# load where they are used, so a process loads only what it runs. A handler
+# imports rays before ell1, demos or svgfig even where it names only those:
+# rays compiled inside another module's import raised a child's peak RSS by
 # about 0.6 MB over importing everything up front.
 from . import lattice
 
@@ -31,6 +30,7 @@ class CliError(Exception):
 
 
 def _frac(text: str) -> Fraction:
+    from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -45,24 +45,30 @@ def _count(text: str) -> int:
 
 
 def _box(text: str) -> tuple[Fraction, Fraction]:
-    """argparse type: a box "lo,hi" not of two rationals lo <= hi exits with 2."""
+    """argparse type: a box "lo,hi" not of two rationals with an integer
+    between them exits with 2. A box with an integer has a numerator for
+    every sampled denominator, so the sampler never meets an empty row."""
+    from fractions import Fraction
     try:
         lo, hi = map(Fraction, text.split(","))
-        if lo <= hi:
+        if ceil(lo) <= floor(hi):
             return lo, hi
     except (ValueError, ZeroDivisionError):
         pass
     raise argparse.ArgumentTypeError(
-        f"expected two rationals lo,hi with lo <= hi, got {text!r}")
+        f"expected two rationals lo,hi with an integer between them, "
+        f"got {text!r}")
 
 
 def _fmt(value):
     """JSON-friendly rendering of exact values."""
     if isinstance(value, bool):
         return value
-    # a Surd exists only once exactnum is loaded, so never load it here
+    # a Fraction or a Surd exists only once its module is loaded, so never
+    # load one here
+    fractions = sys.modules.get("fractions")
     exactnum = sys.modules.get(f"{__package__}.exactnum")
-    if isinstance(value, Fraction) or (
+    if (fractions is not None and isinstance(value, fractions.Fraction)) or (
             exactnum is not None and isinstance(value, exactnum.Surd)):
         return str(value)
     if isinstance(value, (tuple, list)):
@@ -103,6 +109,7 @@ def _verdict_payload(verdict) -> dict:
 def _emit(args, inputs: dict, output, text_lines=None, csv_rows=None) -> None:
     fmt = args.format
     if fmt == "json":
+        import json
         payload = json.dumps({"op": args.op, "input": inputs, "output": output},
                              indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
@@ -116,6 +123,7 @@ def _emit(args, inputs: dict, output, text_lines=None, csv_rows=None) -> None:
         payload = buf.getvalue()
     else:
         if text_lines is None:
+            import json
             text_lines = [json.dumps(output, sort_keys=True)]
         payload = "\n".join(str(line) for line in text_lines) + "\n"
     if args.out:
@@ -353,7 +361,7 @@ def _cmd_ell1_check(args) -> int:
         "endpoint_distance": str(ell1.ell1_distance(first, last)),
         "geodesic": geodesic,
     }
-    if first == (Fraction(0), Fraction(0)):
+    if first == (0, 0):
         t = ell1.check_monotone_commitment(path)
         payload["monotone_commitment"] = True if t is None else str(t)
     _emit(args, {"path": args.path}, payload)
@@ -576,8 +584,23 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+class _Retry(Exception):
+    """A one-row parse failed; the full parser reparses and reports."""
+
+
+class _RowParser(_Parser):
+    """A parser of one row, whose usage errors raise rather than print and
+    exit (``exit_on_error=False`` still exits on a missing required
+    argument in 3.10 and 3.11)."""
+
+    def error(self, message):
+        raise _Retry(message)
+
+
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every row of ``COMMANDS``, or of the row named ``only``
+    alone, whose usage errors raise ``_Retry``."""
+    parser = (_Parser if only is None else _RowParser)(
         prog="gridrays",
         description="Exact computations on the grid's geodesic rays, "
                     "boundary codes, and quasi-isometries.")
@@ -588,6 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
     # "demo cone" is the leaf "cone" of the group "demo"
     groups = {"": parser.add_subparsers(dest="command", required=True)}
     for name, text, _, func, arguments in COMMANDS:
+        if only is not None and name != only:
+            continue
         group, _, leaf = name.rpartition(" ")
         if group not in groups:
             parent = groups[""].add_parser(group, parents=[common])
@@ -602,9 +627,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the global flags, each of which takes a value
+_VALUED = {flag for flag, _ in _GLOBAL_FLAGS}
+
+
+def _row_named(argv: list[str]) -> Optional[str]:
+    """The row that argv's first words name, or None where there is none or
+    a help flag (or its abbreviation) may be read: help comes from the full
+    parser."""
+    words, tokens = [], iter(argv)
+    for tok in tokens:
+        # "-h", "-hx" and every prefix of "--help" down to "--h"
+        if tok.startswith("-h") or (
+                len(tok) > 2 and "--help".startswith(tok.partition("=")[0])):
+            return None
+        if tok in _VALUED:
+            next(tokens, None)
+        elif not tok.startswith("-") and len(words) < 2:
+            words.append(tok)
+    name = " ".join(words[:2] if words[:1] == ["demo"] else words[:1])
+    return name if name in REGISTRY else None
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the parser of the row it names, which holds the same
+    arguments as that row in the full parser; anything else (no row, help,
+    a usage error) by the full parser, so its messages are unchanged."""
+    row = _row_named(argv)
+    if row is not None:
+        try:
+            return build_parser(row).parse_args(argv)
+        except _Retry:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except CliError as exc:

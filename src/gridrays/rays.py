@@ -69,10 +69,11 @@ def _realize(digits, w: int) -> tuple[int, ...]:
     return tuple(bytes(digits).translate(_REALIZE[w]))
 
 
-def _walk(digits) -> list[LatticePoint]:
-    """Positions after 0, 1, ..., len(digits) steps from the origin."""
-    return list(zip(accumulate(map(_DX.__getitem__, digits), initial=0),
-                    accumulate(map(_DY.__getitem__, digits), initial=0)))
+def _walk(digits, start: LatticePoint = ORIGIN) -> list[LatticePoint]:
+    """Positions after 0, 1, ..., len(digits) steps from ``start``."""
+    x, y = start
+    return list(zip(accumulate(map(_DX.__getitem__, digits), initial=x),
+                    accumulate(map(_DY.__getitem__, digits), initial=y)))
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +169,6 @@ class PeriodicTail(Value):
         (lx, ly), (rx, ry) = walk[-1], walk[r]
         return laps * lx + rx, laps * ly + ry
 
-    def displacements(self, k0: int, k1: int) -> list[LatticePoint]:
-        """displacement(k) for k0 <= k < k1, one slice of the table a lap."""
-        walk, n = self._table, len(self.period)
-        (lx, ly), out = walk[-1], []
-        for lap in range(k0 // n, (k1 - 1) // n + 1):
-            bx, by = lap * lx, lap * ly
-            out += [(bx + x, by + y)
-                    for x, y in walk[max(k0 - lap * n, 0):min(k1 - lap * n, n)]]
-        return out
-
 
 class SturmianTail(Value):
     """Digit stream of the staircase tracking a straight line.
@@ -224,9 +215,6 @@ class SturmianTail(Value):
         sx, sy = WINDOW_SIGNS[self.window]
         n = self.horizontal(k)
         return sx * n, sy * (k - n)
-
-    def displacements(self, k0: int, k1: int) -> list[LatticePoint]:
-        return list(map(self.displacement, range(k0, k1)))
 
     def advanced(self, steps: int) -> "SturmianTail":
         """The same line with ``steps`` more digits consumed."""
@@ -287,18 +275,25 @@ class RayCode(Value):
         return self.tail.digit(k)
 
     def digits(self, n: int) -> tuple[int, ...]:
-        """Digits 1..n (none for n <= 0): a preamble slice, then whole
-        periods or one list of the line's horizontal counts."""
-        pre, tail = self.preamble, self.tail
+        """Digits 1..n (none for n <= 0): a preamble slice, then the
+        tail's."""
+        pre = self.preamble
         k = n - len(pre)
         if k <= 0:
             return pre[:max(n, 0)]
+        return pre + self._tail_digits(1, k)
+
+    def _tail_digits(self, k0: int, k1: int) -> tuple[int, ...]:
+        """Tail digits k0..k1 (1-indexed): a slice of repeated periods, or
+        the steps of one list of the line's horizontal counts."""
+        tail = self.tail
         if isinstance(tail, PeriodicTail):
-            laps, r = divmod(k, len(tail.period))
-            return pre + tail.period * laps + tail.period[:r]
-        hs = list(map(tail.horizontal, range(k + 1)))
+            per = tail.period
+            r = (k0 - 1) % len(per)
+            return (per * ((r + k1 - k0) // len(per) + 1))[r:r + k1 - k0 + 1]
+        hs = list(map(tail.horizontal, range(k0 - 1, k1 + 1)))
         h, v = WINDOW_DIGITS[tail.window]
-        return pre + tuple(map((v, h).__getitem__, map(sub, hs[1:], hs)))
+        return tuple(map((v, h).__getitem__, map(sub, hs[1:], hs)))
 
     def realized_digits(self) -> frozenset[int]:
         return self._digits
@@ -326,10 +321,9 @@ class RayCode(Value):
             raise ValueError("time must be nonnegative")
         pts, pre = self._points, self._pre
         pts += pre[len(pts):t + 1]
-        if len(pts) <= t:  # times len(pts)..t are past the preamble
-            (x, y), p = pre[-1], len(pre) - 1
-            pts += [(x + dx, y + dy) for dx, dy in
-                    self.tail.displacements(len(pts) - p, t - p + 1)]
+        if len(pts) <= t:  # the tail's digits step to times len(pts)..t
+            p = len(pre) - 1
+            pts[-1:] = _walk(self._tail_digits(len(pts) - p, t - p), pts[-1])
         return pts[: t + 1]
 
     def direction(self) -> tuple[Exact, Exact]:

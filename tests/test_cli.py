@@ -500,6 +500,24 @@ def test_malformed_box_is_a_usage_error(command, box, capsys):
     assert "--box" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["qi-check", "roundtrip"])
+def test_box_without_an_integer_is_a_usage_error(command, capsys):
+    # [1/3, 1/2] has no numerator over the denominator 1: refused before any
+    # draw, so the outcome no longer depends on the seed and the count
+    lines = []
+    for count in ("5", "100"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--box=1/3,1/2", "--count", count])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        lines.append(captured.err.splitlines()[-1])
+    assert lines[0] == lines[1] == (
+        f"gridrays {command}: error: argument --box: expected two rationals "
+        f"lo,hi with an integer between them, got '1/3,1/2'")
+    # one integer is enough for every denominator
+    assert main([command, "--box=1/3,1", "--count", "100"]) == 0
+
+
 def test_no_runtime_dependencies():
     # the package and the cone demo run with mpmath unimportable
     code = ("import sys; sys.modules['mpmath'] = None\n"

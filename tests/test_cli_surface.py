@@ -1,17 +1,25 @@
 """The parser's surface: a structural snapshot of every parser and the
 exit code and last line of the usage errors, both frozen before the
-subcommands were described by one table.
+subcommands were described by one table; and the one-row parser a run
+builds, against the full parser.
 
 The snapshot records what argparse is told, not how it lays out help, so
 it holds on every supported Python version."""
 
 import argparse
 import hashlib
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gridrays.cli import build_parser, main
+from gridrays import cli
+from gridrays.cli import REGISTRY, build_parser, main
 
 
 def _subparsers(parser):
@@ -159,3 +167,138 @@ def test_usage_error_is_unchanged(argv, last, capsys):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert captured.err.splitlines()[-1] == last
+
+
+# -- the one-row parser against the full parser ------------------------------
+
+
+def _outcome(parse_or_run, argv):
+    """(exit code, stdout, stderr) of a call that returns or exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = parse_or_run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _full_main(argv):
+    """main with every argv parsed by the full parser."""
+    with mock.patch.object(cli, "_row_named", return_value=None):
+        return main(argv)
+
+
+def _leaf(parser, name):
+    for word in name.split():
+        parser = _subparsers(parser).choices[word]
+    return parser
+
+
+def test_a_run_builds_only_its_rows_parser(monkeypatch, capsys):
+    built, init = [], cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    assert main(["count", "0,0", "3,4"]) == 0
+    assert built == ["gridrays", "gridrays count"]
+    built.clear()
+    assert main(["--format", "json", "demo", "--seed", "4", "cone"]) == 0
+    assert built == ["gridrays", "gridrays demo", "gridrays demo cone"]
+    built.clear()
+    # a usage error is the full parser's, reported after the one-row try
+    with pytest.raises(SystemExit):
+        main(["count", "0,0"])
+    assert built == ["gridrays", "gridrays count", *SURFACE]
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "gridrays count: error: the following arguments are required: q"
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_a_rows_parser_is_its_row_of_the_full_parser(name):
+    full, one = build_parser(), build_parser(name)
+    assert _snapshot(_leaf(one, name)) == _snapshot(_leaf(full, name))
+    assert _leaf(one, name).format_help() == _leaf(full, name).format_help()
+
+
+HELP = [[], ["demo"], *(name.split() for name in REGISTRY)]
+
+
+@pytest.mark.parametrize("words", HELP, ids=[" ".join(w) or "top" for w in HELP])
+def test_help_is_the_full_parsers(words):
+    # help layout differs between Python versions, so the two paths are
+    # compared on the running interpreter
+    for flag in ("--help", "-h", "--he"):
+        want = _outcome(build_parser().parse_args, [*words, flag])
+        assert want[0] == 0 and want[1].startswith("usage: gridrays")
+        assert _outcome(main, [*words, flag]) == want
+        assert _outcome(main, [flag, *words]) == \
+            _outcome(build_parser().parse_args, [flag, *words])
+
+
+# argv drawn from global flags, a row's name and arguments that run it, and
+# stray tokens spliced in: row names, short values, bogus words and flags
+_GLOBAL = [["--format=json"], ["--form", "json"], ["--format", "csv"],
+           ["--format", "xml"], ["--seed", "3"], ["--seed", "-5"],
+           ["--seed=x"], ["--out", "count"], ["--out", "demo"], ["--out"],
+           ["-h"]]
+_RUNS = {
+    "metric": ["0,0", "3,4"], "bfs-metric": ["0,0", "3,4", "--cap", "7"],
+    "count": ["-1,2", "3,4"], "enumerate": ["0,0", "2,3", "--limit", "4"],
+    "is-geodesic": ["0110"],
+    "genset-lipschitz": ["--gens", "1,0;0,1", "--gens2", "1,0;1,1"],
+    "nmap": ["(01)"], "bmap": ["1(01)"], "digitize": ["1", "3", "--steps", "7"],
+    "direction": ["1(0)"], "asymptotic": ["(01)", "(001)"],
+    "divergence": ["(01)", "(001)", "--M", "3"], "splice": ["(01)", "(001)", "3"],
+    "ball": ["(01)", "(001)", "--K", "0,5", "--eps", "1"],
+    "qi-check": ["--count", "7"], "qi-violate": ["--budget", "7"],
+    "roundtrip": ["--count", "7"], "ell1-check": ["0,0;1,2;3,2"],
+    "ell1-splice": ["0,0;1/3,1/2 >1/3", "0,0;1/6,0 >1/1", "10/3"],
+    "project": ["0,0;1,2 >1/0"], "demo trivial-topology": ["--K", "0,3"],
+    "demo cardinality": ["(0)", "(1)"], "demo cone": ["--eps", "1/2"],
+    "render": ["(01)", "--steps", "5", "--out", "fig.svg"],
+    "demo": [], "demo bogus": [], "bogus": ["0,0"], "": [],
+}
+_TOKENS = ["0,0", "-1,2", "-5", "-3/2", "0", "7", "x", "", "(001)",
+           "1/3,1/2", "count", "cone", "demo", "--count", "--cap", "--steps",
+           "--K", "--eps", "--gens", "--box=1/3,1/2", "--box", "--k2",
+           "--map", "genset", "--out", "--format=csv", "--bogus", "-h"]
+
+
+@st.composite
+def _argvs(draw):
+    head = draw(st.lists(st.sampled_from(_GLOBAL), max_size=2))
+    row = draw(st.sampled_from(list(_RUNS)))
+    argv = [tok for group in head for tok in group] + row.split() + _RUNS[row]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = [draw(st.sampled_from(_TOKENS))]
+    return draw(st.permutations(argv)) if draw(st.integers(0, 7)) == 0 else argv
+
+
+def _in_fresh_dir(run, argv):
+    """run's outcome on argv, with the files it wrote, in an empty folder."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            got = _outcome(run, argv)
+        finally:
+            os.chdir(cwd)
+        files = {}
+        for name in os.listdir(tmp):
+            with open(os.path.join(tmp, name), "rb") as fh:
+                files[name] = fh.read()
+    return got, files
+
+
+@settings(deadline=None, max_examples=200)
+@given(_argvs())
+def test_main_matches_the_full_parser_on_any_argv(argv):
+    # an exception other than SystemExit escaping main fails the test
+    got = _in_fresh_dir(main, argv)
+    assert got == _in_fresh_dir(_full_main, argv)
+    assert got[0][0] in (0, 1, 2)

@@ -36,17 +36,19 @@ demo_trivial_topology
 SLOW = ["dataclasses", "inspect", "csv"]
 
 # imports gridrays, runs cli.main on argv if any, and prints the gridrays
-# modules the process has loaded, then which of SLOW it has loaded
+# modules the process had loaded then, and which of the modules named in
+# argv[1] it had loaded, before it loads json to print them
 PROBE = """\
-import contextlib, io, json, sys
+import contextlib, io, sys
 import gridrays
 if sys.argv[2:]:
     import gridrays.cli
     with contextlib.redirect_stdout(io.StringIO()):
         assert gridrays.cli.main(sys.argv[2:]) == 0
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.partition(".")[0] == "gridrays")))
-print(json.dumps([m for m in sys.argv[1].split(",") if m in sys.modules]))
+loaded = set(sys.modules)
+import json
+print(json.dumps(sorted(m for m in loaded if m.partition(".")[0] == "gridrays")))
+print(json.dumps([m for m in sys.argv[1].split(",") if m in loaded]))
 """
 
 CLI = {"gridrays", "gridrays.cli", "gridrays.lattice"}
@@ -66,17 +68,33 @@ LOADED = [
 ]
 
 
+def _probe(argv, watched, cwd):
+    """The gridrays modules and the modules of ``watched`` that a fresh
+    process running ``cli.main(argv)`` loads."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", PROBE, ",".join(watched),
+                           *argv], env=env, cwd=cwd, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded, seen = map(json.loads, proc.stdout.splitlines())
+    return set(loaded), seen
+
+
 @pytest.mark.parametrize("argv, modules", LOADED,
                          ids=[" ".join(a[:2]) or "import" for a, _ in LOADED])
 def test_a_fresh_process_loads_only_what_it_runs(argv, modules, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", PROBE, ",".join(SLOW),
-                           *argv], env=env, cwd=tmp_path, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    loaded, slow = map(json.loads, proc.stdout.splitlines())
-    assert set(loaded) == modules
+    loaded, slow = _probe(argv, SLOW, tmp_path)
+    assert loaded == modules
     assert slow == []  # no row runs --format csv
+
+
+def test_a_text_count_loads_neither_json_nor_fractions(tmp_path):
+    # it prints an int: json loads for JSON output or a default text line,
+    # fractions (with decimal and numbers) for a rational argument
+    watched = ["json", "fractions", "decimal", "numbers"]
+    assert _probe(["count", "0,0", "3,4"], watched, tmp_path) == (CLI, [])
+    assert _probe(["--format", "json", "count", "0,0", "3,4"], watched,
+                  tmp_path) == (CLI, ["json"])
 
 
 def test_no_module_imports_dataclasses():

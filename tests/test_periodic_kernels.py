@@ -4,9 +4,10 @@ The oracles below are the bodies that used to live in ``rays``: the
 point-list supremum of ``are_asymptotic`` over transient + lcm, the
 per-digit ``Staircase.digits``, the shift-sum ``b_map``, the loop
 ``_primitive`` and ``_canonical_periodic``, ``RayCode.digits`` by
-``digit_at``, ``digit_windows`` once per digit, and the pairwise walk and
-per-digit realize. The kernels must give the same verdicts, digits and
-values.
+``digit_at``, ``digit_windows`` once per digit, the pairwise walk and
+per-digit realize, and the tails' displacement lists behind
+``RayCode.points``. The kernels must give the same verdicts, digits,
+points and values.
 """
 
 import math
@@ -127,6 +128,27 @@ def divergence_scan_oracle(f, g, M, horizon):
 
 def digits_oracle(ray, n):
     return tuple(ray.digit_at(i) for i in range(1, n + 1))
+
+
+def points_oracle(ray, t):
+    """``RayCode.points`` as it was: the preamble's walk, then the tail's
+    displacement list (one slice of the lap table a lap, or one
+    ``displacement`` a step) shifted to the preamble's end."""
+    pre = walk_oracle(ray.preamble)
+    if t < len(pre):
+        return pre[:t + 1]
+    (x, y), p, tail = pre[-1], len(pre) - 1, ray.tail
+    k0, k1 = 1, t - p + 1
+    if isinstance(tail, PeriodicTail):
+        walk, n = walk_oracle(tail.period), len(tail.period)
+        (lx, ly), out = walk[-1], []
+        for lap in range(k0 // n, (k1 - 1) // n + 1):
+            bx, by = lap * lx, lap * ly
+            out += [(bx + x, by + y)
+                    for x, y in walk[max(k0 - lap * n, 0):min(k1 - lap * n, n)]]
+    else:
+        out = list(map(tail.displacement, range(k0, k1)))
+    return pre + [(x + dx, y + dy) for dx, dy in out]
 
 
 def walk_oracle(digits):
@@ -422,6 +444,28 @@ def test_sturmian_digits_match_digit_at(w, d, s, n):
     spliced = splice(periodic_ray([h, v, v], [v, h]), line, s)
     for ray in (line, spliced):
         assert ray.digits(n) == digits_oracle(ray, n)
+
+
+@st.composite
+def raw_rays(draw):
+    """Ray codes as given, not canonicalized: a preamble of 0-30 digits and
+    a period of 1-40, or a Sturmian tail, in any window."""
+    w = draw(windows)
+    digits = st.sampled_from(WINDOW_DIGITS[w])
+    pre = draw(st.lists(digits, max_size=30))
+    if draw(st.booleans()):
+        return RayCode(pre, PeriodicTail(tuple(draw(
+            st.lists(digits, min_size=1, max_size=40)))))
+    d = draw(st.sampled_from([2, 3, 5]))
+    return RayCode(pre, SturmianTail(1, sqrt_exact(d), w, draw(st.integers(0, 9))))
+
+
+@settings(deadline=None, max_examples=300)
+@given(raw_rays(), st.lists(st.integers(0, 200), min_size=1, max_size=4))
+def test_points_match_the_displacement_lists(ray, times):
+    # each call after the first may grow the cached prefix or read inside it
+    for t in times:
+        assert ray.points(t) == points_oracle(ray, t)
 
 
 def test_advanced_tail_shares_the_line():
