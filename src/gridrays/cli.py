@@ -112,9 +112,7 @@ def _emit(args, inputs: dict, output, text_lines=None, csv_rows=None) -> None:
         import json
         payload = json.dumps({"op": args.op, "input": inputs, "output": output},
                              indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
-        if csv_rows is None:
-            raise CliError(f"subcommand {args.op!r} has no CSV form")
+    elif fmt == "csv":  # main refused the rows with no CSV form
         import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -204,7 +202,7 @@ def _cmd_bmap(args) -> int:
 def _cmd_digitize(args) -> int:
     from . import rays
     ray = rays.digitize(_frac(args.dx), _frac(args.dy))
-    prefix = "".join(str(d) for d in ray.digits(args.steps))
+    prefix = rays._text(ray.digits(args.steps))
     _emit(args, {"dx": args.dx, "dy": args.dy},
           {"ray": ray.literal(), "prefix": prefix}, [ray.literal(), prefix])
     return 0
@@ -475,8 +473,9 @@ def _cmd_render(args) -> int:
 # ---------------------------------------------------------------------------
 # the subcommand table: one row per subcommand, from which the parser,
 # REGISTRY and each envelope's "op" are derived. A row is (name, help or
-# None, the operations it exposes, handler, arguments); an argument is a
-# bare positional name or a (name or flag, add_argument keywords) pair.
+# None, the operations it exposes, handler, arguments), and "csv" after
+# them when it has a CSV form; an argument is a bare positional name or a
+# (name or flag, add_argument keywords) pair.
 
 # accepted both before and after the subcommand
 _GLOBAL_FLAGS = [
@@ -507,7 +506,7 @@ COMMANDS = [
      lambda args: _cmd_point_pair(args, lattice.geodesic_count), ["p", "q"]),
     ("enumerate", "list geodesic words in lex order",
      ("lattice.enumerate_geodesics",), _cmd_enumerate,
-     ["p", "q", ("--limit", dict(type=_count, default=None))]),
+     ["p", "q", ("--limit", dict(type=_count, default=None))], "csv"),
     ("is-geodesic", "check a digit word for backtracking",
      ("lattice.is_geodesic_word",), _cmd_is_geodesic, ["word"]),
     ("genset-lipschitz", "bi-Lipschitz constants between two word metrics",
@@ -560,7 +559,7 @@ COMMANDS = [
       ("--svg", dict(default=None, help="also write a figure here"))]),
     ("demo cardinality", None, ("demos.demo_cardinality",),
      _cmd_demo_cardinality,
-     [("rays", dict(nargs="*", default=["(0)", "(23)", "(1)"]))]),
+     [("rays", dict(nargs="*", default=["(0)", "(23)", "(1)"]))], "csv"),
     ("demo cone", None, ("demos.cone_lengths",), _cmd_demo_cone,
      [("--eps", dict(default="1"))]),
     ("render", "draw rays as an SVG staircase figure", ("svgfig.Scene",),
@@ -570,7 +569,7 @@ COMMANDS = [
 ]
 
 #: subcommand -> operations it exposes (coverage contract for the tests)
-REGISTRY = {name: ops for name, _, ops, _, _ in COMMANDS}
+REGISTRY = {name: ops for name, _, ops, *_ in COMMANDS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -610,7 +609,7 @@ def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
         common.add_argument(flag, **dict(kwargs, default=argparse.SUPPRESS))
     # "demo cone" is the leaf "cone" of the group "demo"
     groups = {"": parser.add_subparsers(dest="command", required=True)}
-    for name, text, _, func, arguments in COMMANDS:
+    for name, text, _, func, arguments, *form in COMMANDS:
         if only is not None and name != only:
             continue
         group, _, leaf = name.rpartition(" ")
@@ -623,7 +622,7 @@ def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
         for arg in arguments:
             flag, kwargs = (arg, {}) if isinstance(arg, str) else arg
             p.add_argument(flag, **kwargs)
-        p.set_defaults(func=func, op=name)
+        p.set_defaults(func=func, op=name, csv=bool(form))
     return parser
 
 
@@ -664,6 +663,9 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
+    if args.format == "csv" and not args.csv:  # a usage error, before the work
+        print(f"error: subcommand {args.op!r} has no CSV form", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except CliError as exc:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from math import ceil, floor, gcd, isqrt, lcm
 from operator import add, floordiv, itemgetter, mul, sub
 from typing import Optional, Union
@@ -61,7 +61,13 @@ def digit_windows(digits) -> set[int]:
 #: bytes.translate tables writing east digits as 0, or as 4 in window 3
 _REALIZE = ((bytes.maketrans(b"\4", b"\0"),) * 3
             + (bytes.maketrans(b"\0", b"\4"),))
+#: bytes.translate tables from digit text to digits and back
+_FROM_ASCII = bytes.maketrans(b"01234", bytes(range(5)))
+_TO_ASCII = bytes.maketrans(bytes(range(5)), b"01234")
 _DX, _DY = ({d: v[i] for d, v in DISPLACEMENTS.items()} for i in (0, 1))
+#: bytes.translate tables writing each digit as 1 + its x (or y) step
+_DX1 = bytes.maketrans(bytes(range(5)), b"\2\1\0\1\2")
+_DY1 = bytes.maketrans(bytes(range(5)), b"\1\2\1\0\1")
 
 
 def _realize(digits, w: int) -> tuple[int, ...]:
@@ -148,26 +154,27 @@ class Staircase:
 
 
 class PeriodicTail(Value):
-    __slots__ = ("period", "_laps")
+    __slots__ = ("period", "_sums")
 
     def __init__(self, period: tuple[int, ...]):
         if not period:
             raise ValueError("empty period")
-        self.period, self._laps = period, None
+        self.period, self._sums = period, None
 
     @property
-    def _table(self) -> list[LatticePoint]:
-        """Positions after 0..len(period) steps, walked on first use."""
-        if self._laps is None:
-            self._laps = _walk(self.period)
-        return self._laps
+    def _table(self) -> tuple[list[int], list[int]]:
+        """Running x and y sums after 0..len(period) steps, on first use."""
+        if self._sums is None:
+            self._sums = tuple(
+                list(accumulate(map(step.__getitem__, self.period), initial=0))
+                for step in (_DX, _DY))
+        return self._sums
 
     def displacement(self, k: int) -> LatticePoint:
         """Sum of the first k tail steps: whole laps plus a table lookup."""
-        walk = self._table
+        xs, ys = self._table
         laps, r = divmod(k, len(self.period))
-        (lx, ly), (rx, ry) = walk[-1], walk[r]
-        return laps * lx + rx, laps * ly + ry
+        return laps * xs[-1] + xs[r], laps * ys[-1] + ys[r]
 
 
 class SturmianTail(Value):
@@ -275,13 +282,17 @@ class RayCode(Value):
         return self.tail.digit(k)
 
     def digits(self, n: int) -> tuple[int, ...]:
-        """Digits 1..n (none for n <= 0): a preamble slice, then the
-        tail's."""
+        """Digits 1..n (none for n <= 0)."""
+        return self._steps(0, max(n, 0))
+
+    def _steps(self, t0: int, t1: int) -> tuple[int, ...]:
+        """Digits t0+1..t1, the steps from time t0 to t1: a preamble slice,
+        then the tail's."""
         pre = self.preamble
-        k = n - len(pre)
-        if k <= 0:
-            return pre[:max(n, 0)]
-        return pre + self._tail_digits(1, k)
+        if t1 <= len(pre):
+            return pre[t0:t1]
+        return pre[t0:] + self._tail_digits(max(t0 - len(pre), 0) + 1,
+                                            t1 - len(pre))
 
     def _tail_digits(self, k0: int, k1: int) -> tuple[int, ...]:
         """Tail digits k0..k1 (1-indexed): a slice of repeated periods, or
@@ -329,8 +340,8 @@ class RayCode(Value):
     def direction(self) -> tuple[Exact, Exact]:
         """Limiting l1-normalized direction vector, exact."""
         if isinstance(self.tail, PeriodicTail):
-            (dx, dy), n = self.tail._table[-1], len(self.tail.period)
-            return Fraction(dx, n), Fraction(dy, n)
+            (xs, ys), n = self.tail._table, len(self.tail.period)
+            return Fraction(xs[-1], n), Fraction(ys[-1], n)
         t = self.tail
         sx, sy = WINDOW_SIGNS[t.window]
         return sx * t.ux, sy * t.uy
@@ -351,18 +362,21 @@ class RayCode(Value):
         return out
 
     def literal(self) -> str:
+        pre = _text(self.preamble)
         if isinstance(self.tail, PeriodicTail):
-            pre = "".join(map(str, self.preamble))
-            per = "".join(map(str, self.tail.period))
-            return f"{pre}({per})"
+            return f"{pre}({_text(self.tail.period)})"
         t = self.tail
-        pre = "".join(map(str, self.preamble))
         head = f"{pre}+" if pre else ""
         off = f"+{t.offset}" if t.offset else ""
         return f"{head}slope[{t.ux}:{t.uy}]@{t.window + 1}{off}"
 
     def __repr__(self):
         return f"RayCode({self.literal()!r})"
+
+
+def _text(digits) -> str:
+    """The digits 0..4 written as one string."""
+    return bytes(digits).translate(_TO_ASCII).decode()
 
 
 def _check_digits(digits: tuple[int, ...]) -> frozenset[int]:
@@ -424,7 +438,9 @@ def parse_ray(text: str) -> RayCode:
     text = text.strip()
     m = _LITERAL.match(text)
     if m:
-        return RayCode(m.group(1), PeriodicTail(tuple(map(int, m.group(2)))))
+        pre, per = (tuple(m.group(i).encode().translate(_FROM_ASCII))
+                    for i in (1, 2))
+        return RayCode(pre, PeriodicTail(per))
     m = _SLOPE.match(text)
     if m:
         p, q, quad = int(m.group(1)), int(m.group(2)), int(m.group(3))
@@ -657,9 +673,9 @@ def _direction_key(ray: RayCode) -> tuple:
     t = ray.tail
     if isinstance(t, SturmianTail):
         return t.window, t.speed()
-    (lx, ly), n = t._table[-1], len(t.period)
-    g = gcd(lx, ly, n)
-    return lx // g, ly // g, n // g
+    (xs, ys), n = t._table, len(t.period)
+    g = gcd(xs[-1], ys[-1], n)
+    return xs[-1] // g, ys[-1] // g, n // g
 
 
 def _first_passage(f: RayCode, g: RayCode, M: int, lo: int = 0,
@@ -682,10 +698,10 @@ def _first_passage(f: RayCode, g: RayCode, M: int, lo: int = 0,
     t, so every form is even: halved, it exceeds M // 2, and
     floor(y) >= m iff y >= m, floor(y) < m iff y < m make it one integer
     linear inequality in k, solved by a ceiling. Times in [lo, s0 + P)
-    (the preambles and k = 0) are evaluated directly; a form whose slope
-    in k is not positive then never holds. The answer is the least over
-    residues and forms, in O(T0 + P) integer operations and O(1) memory.
-    Other pairs get a streamed scan from lo.
+    (the preambles and k = 0) are read off :func:`_distances`; a form whose
+    slope in k is not positive then never holds. The answer is the least
+    over residues and forms, in O(T0 + P) integer operations and O(1)
+    memory. Other pairs read :func:`_distances` from lo.
     """
     t0 = max(len(f.preamble), len(g.preamble))
     if hi is not None and all(isinstance(r.tail, PeriodicTail) for r in (f, g)):
@@ -705,9 +721,10 @@ def _first_passage(f: RayCode, g: RayCode, M: int, lo: int = 0,
         end = s0 + period
     if hi is not None:
         end = hi + 1 if end is None else min(end, hi + 1)
-    for t in count(lo) if end is None else range(lo, end):
-        if word_metric(f.point_at(t), g.point_at(t)) > M:
-            return t
+    t = next(compress(count(lo), map(M.__lt__, _distances(f, g, lo, end))),
+             None)
+    if t is not None:
+        return t
     if line is None or end < s0 + period:
         return None
     sx, sy, A, B, den = line
@@ -737,6 +754,26 @@ def _first_passage(f: RayCode, g: RayCode, M: int, lo: int = 0,
     if hi is not None and best is not None and best > hi:
         return None
     return best
+
+
+def _distances(f: RayCode, g: RayCode, lo: int, end: Optional[int]):
+    """d(f(t), g(t)) for t = lo, lo + 1, ... below end (no end when None):
+    running sums of the two rays' step differences, in chunks of 64 steps
+    doubling to 4,096 and cut at end, so memory stays O(1)."""
+    def chunks():
+        (fx, fy), (gx, gy) = f.point_at(lo), g.point_at(lo)
+        x, y, t, n = fx - gx, fy - gy, lo, 64
+        while end is None or t < end:
+            n = n if end is None else min(n, end - t)
+            df, dg = bytes(f._steps(t, t + n)), bytes(g._steps(t, t + n))
+            xs = list(accumulate(map(sub, df.translate(_DX1), dg.translate(_DX1)),
+                                 initial=x))
+            ys = list(accumulate(map(sub, df.translate(_DY1), dg.translate(_DY1)),
+                                 initial=y))
+            x, y = xs.pop(), ys.pop()  # the difference at t + n
+            yield map(add, map(abs, xs), map(abs, ys))
+            t, n = t + n, min(2 * n, 4096)
+    return chain.from_iterable(chunks())
 
 
 def divergence_time(f: RayCode, g: RayCode, M: int,
@@ -791,13 +828,12 @@ def _deviation_classes(ray: RayCode, n: int, g: int, s: int):
     times t, for each class t = c (mod g), c = 0..g-1.
 
     n is a multiple of the period P, so n*u is an integer vector and E has
-    period P past the preamble; its P values are read off the lap table.
+    period P past the preamble; its values are read off the lap table. The
+    table's last entry, one lap on, repeats its first value and class.
     """
     per, p = len(ray.tail.period), len(ray.preamble)
-    walk = ray.tail._table
-    (lx, ly), (x0, y0) = walk[-1], ray._pre[-1]
-    slope = n // per * (lx + s * ly)
-    xs, ys = zip(*walk[:-1])
+    (xs, ys), (x0, y0) = ray.tail._table, ray._pre[-1]
+    slope = n // per * (xs[-1] + s * ys[-1])
     vals = list(map(add, map(mul, map(add if s > 0 else sub, xs, ys), repeat(n)),
                     count(n * (x0 + s * y0) - p * slope, -slope)))
     # the value at index j belongs to time p + j, of class (p + j) mod g
@@ -817,8 +853,7 @@ def _periodic_supremum(f: RayCode, g: RayCode) -> int:
     attained. Times below T0 are scanned: O(T0 + P_f + P_g) in all.
     """
     t0 = max(len(f.preamble), len(g.preamble))
-    top = max((word_metric(f.point_at(t), g.point_at(t)) for t in range(t0)),
-              default=0)
+    top = max(_distances(f, g, 0, t0), default=0)
     pf, pg = len(f.tail.period), len(g.tail.period)
     n, k = lcm(pf, pg), gcd(pf, pg)
     # a ray of window w has sx*x + sy*y = t, (sx, sy) = WINDOW_SIGNS[w], so

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from importlib import import_module
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from gridrays import cli
 from gridrays.cli import REGISTRY, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,6 +87,27 @@ def test_enumerate_csv(capsys):
     code, out, _ = run(["--format", "csv", "enumerate", "0,0", "1,1"], capsys)
     assert code == 0
     assert out.splitlines() == ["word", "01", "10"]
+
+
+@pytest.mark.parametrize("argv, op", [
+    (["--format", "csv", "roundtrip", "--count", "300000"], "roundtrip"),
+    (["metric", "0,0", "3,4", "--format=csv"], "metric"),
+    (["--format", "csv", "divergence", "(01)", "(001)"], "divergence"),
+    (["--format", "csv", "demo", "cone"], "demo cone"),
+])
+def test_csv_on_a_row_without_a_csv_form_is_a_usage_error(argv, op, capsys):
+    # argv alone decides it, so it is refused before the handler runs:
+    # roundtrip's 300,000 points took about 0.5 s before the refusal
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 0.05
+    assert (code, out, err) == (
+        2, "", f"error: subcommand {op!r} has no CSV form\n")
+
+
+def test_only_enumerate_and_cardinality_have_a_csv_form():
+    assert {row[0] for row in cli.COMMANDS if row[5:] == ("csv",)} == \
+        {"enumerate", "demo cardinality"}
 
 
 def test_out_file(tmp_path, capsys):
