@@ -11,7 +11,7 @@ __version__ = "1.0.0"
 
 #: home module -> the public names it defines
 _HOMES = {
-    "exactnum": "Surd sqrt_exact is_rational exact_sign exact_floor exact_ceil",
+    "exactnum": "Surd sqrt_exact exact_sign",
     "lattice": "GeneratingSet GenerationError BallExceeded word_metric "
                "bfs_metric geodesic_count enumerate_geodesics is_geodesic_word "
                "generating_set_lipschitz standard_generators",

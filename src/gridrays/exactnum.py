@@ -1,18 +1,19 @@
 """Exact arithmetic over Q and real quadratic extensions Q(sqrt(d)).
 
-Every decision procedure in this package compares numbers exactly; floats
-appear only when rendering figures. Rational values are plain
-``fractions.Fraction``; irrational quadratic values are ``Surd`` instances
-a + b*sqrt(d). Operations mix the two freely, and any operation whose
-result is rational returns a ``Fraction``, so a ``Surd`` object is always
-irrational. That makes ``Surd == Fraction`` comparisons trivially false
-and keeps hashing consistent.
+No float decides anything here; floats appear only in figures and are
+refused as input. Rational values are plain ``fractions.Fraction``;
+irrational ones are ``Surd`` instances a + b*sqrt(d), with ``+``, ``-``,
+``*``, ``abs``, ``sign``, ``bounds``, ``float`` and ``str``, mixed with int
+and Fraction. A rational result comes back a ``Fraction``, so a ``Surd`` is
+always irrational and never equals one. ``exact_sign(a - b)`` compares two
+values; ``math.floor`` and ``math.ceil`` floor and ceil them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import index
 from typing import Union
 
 from .lattice import Value
@@ -48,8 +49,14 @@ def _split_square(n: int) -> tuple[int, int]:
     return s, d * m
 
 
+def _refuse_floats(*xs) -> None:
+    if any(isinstance(x, float) for x in xs):
+        raise ValueError("a float is not exact; pass an int or Fraction")
+
+
 def sqrt_exact(x) -> Exact:
     """Exact square root of a nonnegative rational, as Fraction or Surd."""
+    _refuse_floats(x)
     x = Fraction(x)
     if x < 0:
         raise ValueError("square root of a negative rational")
@@ -104,10 +111,11 @@ class Surd(Value):
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b, d: int):
+        _refuse_floats(a, b, d)
         b = Fraction(b)
         if b == 0:
             raise ValueError("rational value; use Fraction instead")
-        s, d0 = _split_square(int(d))
+        s, d0 = _split_square(index(d))
         if d0 == 1:
             raise ValueError(f"{d} is a perfect square; the value is rational")
         self.a = Fraction(a)
@@ -174,49 +182,15 @@ class Surd(Value):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        pair = self._coerce(other)
-        if pair is NotImplemented:
-            return NotImplemented
-        oa, ob = pair
-        den = oa * oa - ob * ob * self.d
-        if den == 0:
-            raise ZeroDivisionError("division by zero")
-        # multiply by the conjugate of the divisor
-        na = self.a * oa - self.b * ob * self.d
-        nb = self.b * oa - self.a * ob
-        return _make(na / den, nb / den, self.d)
-
-    def __rtruediv__(self, other):
-        oa, ob = Fraction(other), Fraction(0)
-        den = self.a * self.a - self.b * self.b * self.d
-        return _make(oa * self.a / den, -oa * self.b / den, self.d)
-
-    # -- comparisons -----------------------------------------------------
-
-    def __lt__(self, other):
-        return exact_sign(self - other) < 0
-
-    def __le__(self, other):
-        return exact_sign(self - other) <= 0
-
-    def __gt__(self, other):
-        return exact_sign(self - other) > 0
-
-    def __ge__(self, other):
-        return exact_sign(self - other) >= 0
-
     # -- conversions -----------------------------------------------------
 
     def bounds(self, bits: int = 64) -> tuple[Fraction, Fraction]:
         """A rational interval [lo, hi] containing the value, width <= 2*b/2^bits."""
         scale = 1 << bits
         s = isqrt(self.d * scale * scale)
-        root_lo = Fraction(s, scale)
-        root_hi = Fraction(s + 1, scale)
-        if self.b >= 0:
-            return self.a + self.b * root_lo, self.a + self.b * root_hi
-        return self.a + self.b * root_hi, self.a + self.b * root_lo
+        lo = self.a + self.b * Fraction(s, scale)
+        hi = self.a + self.b * Fraction(s + 1, scale)
+        return (lo, hi) if self.b >= 0 else (hi, lo)
 
     def __floor__(self) -> int:
         den = lcm(self.a.denominator, self.b.denominator)
@@ -238,22 +212,7 @@ class Surd(Value):
         return f"{self.a} + {self.b}*sqrt({self.d})"
 
 
-def is_rational(x: Exact) -> bool:
-    return isinstance(x, (int, Fraction))
-
-
 def exact_sign(x: Exact) -> int:
     if isinstance(x, Surd):
         return x.sign()
     return (x > 0) - (x < 0)
-
-
-def exact_floor(x: Exact) -> int:
-    if isinstance(x, Surd):
-        return x.__floor__()
-    x = Fraction(x)
-    return x.numerator // x.denominator
-
-
-def exact_ceil(x: Exact) -> int:
-    return -exact_floor(-x)

@@ -18,7 +18,7 @@ from itertools import islice, repeat
 from math import floor, gcd, isqrt
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .exactnum import Exact, sign_sqrt, sqrt_exact
+from .exactnum import Exact, Surd, _make, sign_sqrt, sqrt_exact
 from .lattice import GeneratingSet, LatticePoint, Value
 
 PlanePoint = tuple[Fraction, Fraction]
@@ -147,12 +147,13 @@ def _violations(pair: Pair, params: QIParams, d: int, sq: int, t: int,
 
 
 def _margin(params: QIParams, m0: int, m1: int, t: int) -> Exact:
-    """(m0 + m1 k) / D as a Fraction, or a Surd when m1 != 0 and k is
-    irrational."""
+    """(m0 + m1 k) / D: when m1 != 0 and k = b*sqrt(d) is irrational, one
+    Surd made from these integers and k's b and d; else a Fraction."""
     D = params._ints[5] * t * t
-    if not m1:
-        return Fraction(m0, D)
-    return Fraction(m0, D) + Fraction(m1, D) * params.k
+    k = params.k if m1 else 0
+    if isinstance(k, Surd):
+        return _make(Fraction(m0, D), Fraction(m1, D) * k.b, k.d)
+    return Fraction(m0 + m1 * k, D)
 
 
 class FloorMap:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 
 from hypothesis import strategies as st
 
 from gridrays import rays
 from gridrays.ell1 import Polyline
-from gridrays.exactnum import Surd, exact_floor, is_rational
+from gridrays.exactnum import Surd, _make
 from gridrays.rays import WINDOW_DIGITS, RayCode, Staircase, periodic_ray
 
 
@@ -76,6 +76,17 @@ def is_geodesic_word_oracle(word):
     return not ({"0", "2"} <= digits or {"1", "3"} <= digits)
 
 
+def divide(x, y):
+    """x / y for int, Fraction and Surd values over one radicand, as
+    ``Surd.__truediv__`` found it: times the conjugate of y, which clears the
+    root from the denominator. A rational quotient comes back a Fraction."""
+    (a, b, d), (c, e, d2) = ((v.a, v.b, v.d) if isinstance(v, Surd)
+                             else (Fraction(v), 0, 0) for v in (x, y))
+    d = d or d2
+    den = c * c - e * e * d
+    return _make((a * c - b * e * d) / den, (b * c - a * e) / den, d)
+
+
 def exact_staircase(dx, dy, anchor=(0, 0), scale=1):
     """``Staircase(dx, dy, anchor, scale)`` for Fraction and Surd speeds and
     anchors, as its constructor used to build it: ux and rho divided out as
@@ -84,9 +95,9 @@ def exact_staircase(dx, dy, anchor=(0, 0), scale=1):
     x0, y0 = anchor
     if scale != 1:
         x0, y0 = Fraction(x0, scale), Fraction(y0, scale)
-    ux = (Fraction(dx) if is_rational(dx) else dx) / (dx + dy)
+    ux = divide(dx, dx + dy)
     uy = 1 - ux
-    rho = (x0 - exact_floor(x0)) * uy - (y0 - exact_floor(y0)) * ux
+    rho = (x0 - floor(x0)) * uy - (y0 - floor(y0)) * ux
     (a, b, d), (a0, b0, d0) = ((x.a, x.b, x.d) if isinstance(x, Surd)
                                else (Fraction(x), Fraction(0), 0)
                                for x in (ux, rho))

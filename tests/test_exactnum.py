@@ -8,20 +8,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gridrays import exactnum
-from gridrays.exactnum import (Surd, exact_ceil, exact_floor, exact_sign,
-                               is_rational, sign_sqrt, sqrt_exact)
+from gridrays.exactnum import Surd, exact_sign, sign_sqrt, sqrt_exact
+from gridrays.rays import digitize
 
 
 def test_sqrt_of_perfect_square_is_rational():
     assert sqrt_exact(4) == 2
     assert sqrt_exact(Fraction(9, 16)) == Fraction(3, 4)
-    assert is_rational(sqrt_exact(Fraction(49, 25)))
+    assert not isinstance(sqrt_exact(Fraction(49, 25)), Surd)
 
 
 def test_sqrt_two_is_irrational_surd():
     r = sqrt_exact(2)
     assert isinstance(r, Surd)
-    assert not is_rational(r)
+    assert not isinstance(r, (int, Fraction))
     assert r * r == 2
 
 
@@ -33,9 +33,8 @@ def test_square_factor_extraction():
 
 def test_arithmetic_and_comparisons():
     r = sqrt_exact(2)
-    assert 1 < r < Fraction(3, 2)
+    assert exact_sign(r - 1) > 0 > exact_sign(r - Fraction(3, 2))
     assert (1 + r) * (1 - r) == -1  # conjugate product
-    assert (1 / r) * 2 == r
     assert r + r == 2 * r
     assert exact_sign(r - Fraction(141421356, 100000000)) == 1
     assert exact_sign(r - Fraction(141421357, 100000000)) == -1
@@ -44,16 +43,10 @@ def test_arithmetic_and_comparisons():
 def test_floor_ceil_match_float_for_safe_values():
     for n in (2, 3, 5, 26, 99):
         r = sqrt_exact(n)
-        assert exact_floor(r) == math.floor(math.sqrt(n))
-        assert exact_ceil(r) == math.ceil(math.sqrt(n))
-    assert exact_floor(-sqrt_exact(2)) == -2
-    assert exact_ceil(-sqrt_exact(2)) == -1
-
-
-def test_division_by_conjugate():
-    r = sqrt_exact(5)
-    x = (3 + r) / (3 - r)  # = (3+sqrt5)^2 / 4
-    assert x * (3 - r) == 3 + r
+        assert math.floor(r) == math.floor(math.sqrt(n))
+        assert math.ceil(r) == math.ceil(math.sqrt(n))
+    assert math.floor(-sqrt_exact(2)) == -2
+    assert math.ceil(-sqrt_exact(2)) == -1
 
 
 @given(st.fractions(min_value=0, max_value=1000, max_denominator=1000))
@@ -72,7 +65,7 @@ def test_ordering_consistent_with_floats(n, a, b):
         approx = a + b * math.sqrt(n)
         if abs(approx) > 1e-6:
             assert exact_sign(x) == (1 if approx > 0 else -1)
-        assert exact_floor(x) <= approx < exact_floor(x) + 1
+        assert math.floor(x) <= approx < math.floor(x) + 1
 
 
 def test_rational_results_collapse_to_fraction():
@@ -85,6 +78,24 @@ def test_rational_results_collapse_to_fraction():
 def test_invalid_sqrt():
     with pytest.raises(ValueError):
         sqrt_exact(-1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Surd(0, 1, 2.7),  # int(2.7) made this sqrt(2)
+    lambda: digitize(1, Surd(0, 1, 2.7)),
+    lambda: Surd(0.1, 1, 2),  # the float's binary value, not 1/10
+    lambda: sqrt_exact(0.1),  # radicand 7205759403792794
+], ids=["radicand", "digitize", "coefficient", "sqrt_exact"])
+def test_floats_are_refused(build):
+    with pytest.raises(ValueError, match="float"):
+        build()
+
+
+def test_surd_has_no_division_or_ordering():
+    r = sqrt_exact(2)
+    for op in (lambda: r / 2, lambda: 1 / r, lambda: r < 2, lambda: 1 >= r):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_sqrt_exact_splits_numerator_and_denominator_once(monkeypatch):
@@ -109,8 +120,9 @@ def test_surd_arithmetic_never_refactors(monkeypatch):
     assert -(-r) == r and abs(-r) == r
     assert (r + 1) - 1 == r and 2 - r == -(r - 2)
     assert r * r == Fraction(7, 3)
-    assert (r / one_plus) * one_plus == r and (1 / r) * r == 1
-    assert 1 < r < 2 and exact_floor(-r) == -2
+    assert one_plus * one_plus == 2 * r + Fraction(10, 3)
+    assert exact_sign(r - 1) > 0 > exact_sign(r - 2)
+    assert math.floor(-r) == -2 and math.ceil(r) == 2
 
 
 def test_sign_sqrt_exact_cases():
@@ -158,8 +170,8 @@ def _floor_by_refinement(x):
                                                     10**12 + 39]))
 def test_floor_matches_bounds_refinement(a, b, d):
     x = exactnum._make(a, b, d)  # unchecked, so the large d is not factored
-    assert exact_floor(x) == _floor_by_refinement(x)
-    assert exact_ceil(x) == -_floor_by_refinement(-x)
+    assert math.floor(x) == _floor_by_refinement(x)
+    assert math.ceil(x) == -_floor_by_refinement(-x)
 
 
 def test_floor_sqrt_integer_cases():

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # the public surface before names resolved lazily, in its order
 PUBLIC = """
-Surd sqrt_exact is_rational exact_sign exact_floor exact_ceil GeneratingSet
+Surd sqrt_exact exact_sign GeneratingSet
 GenerationError BallExceeded word_metric bfs_metric geodesic_count
 enumerate_geodesics is_geodesic_word generating_set_lipschitz
 standard_generators RayCode InvalidRay QuadrantMismatch BallQuery Enclosure

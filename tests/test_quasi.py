@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from gridrays import exactnum, quasi
-from gridrays.exactnum import Surd, sqrt_exact
+from gridrays.exactnum import Surd, exact_sign, sqrt_exact
 from gridrays.lattice import GeneratingSet, standard_generators, word_metric
 from gridrays.quasi import (FloorMap, GensetMap, InclusionMap, LatticeBall,
                             QIParams, Violation, check_embedding, find_violation,
@@ -193,10 +193,10 @@ def oracle_inclusion(p, q, params):
     k_sq, c = params.k_sq, params.c
     k = sqrt_exact(k_sq)
     bound = k * d_graph + c
-    if sq > bound * bound:
+    if exact_sign(sq - bound * bound) > 0:
         out.append(Violation((p, q), "upper", sq - bound * bound))
     lhs = d_graph - c * k
-    if lhs > 0 and lhs * lhs > k_sq * sq:
+    if exact_sign(lhs) > 0 and exact_sign(lhs * lhs - k_sq * sq) > 0:
         out.append(Violation((p, q), "lower", lhs * lhs - k_sq * sq))
     return out
 
@@ -312,6 +312,43 @@ def test_sqrt_of_k_sq_taken_once_and_only_for_surd_margins(monkeypatch):
     report = check_embedding(InclusionMap(), params, pairs)
     assert any(isinstance(v.margin, Surd) for v in report.violations)
     assert calls == [Fraction(3, 2)]
+
+
+@given(st.one_of(st.fractions(1, Fraction(3, 2), max_denominator=12),
+                 st.fractions(1, Fraction(6, 5), max_denominator=12)
+                 .map(lambda k: k * k)),
+       st.fractions(0, Fraction(1, 2), max_denominator=6))
+@example(Fraction(3, 2), Fraction(1, 3))
+@example(Fraction(36, 25), Fraction(1, 3))
+def test_qi_margins_do_no_surd_arithmetic(k_sq, c):
+    # k <= sqrt(3/2) and c <= 1/2: the pair (-1, -2), (2, 1) fails the lower
+    # side, so every draw is a failing certificate
+    params = QIParams.from_k_squared(k_sq, c)
+    pts = list(LatticeBall(3))
+    pairs = [(a, b) for a in pts for b in pts]
+    want, real = [], quasi._margin
+
+    def old_margin(params, m0, m1, t):
+        # the margin as it was built, Fraction * Surd + Fraction
+        D = params._ints[5] * t * t
+        want.append(Fraction(m0, D) + Fraction(m1, D) * params.k)
+        return real(params, m0, m1, t)
+
+    def boom(*args):
+        raise AssertionError("Surd arithmetic on a QI margin")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quasi, "_margin", old_margin)
+        check_embedding(InclusionMap(), params, pairs)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__"):
+            mp.setattr(Surd, name, boom)
+        got = [v.margin for v in
+               check_embedding(InclusionMap(), params, pairs).violations]
+    assert got and got == want
+    irrational = c != 0 and isinstance(params.k, Surd)
+    assert all(isinstance(m, Surd) == irrational for m in got)
 
 
 def test_genset_builds_each_distance_table_once(monkeypatch):
