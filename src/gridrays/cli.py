@@ -407,7 +407,7 @@ def _cmd_demo_cardinality(args) -> int:
     csv_rows += [[r.literal, r.m, r.value, r.collides_with or ""] for r in rows]
     out = {"rows": [{"ray": r.literal, "m": r.m, "N": r.value,
                      "collides_with": r.collides_with} for r in rows],
-           "assertions": _assertions(report)}
+           "assertions": [a._fields() for a in report.assertions]}
     _emit(args, report.inputs, out,
           [f"{r.literal}\tm={r.m}\tN={r.value}"
            + (f"\tcollides with {r.collides_with}" if r.collides_with else "")
@@ -423,13 +423,8 @@ def _cmd_demo_cone(args) -> int:
     return 0 if report.ok else 1
 
 
-def _assertions(report) -> list[dict]:
-    return [{"name": a.name, "expected": a.expected, "actual": a.actual,
-             "passed": a.passed} for a in report.assertions]
-
-
 def _emit_demo(args, report, extra: Optional[dict] = None) -> None:
-    out = {"assertions": _assertions(report),
+    out = {"assertions": [a._fields() for a in report.assertions],
            "artifacts": report.artifacts,
            "ok": report.ok}
     if extra:

@@ -19,10 +19,6 @@ from .rays import (BallQuery, Enclosure, RayCode, n_map, parse_ray,
 class Assertion(Value):
     __slots__ = ("name", "expected", "actual", "passed")
 
-    def __init__(self, name: str, expected: str, actual: str, passed: bool):
-        self.name, self.expected, self.actual = name, expected, actual
-        self.passed = passed
-
 
 class DemoReport(Value):
     __slots__ = ("scenario", "inputs", "assertions", "artifacts")
@@ -66,11 +62,6 @@ class ConeLengths(Value):
     around it (length pi*eps)."""
 
     __slots__ = ("epsilon", "through_cone", "around_cone", "extendable")
-
-    def __init__(self, epsilon: Fraction, through_cone: Enclosure,
-                 around_cone: Enclosure, extendable: bool):
-        self.epsilon, self.extendable = epsilon, extendable
-        self.through_cone, self.around_cone = through_cone, around_cone
 
 
 def cone_lengths(epsilon: Fraction, bits: int = 64) -> ConeLengths:

@@ -215,12 +215,9 @@ def check_monotone_commitment(path: Polyline) -> Optional[Fraction]:
 
 
 class PlaneSplice(Value):
+    # bound: certified l1 distance bound to the spliced-in ray g;
+    # handoff_gap: |f(b) - g(b)|_1, the constant distance beyond b
     __slots__ = ("path", "bound", "handoff_gap")
-
-    def __init__(self, path: Polyline, bound: Fraction, handoff_gap: Fraction):
-        # bound: certified l1 distance bound to the spliced-in ray g;
-        # handoff_gap: |f(b) - g(b)|_1, the constant distance beyond b
-        self.path, self.bound, self.handoff_gap = path, bound, handoff_gap
 
 
 def splice_plane(f: Polyline, g: Polyline, b: Fraction) -> PlaneSplice:

@@ -33,10 +33,24 @@ WINDOW_SIGNS: dict[int, tuple[int, int]] = {
 
 
 class Value:
-    """Base of the value types: equality (within one type), hashing and a
-    dataclass-style repr by the fields, the ``__slots__`` not led by ``_``."""
+    """Base of the value types: construction, equality (within one type),
+    hashing and a dataclass-style repr by the fields, the ``__slots__`` not
+    led by ``_``, each given once to ``__init__`` by position or by name.
+    Types that validate, derive or default a field write their own
+    ``__init__``, as does ``quasi.Violation``, one per failing pair, which a
+    generic build would make several times as dear."""
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = [n for n in self.__slots__ if n[0] != "_"]
+        given = dict(zip(names, args), **kwargs)
+        # as many arguments as fields, naming every field: none given twice
+        if len(args) + len(kwargs) != len(names) or given.keys() != set(names):
+            raise TypeError(f"{type(self).__name__}() takes each of {names} once"
+                            f", got {len(args)} positional and {sorted(kwargs)}")
+        for n in names:
+            setattr(self, n, given[n])
 
     def _fields(self) -> dict:
         return {n: getattr(self, n) for n in self.__slots__ if n[0] != "_"}

@@ -72,6 +72,8 @@ class QIParams(Value):
     @classmethod
     def from_k(cls, k, c) -> "QIParams":
         k = Fraction(k)
+        if k < 1:  # k * k would pass for a negative k
+            raise ValueError("need k >= 1 and c >= 0")
         return cls(k * k, Fraction(c), k_label=str(k))
 
     @classmethod
@@ -87,10 +89,10 @@ class QIParams(Value):
 
 
 class Violation(Value):
+    # side "upper" or "lower"; margin L^2 - R^2 > 0 of its L <= R failing
     __slots__ = ("pair", "side", "margin")
 
     def __init__(self, pair: Pair, side: str, margin: Exact):
-        # side "upper" or "lower"; margin L^2 - R^2 > 0 of its L <= R failing
         self.pair, self.side, self.margin = pair, side, margin
 
 
@@ -377,11 +379,6 @@ def find_violation(qmap: Map, params: QIParams, strategy: str,
 class RoundtripReport(Value):
     __slots__ = ("max_sq_displacement", "argmax", "samples")
 
-    def __init__(self, max_sq_displacement: Fraction, argmax: PlanePoint,
-                 samples: int):
-        self.max_sq_displacement, self.argmax = max_sq_displacement, argmax
-        self.samples = samples
-
 
 def roundtrip_displacement(samples: Iterable[PlanePoint]) -> RoundtripReport:
     """Largest squared l2 displacement of inclusion-after-floor on the samples,
@@ -405,13 +402,8 @@ def roundtrip_displacement(samples: Iterable[PlanePoint]) -> RoundtripReport:
 
 
 class SurjectivityReport(Value):
+    # the certified D, and the largest squared distance to the image seen
     __slots__ = ("map_name", "bound", "max_sq_distance", "targets")
-
-    def __init__(self, map_name: str, bound: Fraction,
-                 max_sq_distance: Fraction, targets: int):
-        # the certified D, and the largest squared distance to the image seen
-        self.map_name, self.bound = map_name, bound
-        self.max_sq_distance, self.targets = max_sq_distance, targets
 
 
 def quasi_surjectivity_bound(qmap: Map,

@@ -250,7 +250,7 @@ class RayCode(Value):
     this module always emit canonical codes.
     """
 
-    __slots__ = ("preamble", "tail", "_digits", "_pre", "_points", "_valid")
+    __slots__ = ("preamble", "tail", "_digits", "_points", "_valid")
 
     def __init__(self, preamble, tail: Tail):
         self.preamble = tuple(map(int, preamble))
@@ -262,8 +262,7 @@ class RayCode(Value):
             raise TypeError("tail must be PeriodicTail or SturmianTail")
         self._digits = _check_digits(body)
         self.tail = tail
-        self._pre = _walk(self.preamble)
-        self._points: list[LatticePoint] = [ORIGIN]  # prefix cache of points()
+        self._points = _walk(self.preamble)  # prefix cache of points()
         self._valid: Optional[bool] = None  # validate's verdict, once known
 
     # -- digits ----------------------------------------------------------
@@ -319,21 +318,20 @@ class RayCode(Value):
         """Position after t unit-speed steps (t=0 is the origin), in O(1)."""
         if t < 0:
             raise ValueError("time must be nonnegative")
-        pre = self._pre
-        if t < len(pre):
-            return pre[t]
-        x, y = pre[-1]
-        dx, dy = self.tail.displacement(t - len(pre) + 1)
+        pts, p = self._points, len(self.preamble)
+        if t <= p:
+            return pts[t]
+        x, y = pts[p]
+        dx, dy = self.tail.displacement(t - p)
         return x + dx, y + dy
 
     def points(self, t: int) -> list[LatticePoint]:
         """Positions at times 0..t, kept as a cached prefix for rescans."""
         if t < 0:
             raise ValueError("time must be nonnegative")
-        pts, pre = self._points, self._pre
-        pts += pre[len(pts):t + 1]
+        pts = self._points
         if len(pts) <= t:  # the tail's digits step to times len(pts)..t
-            p = len(pre) - 1
+            p = len(self.preamble)
             pts[-1:] = _walk(self._tail_digits(len(pts) - p, t - p), pts[-1])
         return pts[: t + 1]
 
@@ -631,9 +629,6 @@ class Divergent(Value):
 
     __slots__ = ("witness_t", "distance")
 
-    def __init__(self, witness_t: int, distance: int):
-        self.witness_t, self.distance = witness_t, distance
-
 
 Verdict = Union[Asymptotic, Divergent]
 
@@ -808,7 +803,7 @@ def _sturmian_line_bound(ray: RayCode) -> tuple[int, int]:
     # hold the largest |v_s|, compared exactly as 2*(top_a + top_b*sqrt(d))/D
     R = isqrt(Q * Q * d << 128)
     W = (P << 64) + (R if Q > 0 else -R)
-    xs = list(map(abs, map(itemgetter(0), ray._pre)))
+    xs = list(map(abs, map(itemgetter(0), ray._points[:p + 1])))
     keys = list(map(abs, map(sub, map(mul, xs, repeat(D << 64)), count(0, W))))
     cut = max(keys) - 2 * len(keys) - 2
     top_a = top_b = 0
@@ -832,7 +827,7 @@ def _deviation_classes(ray: RayCode, n: int, g: int, s: int):
     table's last entry, one lap on, repeats its first value and class.
     """
     per, p = len(ray.tail.period), len(ray.preamble)
-    (xs, ys), (x0, y0) = ray.tail._table, ray._pre[-1]
+    (xs, ys), (x0, y0) = ray.tail._table, ray._points[p]
     slope = n // per * (xs[-1] + s * ys[-1])
     vals = list(map(add, map(mul, map(add if s > 0 else sub, xs, ys), repeat(n)),
                     count(n * (x0 + s * y0) - p * slope, -slope)))
@@ -960,20 +955,10 @@ def ball_contains(center: RayCode, candidate: RayCode, q: BallQuery) -> bool:
 class ChainLink(Value):
     __slots__ = ("center", "axis", "spliced", "contained", "verdict")
 
-    def __init__(self, center: RayCode, axis: RayCode, spliced: RayCode,
-                 contained: bool, verdict: Verdict):
-        self.center, self.axis, self.spliced = center, axis, spliced
-        self.contained, self.verdict = contained, verdict
-
 
 class TopologyDemo(Value):
     __slots__ = ("f", "g", "query", "s", "g_s", "contained", "verdict",
                  "chain")
-
-    def __init__(self, f: RayCode, g: RayCode, query: BallQuery, s: int,
-                 g_s: RayCode, contained: bool, verdict: Verdict, chain: tuple):
-        self.f, self.g, self.query, self.s, self.g_s = f, g, query, s, g_s
-        self.contained, self.verdict, self.chain = contained, verdict, chain
 
     @property
     def ok(self) -> bool:

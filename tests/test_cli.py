@@ -923,6 +923,11 @@ ERROR_GOLDEN = [
     (["qi-check", "--map", "genset", "--gens", "1,0;0,1", "--gens2",
       "1,0;100,1", "--cap", "5", "--radius", "3"],
      "error: ValueError: pair (-3, 0), (-2, -1) outside radius cap 5\n"),
+    # a negative k is refused, not certified as |k|
+    (["qi-check", "--k", "-2", "--count", "50"],
+     "error: ValueError: need k >= 1 and c >= 0\n"),
+    (["qi-violate", "--k", "-3/2", "--c", "0"],
+     "error: ValueError: need k >= 1 and c >= 0\n"),
 ]
 
 

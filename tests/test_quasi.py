@@ -77,6 +77,13 @@ def test_floor_map_k1_c0_fails():
     assert v and v[0].side == "lower"
 
 
+# k * k >= 1 for the negative ones, so only a check on k itself refuses them
+@pytest.mark.parametrize("k", [-1, Fraction(-3, 2), -2, Fraction(1, 2)])
+def test_from_k_refuses_k_below_one(k):
+    with pytest.raises(ValueError, match="need k >= 1 and c >= 0"):
+        QIParams.from_k(k, 0)
+
+
 def test_best_constant_violation_at_100():
     # [DERIVED] 2n > (7/5) n sqrt(2) + 2 first holds at n = 100
     v = find_violation(FloorMap(), QIParams.from_k(Fraction(7, 5), 2),

@@ -142,6 +142,23 @@ def test_construction_positional_keyword_and_default(cls, make, defaulted,
 
 
 @pytest.mark.parametrize("cls, make, defaulted, text", CASES, ids=IDS)
+def test_misused_construction_is_a_type_error(cls, make, defaulted, text):
+    # each type's first field has no default
+    fields = make()
+    first, *rest = fields
+    misuses = {
+        "a field missing": lambda: cls(**{n: fields[n] for n in rest}),
+        "one positional too many": lambda: cls(*fields.values(), None),
+        "an unknown keyword": lambda: cls(**fields, unknown=None),
+        "a field given twice": lambda: cls(fields[first], **fields),
+    }
+    for what, misuse in misuses.items():
+        with pytest.raises(TypeError):
+            misuse()
+            pytest.fail(f"{what}: no TypeError")
+
+
+@pytest.mark.parametrize("cls, make, defaulted, text", CASES, ids=IDS)
 def test_equality_is_by_value_and_within_one_type(cls, make, defaulted, text):
     a, b = cls(**make()), cls(**make())
     assert a == b and not a != b
