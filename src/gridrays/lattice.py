@@ -244,12 +244,6 @@ def bfs_metric(S: GeneratingSet, p: LatticePoint, q: LatticePoint,
     return S.distance((q[0] - p[0], q[1] - p[1]), radius_cap)
 
 
-def _axis_digits(dx: int, dy: int) -> tuple[str, int, str, int]:
-    hdig = "0" if dx >= 0 else "2"
-    vdig = "1" if dy >= 0 else "3"
-    return hdig, abs(dx), vdig, abs(dy)
-
-
 def geodesic_count(p: LatticePoint, q: LatticePoint) -> int:
     """Number of monotone staircase words from p to q."""
     dx, dy = abs(p[0] - q[0]), abs(p[1] - q[1])
@@ -278,11 +272,10 @@ def enumerate_geodesics(p: LatticePoint, q: LatticePoint,
 
 
 def iter_geodesics(p: LatticePoint, q: LatticePoint) -> Iterator[str]:
-    hdig, nh, vdig, nv = _axis_digits(q[0] - p[0], q[1] - p[1])
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    hdig, vdig = "0" if dx >= 0 else "2", "1" if dy >= 0 else "3"
+    nh, nv = abs(dx), abs(dy)
     n = nh + nv
-    if n == 0:
-        yield ""
-        return
     small, nsmall = (hdig, nh) if hdig < vdig else (vdig, nv)
     big = vdig if small == hdig else hdig
     # placing the smaller digit at lexicographically increasing position

@@ -213,10 +213,6 @@ class SturmianTail(Value):
         """ux as integers (P, Q, d, D), ux = (P + Q*sqrt(d))/D."""
         return self._line.speed()
 
-    def digit(self, k: int) -> int:
-        h, v = WINDOW_DIGITS[self.window]
-        return h if self.horizontal(k) > self.horizontal(k - 1) else v
-
     def displacement(self, k: int) -> LatticePoint:
         """Sum of the first k tail steps."""
         sx, sy = WINDOW_SIGNS[self.window]
@@ -267,43 +263,25 @@ class RayCode(Value):
 
     # -- digits ----------------------------------------------------------
 
-    def digit_at(self, n: int) -> int:
-        """The nth digit, 1-indexed."""
-        if n < 1:
-            raise ValueError("digit positions start at 1")
-        pre = self.preamble
-        if n <= len(pre):
-            return pre[n - 1]
-        k = n - len(pre)
-        if isinstance(self.tail, PeriodicTail):
-            per = self.tail.period
-            return per[(k - 1) % len(per)]
-        return self.tail.digit(k)
-
     def digits(self, n: int) -> tuple[int, ...]:
         """Digits 1..n (none for n <= 0)."""
         return self._steps(0, max(n, 0))
 
     def _steps(self, t0: int, t1: int) -> tuple[int, ...]:
         """Digits t0+1..t1, the steps from time t0 to t1: a preamble slice,
-        then the tail's."""
-        pre = self.preamble
+        then a slice of repeated periods or the steps of one list of the
+        line's horizontal counts."""
+        pre, tail = self.preamble, self.tail
         if t1 <= len(pre):
             return pre[t0:t1]
-        return pre[t0:] + self._tail_digits(max(t0 - len(pre), 0) + 1,
-                                            t1 - len(pre))
-
-    def _tail_digits(self, k0: int, k1: int) -> tuple[int, ...]:
-        """Tail digits k0..k1 (1-indexed): a slice of repeated periods, or
-        the steps of one list of the line's horizontal counts."""
-        tail = self.tail
+        k, n = max(t0 - len(pre), 0), t1 - max(t0, len(pre))  # tail steps k+1..k+n
         if isinstance(tail, PeriodicTail):
             per = tail.period
-            r = (k0 - 1) % len(per)
-            return (per * ((r + k1 - k0) // len(per) + 1))[r:r + k1 - k0 + 1]
-        hs = list(map(tail.horizontal, range(k0 - 1, k1 + 1)))
+            r = k % len(per)
+            return pre[t0:] + (per * ((r + n) // len(per) + 1))[r:r + n]
+        hs = list(map(tail.horizontal, range(k, k + n + 1)))
         h, v = WINDOW_DIGITS[tail.window]
-        return tuple(map((v, h).__getitem__, map(sub, hs[1:], hs)))
+        return pre[t0:] + tuple(map((v, h).__getitem__, map(sub, hs[1:], hs)))
 
     def realized_digits(self) -> frozenset[int]:
         return self._digits
@@ -331,8 +309,7 @@ class RayCode(Value):
             raise ValueError("time must be nonnegative")
         pts = self._points
         if len(pts) <= t:  # the tail's digits step to times len(pts)..t
-            p = len(self.preamble)
-            pts[-1:] = _walk(self._tail_digits(len(pts) - p, t - p), pts[-1])
+            pts[-1:] = _walk(self._steps(len(pts) - 1, t), pts[-1])
         return pts[: t + 1]
 
     def direction(self) -> tuple[Exact, Exact]:
@@ -398,8 +375,7 @@ def _canonical_periodic(pre, per, realized):
     if realized <= {0, 4}:
         return (), (0,)  # the east ray
     if 4 in realized and 3 not in realized:
-        pre = tuple(0 if d == 4 else d for d in pre)
-        per = tuple(0 if d == 4 else d for d in per)
+        pre, per = _realize(pre, 0), _realize(per, 0)
     per = _primitive(per)
     # pop preamble digits that repeat the period's end, rotating it once
     n, k = len(per), 0
@@ -641,24 +617,21 @@ def _mechanical(ray: RayCode):
     vertically. A periodic tail with a horizontal steps per period P is
     mechanical iff such an integer e exists, i.e. iff it is balanced
     (Lothaire, Algebraic Combinatorics on Words, ch. 2): step n < P
-    confines e to the interval [h(n)*P - a*n, (h(n)+1)*P - a*n - 1], and
-    these intervals must meet.
+    confines e to [e_n, e_n + P - 1], e_n = h(n)*P - a*n, and these
+    intervals meet iff the e_n span at most P - 1. The ray must be valid:
+    its horizontal steps then share one sign, so h(n) = |x(n)| on the lap
+    table, a = |x(P)|, and the lap vector's signs are sx and sy (1 on an
+    empty axis).
     """
     if not isinstance(ray.tail, PeriodicTail):
         return None
-    steps = [DISPLACEMENTS[d] for d in ray.tail.period]
-    period = len(steps)
-    a = sum(1 for dx, _ in steps if dx)
-    lo, hi, h = 0, period - 1, 0
-    for n, (dx, _) in enumerate(steps):
-        lo = max(lo, h * period - a * n)
-        hi = min(hi, (h + 1) * period - a * n - 1)
-        h += dx != 0
-    if lo > hi:
+    (xs, ys), period = ray.tail._table, len(ray.tail.period)
+    a = abs(xs[-1])
+    es = list(map(sub, map(mul, map(abs, xs[:-1]), repeat(period)), count(0, a)))
+    lo = max(es)
+    if lo > min(es) + period - 1:
         return None
-    sx = next((dx for dx, _ in steps if dx), 1)
-    sy = next((dy for _, dy in steps if dy), 1)
-    return sx, sy, a, lo, period
+    return -1 if xs[-1] < 0 else 1, -1 if ys[-1] < 0 else 1, a, lo, period
 
 
 def _direction_key(ray: RayCode) -> tuple:

@@ -5,9 +5,9 @@ point-list supremum of ``are_asymptotic`` over transient + lcm, the
 per-digit ``Staircase.digits``, the shift-sum ``b_map``, the loop
 ``_primitive`` and ``_canonical_periodic``, ``RayCode.digits`` by
 ``digit_at``, ``digit_windows`` once per digit, the pairwise walk and
-per-digit realize, and the tails' displacement lists behind
-``RayCode.points``. The kernels must give the same verdicts, digits,
-points and values.
+per-digit realize, the tails' displacement lists behind
+``RayCode.points``, and the step-by-step balance test of ``_mechanical``.
+The kernels must give the same verdicts, digits, points, lines and values.
 """
 
 import math
@@ -17,7 +17,7 @@ from itertools import accumulate, product
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gridrays import rays
 from gridrays.exactnum import sqrt_exact
@@ -126,8 +126,43 @@ def divergence_scan_oracle(f, g, M, horizon):
                  if word_metric(f.point_at(t), g.point_at(t)) > M), None)
 
 
+def digit_oracle(ray, n):
+    """``RayCode.digit_at`` as it was: the nth digit, 1-indexed, read off
+    the preamble, the period, or two of the line's horizontal counts."""
+    if n < 1:
+        raise ValueError("digit positions start at 1")
+    pre, tail = ray.preamble, ray.tail
+    if n <= len(pre):
+        return pre[n - 1]
+    k = n - len(pre)
+    if isinstance(tail, PeriodicTail):
+        return tail.period[(k - 1) % len(tail.period)]
+    h, v = WINDOW_DIGITS[tail.window]
+    return h if tail.horizontal(k) > tail.horizontal(k - 1) else v
+
+
 def digits_oracle(ray, n):
-    return tuple(ray.digit_at(i) for i in range(1, n + 1))
+    return tuple(digit_oracle(ray, i) for i in range(1, n + 1))
+
+
+def mechanical_oracle(ray):
+    """``rays._mechanical`` as it was: the offset interval narrowed one
+    step of the period at a time."""
+    if not isinstance(ray.tail, PeriodicTail):
+        return None
+    steps = [DISPLACEMENTS[d] for d in ray.tail.period]
+    period = len(steps)
+    a = sum(1 for dx, _ in steps if dx)
+    lo, hi, h = 0, period - 1, 0
+    for n, (dx, _) in enumerate(steps):
+        lo = max(lo, h * period - a * n)
+        hi = min(hi, (h + 1) * period - a * n - 1)
+        h += dx != 0
+    if lo > hi:
+        return None
+    sx = next((dx for dx, _ in steps if dx), 1)
+    sy = next((dy for _, dy in steps if dy), 1)
+    return sx, sy, a, lo, period
 
 
 def points_oracle(ray, t):
@@ -447,6 +482,44 @@ def test_sturmian_digits_match_digit_at(w, d, s, n):
 
 
 @st.composite
+def balance_cases(draw):
+    """A valid periodic ray in any window whose period has P <= 60 steps,
+    a of them horizontal, behind a preamble of the window's digits. The
+    period is an axis one (a = 0 or a = P), a staircase from a drawn anchor
+    (balanced), that staircase with one adjacent pair swapped (often just
+    out of balance) or a shuffle (mostly unbalanced). The offsets e_n span
+    exactly P, the edge of balance, only when gcd(a, P) > 1, so swaps act
+    on all gcd(a, P) laps of the staircase."""
+    w = draw(windows)
+    h, v = WINDOW_DIGITS[w]
+    kind = draw(st.sampled_from(("axis", "staircase", "swap", "shuffle")))
+    P = draw(st.integers(1 if kind == "axis" else 2, 60))
+    a = draw(st.sampled_from((0, P)) if kind == "axis" else st.integers(1, P - 1))
+    if kind == "shuffle":
+        period = draw(st.permutations([h] * a + [v] * (P - a)))
+    else:
+        scale = draw(st.integers(1, 7))
+        anchor = draw(st.tuples(st.integers(0, scale), st.integers(0, scale)))
+        lap = rays.staircase_tail(a, P - a, h, v, anchor, scale).period
+        period = list(lap) * (P // len(lap))  # gcd(a, P) laps
+    if kind == "swap":
+        i = draw(st.sampled_from([i for i in range(len(period))
+                                  if period[i] != period[i - 1]]))
+        period[i - 1], period[i] = period[i], period[i - 1]
+    ray = periodic_ray(draw(st.lists(st.sampled_from((h, v)), max_size=8)),
+                       period)
+    assume(validate(ray))
+    return ray
+
+
+@settings(deadline=None, max_examples=400)
+@given(balance_cases())
+@example(parse_ray("slope:1499/1498@1"))
+def test_balance_read_off_the_lap_table_matches_the_step_walk(ray):
+    assert rays._mechanical(ray) == mechanical_oracle(ray)
+
+
+@st.composite
 def raw_rays(draw):
     """Ray codes as given, not canonicalized: a preamble of 0-30 digits and
     a period of 1-40, or a Sturmian tail, in any window."""
@@ -473,8 +546,8 @@ def test_advanced_tail_shares_the_line():
     moved = tail.advanced(600)
     assert moved._line is tail._line
     assert moved == SturmianTail(1, sqrt_exact(3), 2, 607)
-    assert [moved.digit(k) for k in range(1, 50)] == \
-        [SturmianTail(1, sqrt_exact(3), 2, 607).digit(k) for k in range(1, 50)]
+    assert [moved.horizontal(k) for k in range(50)] == \
+        [SturmianTail(1, sqrt_exact(3), 2, 607).horizontal(k) for k in range(50)]
     with pytest.raises(ValueError):
         tail.advanced(-8)
 

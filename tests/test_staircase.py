@@ -26,7 +26,8 @@ from gridrays.rays import (Asymptotic, Enclosure, RayCode, Staircase,
 
 from conftest import (divide, exact_staircase, make_monotone_polyline,
                       polylines, window_of_signs)
-from test_periodic_kernels import equal_direction_pairs, periodic_rays
+from test_periodic_kernels import (digit_oracle, equal_direction_pairs,
+                                  periodic_rays)
 
 F = Fraction
 
@@ -570,7 +571,7 @@ def test_advanced_tail_is_the_offset_tail(direction, offset, steps):
     stream = StreamOracle(tail.ux, tail.uy)
     for k in range(1, 40):
         want = 0 if stream._stream_step(offset + steps + k) else 1
-        assert moved.digit(k) == want
+        assert digit_oracle(RayCode((), moved), k) == want
 
 
 def test_forty_irrational_slopes_match_stream():
@@ -595,7 +596,7 @@ def test_periodic_points_match_digit_walk(w, data, horizons):
     ray = RayCode(pre, rays.PeriodicTail(tuple(per)))
     walk = [(0, 0)]
     for n in range(1, max(horizons) + 1):
-        dx, dy = DISPLACEMENTS[ray.digit_at(n)]
+        dx, dy = DISPLACEMENTS[digit_oracle(ray, n)]
         walk.append((walk[-1][0] + dx, walk[-1][1] + dy))
     for t in horizons:  # the prefix cache grows in uneven steps
         assert ray.points(t) == walk[:t + 1]
