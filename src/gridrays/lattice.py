@@ -89,14 +89,24 @@ def format_point(p: LatticePoint) -> str:
     return f"{p[0]},{p[1]}"
 
 
-def quadrant_windows(vectors) -> set[int]:
+#: the windows whose closed quadrant holds each sign pair, as a 4-bit mask
+_SIGN_MASKS = {(a, b): sum(1 << w for w, (sx, sy) in WINDOW_SIGNS.items()
+                           if sx * a >= 0 and sy * b >= 0)
+               for a in (-1, 0, 1) for b in (-1, 0, 1)}
+#: the windows of each mask, one shared frozenset per mask
+_MASK_WINDOWS = tuple(frozenset(w for w in WINDOW_SIGNS if m >> w & 1)
+                      for m in range(16))
+
+
+def quadrant_windows(vectors) -> frozenset[int]:
     """The windows whose closed quadrant holds every vector (all four for
     none). A path in the grid or the l1 plane is geodesic iff its steps
     share a closed quadrant, so this is the one geodesic test; where
     several windows fit, callers take the least."""
-    signs = {((x > 0) - (x < 0), (y > 0) - (y < 0)) for x, y in vectors}
-    return {w for w, (sx, sy) in WINDOW_SIGNS.items()
-            if all(sx * a >= 0 and sy * b >= 0 for a, b in signs)}
+    mask = 15
+    for s in {((x > 0) - (x < 0), (y > 0) - (y < 0)) for x, y in vectors}:
+        mask &= _SIGN_MASKS[s]
+    return _MASK_WINDOWS[mask]
 
 
 def word_metric(p: LatticePoint, q: LatticePoint) -> int:

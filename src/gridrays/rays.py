@@ -49,13 +49,16 @@ class QuadrantMismatch(ValueError):
     """Splice operands do not share a quadrant window."""
 
 
-def digit_windows(digits) -> set[int]:
+#: the windows of each set of valid digits, tabulated by quadrant_windows
+_DIGIT_WINDOWS = {ds: quadrant_windows(map(DISPLACEMENTS.__getitem__, ds))
+                  for ds in (frozenset(d for d in range(5) if m >> d & 1)
+                             for m in range(32))}
+
+
+def digit_windows(digits) -> frozenset[int]:
     """Quadrant windows consistent with every digit of the iterable (none
     if a digit is invalid)."""
-    ds = set(digits)
-    if ds - DISPLACEMENTS.keys():
-        return set()
-    return quadrant_windows(map(DISPLACEMENTS.__getitem__, ds))
+    return _DIGIT_WINDOWS.get(frozenset(digits), frozenset())
 
 
 #: bytes.translate tables writing east digits as 0, or as 4 in window 3
@@ -698,7 +701,6 @@ def _first_passage(f: RayCode, g: RayCode, M: int, lo: int = 0,
     sx, sy, A, B, den = line
     lx, ly = f.tail.displacement(period)
     pg, m = len(g.preamble), M // 2
-    gx, gy = g.point_at(pg)
     forms = []
     for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         c = (s2 * sy - s1 * sx) // 2
@@ -706,15 +708,19 @@ def _first_passage(f: RayCode, g: RayCode, M: int, lo: int = 0,
         a1 = den * e1 + c * A * period
         if a1 > 0:
             forms.append((s1, s2, c, a1))
+    # f(t) - g(pg) for t in [s0, s0 + P): lap start plus the lap table's sums
+    r0 = (s0 - len(f.preamble)) % period
+    ox, oy = map(sub, f.point_at(s0 - r0), g.point_at(pg))
+    sums = (chain(v[r0:-1], map(v[-1].__add__, v[:r0])) for v in f.tail._table)
     best = None
-    for t in range(s0, s0 + period):
+    for t, x, y in zip(range(s0, s0 + period), *sums):
         if best is not None and t + period >= best:
             break
-        (x, y), n = f.point_at(t), t - pg
+        n = t - pg
         for s1, s2, c, a1 in forms:
             # the form holds iff a1*k + a0 >= 0, a strict inequality
             # (c <= 0) taking a0 one lower; -(a0 // a1) is the ceiling
-            e0 = (s1 * (x - gx) + s2 * (y - gy - sy * n)) // 2
+            e0 = (s1 * (x + ox) + s2 * (y + oy - sy * n)) // 2
             a0 = den * (e0 - m) + c * (A * n + B) - (den if c > 0 else 1)
             k = max(-(a0 // a1), 0)
             if best is None or t + k * period < best:

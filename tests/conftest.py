@@ -4,7 +4,12 @@ oracles.
 The generators build inputs only through public constructors, so the tests
 can use them as an independent exercise of the validation layer. The
 oracles are the separate closed-quadrant tests the library used before
-``lattice.quadrant_windows`` took their place.
+``lattice.quadrant_windows`` took their place, and the scans that the
+window tables replaced: ``quadrant_windows_oracle`` tests every window's
+signs against the sign pairs present, as ``quadrant_windows`` did before
+it read one mask per sign pair, and ``digit_windows_oracle`` narrows the
+windows digit by digit, where ``rays.digit_windows`` reads one table entry
+per digit set.
 """
 
 from __future__ import annotations
@@ -18,10 +23,17 @@ from hypothesis import strategies as st
 from gridrays import rays
 from gridrays.ell1 import Polyline
 from gridrays.exactnum import Surd, _make
+from gridrays.lattice import WINDOW_SIGNS
 from gridrays.rays import WINDOW_DIGITS, RayCode, Staircase, periodic_ray
 
 
 # -- oracles: the closed-quadrant tests as they were -------------------------
+
+
+def quadrant_windows_oracle(vectors):
+    signs = {((x > 0) - (x < 0), (y > 0) - (y < 0)) for x, y in vectors}
+    return {w for w, (sx, sy) in WINDOW_SIGNS.items()
+            if all(sx * a >= 0 and sy * b >= 0 for a, b in signs)}
 
 
 def digit_matches_window(digit, w):

@@ -7,10 +7,13 @@ witness shows. ``rays._first_passage`` must give the same first time, the
 same ``None`` and the same witness distance, in every quadrant window.
 ``ball_contains`` asks the same kernel on a window [a, b] and must agree
 with ``ball_scan_oracle``, which scans every integer time of the window.
+``first_passage_oracle`` is the kernel with its lap-residue loop as it
+was, one ``point_at`` per residue, where the kernel reads the lap table.
 """
 
 import tracemalloc
 from fractions import Fraction as F
+from math import lcm
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -18,9 +21,9 @@ from gridrays import rays
 from gridrays.exactnum import sqrt_exact
 from gridrays.lattice import word_metric
 from gridrays.rays import (DIVERGENCE_PROBE, WINDOW_DIGITS, BallQuery,
-                           Divergent, are_asymptotic, ball_contains, digitize,
-                           divergence_time, parse_ray, periodic_ray, splice,
-                           validate)
+                           Divergent, PeriodicTail, are_asymptotic,
+                           ball_contains, digitize, divergence_time, parse_ray,
+                           periodic_ray, splice, validate)
 from test_periodic_kernels import ball_scan_oracle
 
 SIGNS = ((1, 1), (-1, 1), (-1, -1), (1, -1))  # by quadrant window
@@ -48,6 +51,60 @@ def divergence_witness_oracle(f, g):
         if t is not None:
             return t, word_metric(f.point_at(t), g.point_at(t))
         horizon *= 4
+
+
+def first_passage_oracle(f, g, M, lo=0, hi=None):
+    """``rays._first_passage`` with its lap-residue loop as it was: one
+    ``f.point_at(t)`` per residue t in [s0, s0 + P)."""
+    t0 = max(len(f.preamble), len(g.preamble))
+    if hi is not None and all(isinstance(r.tail, PeriodicTail) for r in (f, g)):
+        pf, pg = len(f.tail.period), len(g.tail.period)
+        if hi - lo > t0 + pf + pg and \
+                rays._direction_key(f) == rays._direction_key(g):
+            if rays._periodic_supremum(f, g) <= M:
+                return None
+            hi = min(hi, max(lo, t0) + lcm(pf, pg))
+    line = None
+    for a, b in ((f, g), (g, f)):
+        if isinstance(a.tail, PeriodicTail) and (line := rays._mechanical(b)):
+            f, g = a, b
+            break
+    s0, end = max(lo, t0), None
+    if line is not None:
+        period = len(f.tail.period)
+        end = s0 + period
+    if hi is not None:
+        end = hi + 1 if end is None else min(end, hi + 1)
+    for t, d in enumerate(rays._distances(f, g, lo, end), lo):
+        if d > M:
+            return t
+    if line is None or end < s0 + period:
+        return None
+    sx, sy, A, B, den = line
+    lx, ly = f.tail.displacement(period)
+    pg, m = len(g.preamble), M // 2
+    gx, gy = g.point_at(pg)
+    forms = []
+    for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        c = (s2 * sy - s1 * sx) // 2
+        e1 = (s1 * lx + s2 * ly - s2 * sy * period) // 2
+        a1 = den * e1 + c * A * period
+        if a1 > 0:
+            forms.append((s1, s2, c, a1))
+    best = None
+    for t in range(s0, s0 + period):
+        if best is not None and t + period >= best:
+            break
+        (x, y), n = f.point_at(t), t - pg
+        for s1, s2, c, a1 in forms:
+            e0 = (s1 * (x - gx) + s2 * (y - gy - sy * n)) // 2
+            a0 = den * (e0 - m) + c * (A * n + B) - (den if c > 0 else 1)
+            k = max(-(a0 // a1), 0)
+            if best is None or t + k * period < best:
+                best = t + k * period
+    if hi is not None and best is not None and best > hi:
+        return None
+    return best
 
 
 # -- strategies --------------------------------------------------------------
@@ -140,6 +197,25 @@ def test_sturmian_pairs_match_list_scan(w, data, M, horizon, q):
     assert divergence_time(f, g, M, horizon) == \
         divergence_time_oracle(f, g, M, horizon)
     assert ball_contains(f, g, q) == ball_scan_oracle(f, g, q)
+
+
+@settings(deadline=None, max_examples=300)
+@given(windows, st.data(), st.integers(-2, 80), st.integers(0, 40),
+       st.one_of(st.none(), st.integers(0, 400)))
+def test_lap_residues_match_the_point_at_loop(w, data, M, lo, length):
+    """The residue loop reads f off its lap table, balanced or not, in
+    every window, with g balanced (a slope) or any periodic ray; some
+    pairs reach the loop (line found, no early passage) with r0 > 0."""
+    f = data.draw(st.one_of(periodic_rays(w), slope_rays(w, 12)))
+    wg = w if data.draw(st.booleans()) else data.draw(windows)
+    g = data.draw(st.one_of(slope_rays(wg, 12), periodic_rays(wg)))
+    hi = None if length is None else lo + length
+    # with no end and no balanced ray, an asymptotic pair is scanned forever
+    assume(hi is not None or f.direction() != g.direction()
+           or rays._mechanical(f) or rays._mechanical(g))
+    for a, b in ((f, g), (g, f)):
+        assert rays._first_passage(a, b, M, lo, hi) == \
+            first_passage_oracle(a, b, M, lo, hi)
 
 
 # -- divergence witnesses ----------------------------------------------------

@@ -9,8 +9,9 @@ errors must be the same.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridrays.ell1 import (check_monotone_commitment, is_geodesic_polyline,
@@ -20,11 +21,11 @@ from gridrays.lattice import (DISPLACEMENTS, WINDOW_SIGNS, is_geodesic_word,
                               quadrant_windows)
 from gridrays.rays import (WINDOW_DIGITS, InvalidRay, PeriodicTail,
                            QuadrantMismatch, RayCode, SturmianTail,
-                           periodic_ray, splice, validate)
+                           digit_windows, periodic_ray, splice, validate)
 
 from conftest import (digit_windows_oracle, is_geodesic_word_oracle,
-                      polylines, shared_quadrant, signs_monotone,
-                      window_of_signs)
+                      polylines, quadrant_windows_oracle, shared_quadrant,
+                      signs_monotone, window_of_signs)
 
 F = Fraction
 QUADRANTS = {0: (1, 1), 1: (-1, 1), 2: (-1, -1), 3: (1, -1)}  # by window
@@ -132,6 +133,50 @@ def test_quadrant_windows_is_the_sign_test(vs):
 def test_empty_step_set_fits_every_window():
     assert quadrant_windows([]) == {0, 1, 2, 3}
     assert quadrant_windows([(0, 0)]) == {0, 1, 2, 3}
+
+
+# -- the tables: every sign set and digit set against the scans ---------------
+
+
+SIGN_PAIRS = list(product((-1, 0, 1), repeat=2))
+
+
+def test_sign_table_matches_the_scan_on_every_sign_set():
+    for m in range(1 << len(SIGN_PAIRS)):
+        signs = [p for i, p in enumerate(SIGN_PAIRS) if m >> i & 1]
+        # magnitudes and repeats do not matter, only the signs that occur
+        vs = [(3 * a, 2 * b) for a, b in signs] + signs
+        assert quadrant_windows(vs) == quadrant_windows_oracle(vs)
+        assert quadrant_windows(iter(vs)) == quadrant_windows_oracle(vs)
+    vs = [(F(1, 3), F(0)), (F(2, 7), F(5, 2))]
+    assert quadrant_windows(vs) == quadrant_windows_oracle(vs) == {0}
+    vs.append((F(0), F(-1, 9)))
+    assert quadrant_windows(vs) == quadrant_windows_oracle(vs) == set()
+    assert quadrant_windows([]) == quadrant_windows_oracle([]) == {0, 1, 2, 3}
+
+
+def test_digit_table_matches_the_oracle_on_every_digit_set():
+    for n in range(6):
+        for ds in combinations(range(5), n):
+            assert digit_windows(ds) == digit_windows_oracle(ds)
+            assert digit_windows(iter(ds * 2)) == digit_windows_oracle(ds)
+
+
+def test_invalid_digits_fit_no_window():
+    for bad in (5, -1, "0"):
+        assert digit_windows([bad]) == set()
+        assert digit_windows({0, 1, bad}) == set()
+    assert digit_windows("01") == set()
+
+
+def test_window_sets_are_shared_and_immutable():
+    for ws in (quadrant_windows([(1, 0)]), quadrant_windows([]),
+               digit_windows({0, 1}), digit_windows({2}), digit_windows({5})):
+        assert isinstance(ws, frozenset)
+        with pytest.raises(AttributeError):
+            ws.add(9)
+    assert quadrant_windows([(1, 0)]) == {0, 3}
+    assert digit_windows({0, 1}) is digit_windows([1, 0, 1])
 
 
 def test_least_window_writes_the_digits_of_the_sign_window():
