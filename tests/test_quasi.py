@@ -7,14 +7,15 @@ from fractions import Fraction
 from itertools import islice, product
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridrays import exactnum, quasi
 from gridrays.exactnum import Surd, exact_sign, sqrt_exact
-from gridrays.lattice import GeneratingSet, standard_generators, word_metric
+from gridrays.lattice import (GeneratingSet, generating_set_lipschitz,
+                              standard_generators, word_metric)
 from gridrays.quasi import (FloorMap, GensetMap, InclusionMap, LatticeBall,
                             QIParams, Violation, check_embedding, find_violation,
-                            floor_chain_holds, floor_map, iter_pairs,
+                            floor_chain_holds, floor_map, frontier, iter_pairs,
                             quasi_surjectivity_bound, roundtrip_displacement,
                             sample_plane_pairs, sample_plane_points)
 from test_ell1 import _fractions_built
@@ -903,3 +904,246 @@ def test_genset_refuses_a_plane_pair():
                                          r"not a pair of lattice points$"):
         GENSET.check_pair((Fraction(94), Fraction(61, 8)),
                           (Fraction(-34), Fraction(30)), QIParams.from_k(1, 0))
+
+
+# ---------------------------------------------------------------------------
+# the frontier: floor and inclusion claims proven for every pair, against
+# the per-pair loop that check_embedding ran on every claim (kept here as
+# the oracle)
+
+
+def oracle_check_embedding(qmap, params, pairs):
+    checked, violations = 0, []
+    for p, q in pairs:
+        checked += 1
+        violations.extend(qmap.check_pair(p, q, params))
+    return checked, violations
+
+
+DELTAS = [Fraction(1, 10**e) for e in (1, 3, 6, 9)]
+
+# points just inside the four cells at each corner (n, m) of [0, 1]^2,
+# against every lattice point of [-1, 2]^2, both ways round: a pair with
+# floor differences A = B = 1 only delta * sqrt(2) apart is among them
+CORNER_PAIRS = [
+    pair
+    for n, m in product(range(2), repeat=2)
+    for sx, sy in product((-1, 1), repeat=2)
+    for d in DELTAS
+    for lp in product(map(Fraction, range(-1, 3)), repeat=2)
+    for pair in (((n + sx * d, m + sy * d), lp), (lp, (n + sx * d, m + sy * d)))]
+
+# far diagonals and their neighbours, from the origin and from just below it
+FAR_DIAGONALS = [
+    (p, (Fraction(n), Fraction(n + e)))
+    for n in (10, 10**3, 10**6, 10**9)
+    for e in (0, 1, -2 * n)
+    for p in [(Fraction(0), Fraction(0)), *((-d, -d) for d in DELTAS)]]
+
+
+def frontier_witnesses(qmap, params):
+    """Pairs that violate a claim outside the frontier, one per failed
+    condition: the corner pair for a floor claim with c < 2, the diagonal
+    scan's witness for one with k^2 < 2, and ((0, 0), (n, n)) for an
+    inclusion claim with k^2 < 2."""
+    k_sq, c = params.k_sq, params.c
+    out = []
+    if qmap.name == "floor" and c < 2:
+        # 2 > k d sqrt(2) + c once 2 k^2 d^2 < (2 - c)^2
+        d = Fraction(1)
+        while 2 * k_sq * d * d >= (2 - c) ** 2:
+            d /= 2
+        out.append(((1 - d, 1 - d), (Fraction(1), Fraction(1))))
+    if qmap.name == "floor" and k_sq < 2:
+        found = find_violation(qmap, params, "diagonal-ray", 10**5)
+        out.append(found.pair)
+    if qmap.name == "inclusion":
+        # 2n > k (n sqrt(2) + c) iff n (4 - 2 k^2) > k c (2 + k sqrt(2)),
+        # and k c (2 + k sqrt(2)) <= 4 sqrt(2) c < 6c for k^2 < 2
+        n = math.floor(6 * c / (4 - 2 * k_sq)) + 1
+        out.append(((0, 0), (n, n)))
+    return out
+
+
+# both sides of each rule, with its exact edges k^2 = 2 and c = 2; k^2
+# below 2 has a denominator of at most 1000, so a diagonal witness lies
+# within about 2000 c
+frontier_k_squares = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(1999, 1000),
+                     Fraction(2), Fraction(2001, 1000), Fraction(9, 4),
+                     Fraction(4), Fraction(10000000019)]),
+    st.fractions(1, 6, max_denominator=1000))
+frontier_constants = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(199, 100), Fraction(2),
+                     Fraction(2001, 1000), Fraction(5, 2)]),
+    st.fractions(0, 4, max_denominator=1000))
+
+
+@settings(deadline=None, max_examples=60)
+@given(k_sq=frontier_k_squares, c=frontier_constants,
+       seed=st.integers(0, 2**32))
+@example(k_sq=Fraction(2), c=Fraction(2), seed=0)
+@example(k_sq=Fraction(2), c=Fraction(199, 100), seed=0)
+@example(k_sq=Fraction(1999, 1000), c=Fraction(2), seed=0)
+@example(k_sq=Fraction(1999, 1000), c=Fraction(0), seed=0)
+@example(k_sq=Fraction(2), c=Fraction(0), seed=0)
+def test_frontier_claims_hold_and_the_others_have_witnesses(k_sq, c, seed):
+    params = QIParams.from_k_squared(k_sq, c)
+    for qmap in (FloorMap(), InclusionMap()):
+        rule = frontier(qmap, params)
+        if rule is None:
+            witnesses = frontier_witnesses(qmap, params)
+            assert witnesses
+            assert all(qmap.check_pair(p, q, params) for p, q in witnesses)
+            continue
+        assert rule == qmap.name
+        pairs = [*islice(iter_pairs(qmap, "random", seed), 300),
+                 *islice(iter_pairs(qmap, "grid"), 0, None, 97),
+                 *CORNER_PAIRS, *FAR_DIAGONALS]
+        assert oracle_check_embedding(qmap, params, pairs) == (len(pairs), [])
+        report = check_embedding(qmap, params, pairs)
+        assert report.ok and report.pairs_checked == len(pairs)
+
+
+@pytest.mark.parametrize("qmap, k_sq, c", [
+    (FloorMap(), 2, 2), (FloorMap(), 4, 2), (InclusionMap(), 2, 0)])
+def test_whole_grids_hold_on_the_frontier(qmap, k_sq, c):
+    params = QIParams.from_k_squared(k_sq, c)
+    assert frontier(qmap, params) == qmap.name
+    pairs = list(iter_pairs(qmap, "grid"))
+    assert oracle_check_embedding(qmap, params, pairs) == (len(pairs), [])
+    assert check_embedding(qmap, params, pairs) == quasi.QIReport(
+        qmap.name, params, len(pairs), [])
+
+
+@pytest.mark.parametrize("qmap, k_sq, c, rule", [
+    (FloorMap(), 2, 2, "floor"),
+    (FloorMap(), 4, 2, "floor"),
+    (FloorMap(), Fraction(9, 4), 5, "floor"),
+    (FloorMap(), 2, Fraction(199, 100), None),
+    (FloorMap(), Fraction(1999, 1000), 2, None),
+    (FloorMap(), 1, 100, None),
+    (InclusionMap(), 2, 0, "inclusion"),
+    (InclusionMap(), 10000000019, Fraction(1, 3), "inclusion"),
+    (InclusionMap(), Fraction(1999, 1000), 100, None),
+    (GENSET, 100, 100, None),
+    (CountingMap(FloorMap()), 4, 2, None),
+    (CountingMap(InclusionMap()), 4, 2, None),
+])
+def test_frontier_rules_at_their_edges(qmap, k_sq, c, rule):
+    assert frontier(qmap, QIParams.from_k_squared(k_sq, c)) == rule
+
+
+def test_the_false_floor_claim_is_outside_the_frontier():
+    # sampling passes (sqrt(2), 199/100); a pair just inside a corner fails
+    params = QIParams.from_k_squared(2, Fraction(199, 100))
+    assert frontier(FloorMap(), params) is None
+    pair = ((Fraction(999, 1000), Fraction(999, 1000)), (Fraction(1), Fraction(1)))
+    assert FloorMap().check_pair(*pair, params) == [
+        Violation(pair, "upper", Fraction(3, 31250))]
+    assert check_embedding(FloorMap(), params, [pair]).violations == [
+        Violation(pair, "upper", Fraction(3, 31250))]
+
+
+class Sentinel:
+    """A point that raises on any attribute or item read."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"read .{name}")
+
+    def __getitem__(self, i):
+        raise AssertionError(f"read [{i}]")
+
+
+def test_a_proven_claim_reads_no_coordinate():
+    params = QIParams.from_k(2, 2)
+    for qmap in (FloorMap(), InclusionMap()):
+        assert check_embedding(qmap, params, [(Sentinel(), Sentinel())] * 7) \
+            == quasi.QIReport(qmap.name, params, 7, [])
+        drawn = []
+
+        def pairs():
+            for i in range(1000):
+                drawn.append(i)
+                yield Sentinel(), Sentinel()
+
+        stream = pairs()
+        report = check_embedding(qmap, params, stream)
+        assert report.pairs_checked == 1000 and report.violations == []
+        assert drawn == list(range(1000)) and next(stream, None) is None
+        # a pair that is not a pair still fails to unpack
+        with pytest.raises(ValueError):
+            check_embedding(qmap, params, [(Sentinel(),) * 3])
+
+
+def test_genset_refuses_plane_and_far_pairs_at_its_lipschitz_constant():
+    params = QIParams.from_k(max(generating_set_lipschitz(GENSET.S, GENSET.S2,
+                                                          40)), 0)
+    with pytest.raises(ValueError, match="not a pair of lattice points"):
+        check_embedding(GENSET, params,
+                        [((0, 0), (1, 1)), ((Fraction(1, 2), 0), (0, 0))])
+    with pytest.raises(ValueError, match="outside radius cap"):
+        check_embedding(GENSET, params, [((0, 0), (100, 0))])
+
+
+def test_a_floor_subclass_keeps_the_per_pair_path():
+    class StrictFloor(FloorMap):
+        def check_pair(self, p, q, params):
+            return [Violation((p, q), "upper", Fraction(1))]
+
+    params = QIParams.from_k(2, 2)
+    assert frontier(StrictFloor(), params) is None
+    pair = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
+    assert check_embedding(StrictFloor(), params, [pair]).violations == [
+        Violation(pair, "upper", Fraction(1))]
+    for strategy in ("diagonal-ray", "grid"):
+        assert find_violation(StrictFloor(), params, strategy, 5) is not None
+
+
+def test_frontier_decides_on_integers_alone(monkeypatch):
+    def boom(*args):
+        raise AssertionError("irrational arithmetic in frontier")
+
+    claims = [QIParams.from_k_squared(k_sq, c)
+              for k_sq in (1, Fraction(1999, 1000), 2, 10000000019,
+                           Fraction(10**31 + 33, 10**30))
+              for c in (0, Fraction(199, 100), 2, 7)]
+    for name in ("sqrt_exact", "_make"):
+        monkeypatch.setattr(quasi, name, boom)
+    monkeypatch.setattr(exactnum, "_split_square", boom)
+
+    def decide():
+        return [frontier(qmap, params) for params in claims
+                for qmap in (FloorMap(), InclusionMap(), GENSET)]
+
+    assert _fractions_built(decide) == 0
+    assert decide().count("inclusion") == 12
+
+
+def test_find_violation_answers_a_proven_claim_without_a_pair(monkeypatch):
+    def boom(*args):
+        raise AssertionError("checked a pair")
+
+    for name in ("_violations", "_pair_terms"):
+        monkeypatch.setattr(quasi, name, boom)
+    # a random search on the plane still draws its pairs (next test)
+    params = QIParams.from_k(Fraction(3, 2), 2)
+    for qmap, strategies in ((FloorMap(), ("diagonal-ray", "grid")),
+                             (InclusionMap(), ("diagonal-ray", "grid",
+                                               "random"))):
+        for strategy in strategies:
+            assert find_violation(qmap, params, strategy, 10**9) is None
+        # an unknown strategy is refused first, whatever the budget
+        for budget in (0, 10):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                find_violation(qmap, params, "sideways", budget)
+
+
+def test_a_proven_random_search_on_the_plane_still_draws():
+    params = QIParams.from_k(2, 2)
+    assert find_violation(FloorMap(), params, "random", 1000, seed=3) is None
+    # [1/3, 1/2] has no numerator for the denominator 1
+    box = (Fraction(1, 3), Fraction(1, 2))
+    with pytest.raises(ValueError, match="empty numerator range"):
+        find_violation(FloorMap(), params, "random", 1000, seed=3, box=box)
+    assert find_violation(FloorMap(), params, "random", 0, box=box) is None
