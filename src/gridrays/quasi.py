@@ -10,7 +10,7 @@ cross-multiplication; a Fraction or Surd is built only for the margin of a
 side that fails.
 
 A floor or inclusion claim that holds for every pair of the map's domain
-is decided by :func:`frontier`, an integer comparison on k^2 and c, and
+is decided by :func:`proven`, an integer comparison on k^2 and c, and
 then reads no pair: the floor map holds iff k^2 >= 2 and c >= 2, the
 inclusion iff k^2 >= 2. The per-pair kernel decides everything else.
 """
@@ -215,36 +215,34 @@ class GensetMap:
 Map = Union[FloorMap, InclusionMap, GensetMap]
 
 
-def frontier(qmap: Map, params: QIParams) -> Optional[str]:
-    """The name of the rule that proves the claim (k, c) for every pair of
-    the map's domain, or None. With k^2 = K/Kd and c = C/Cd, each rule is
-    one comparison of integers.
+def proven(qmap: Map, params: QIParams) -> bool:
+    """Whether the claim (k, c) holds for every pair of the map's domain by
+    a closed-form rule. With k^2 = K/Kd and c = C/Cd, each rule is one
+    comparison of integers.
 
-    ``floor`` holds iff k^2 >= 2 and c >= 2. Write A, B for the floor
+    The floor map holds iff k^2 >= 2 and c >= 2. Write A, B for the floor
     differences of a pair and x+ for max(x, 0). Upper side: a floor
     difference A >= 1 needs a coordinate difference above A - 1, so the
     pair lies at least sqrt((A-1)+^2 + (B-1)+^2) apart in the plane, and
     A + B <= (A-1)+ + (B-1)+ + 2 <= sqrt(2) sqrt(...) + 2; k^2 >= 2 and
-    c >= 2 are enough. The diagonal ((0, 0), (n, n)) needs k^2 >= 2 and the corner
-    pair ((1 - d, 1 - d), (1, 1)) needs c >= 2. Lower side: the pair lies
-    less than sqrt((A+1)^2 + (B+1)^2) <= A + B + 2 apart, which k >= 1
-    and c >= 2 bound.
+    c >= 2 are enough. The diagonal ((0, 0), (n, n)) needs k^2 >= 2 and
+    the corner pair ((1 - d, 1 - d), (1, 1)) needs c >= 2. Lower side: the
+    pair lies less than sqrt((A+1)^2 + (B+1)^2) <= A + B + 2 apart, which
+    k >= 1 and c >= 2 bound.
 
-    ``inclusion`` holds iff k^2 >= 2, whatever c is: l2 <= l1 for the
+    The inclusion holds iff k^2 >= 2, whatever c is: l2 <= l1 for the
     upper side, |a| + |b| <= sqrt(2) sqrt(a^2 + b^2) for the lower side,
     and the diagonal needs k^2 >= 2.
 
-    Every other map gets None: the dispatch is on the exact type, so a
+    Every other map gets False: the dispatch is on the exact type, so a
     generating set, whose ``check_pair`` refuses plane pairs and pairs past
     its radius cap, and any subclass keep the per-pair kernel.
     """
     K, Kd, C, Cd = params._ints[:4]
     kind = type(qmap)
     if kind is FloorMap:
-        return "floor" if K >= 2 * Kd and C >= 2 * Cd else None
-    if kind is InclusionMap:
-        return "inclusion" if K >= 2 * Kd else None
-    return None
+        return K >= 2 * Kd and C >= 2 * Cd
+    return kind is InclusionMap and K >= 2 * Kd
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +371,13 @@ def check_embedding(qmap: Map, params: QIParams,
                     pairs: Iterable[Pair]) -> QIReport:
     """Evaluate both quasi-isometry inequalities exactly on every pair.
 
-    A claim that :func:`frontier` proves for the whole domain reads no
-    coordinate: the pairs are read once and counted, with no violation.
+    A claim that :func:`proven` holds for the whole domain reads no
+    coordinate: the pairs are read once and counted, with no violation, so
+    ``pairs_checked`` then counts pairs without validating them (a pair of
+    strings is counted too; only a non-pair fails to unpack).
     """
     report = QIReport(map_name=qmap.name, params=params)
-    if frontier(qmap, params) is not None:
+    if proven(qmap, params):
         report.pairs_checked = sum(1 for _p, _q in pairs)
         return report
     for p, q in pairs:
@@ -397,14 +397,11 @@ def find_violation(qmap: Map, params: QIParams, strategy: str,
     the pairs of :func:`iter_pairs`, from the map's own domain (plane or
     lattice), as they are drawn, so an early witness is cheap.
 
-    A claim that :func:`frontier` proves has no witness: the search answers
-    None without checking a pair. A ``random`` search on the plane still
-    draws its pairs, so the sampler refuses a box with an empty numerator
-    row as it would in a scan.
+    On a claim that :func:`proven` holds, ``diagonal-ray`` answers None
+    without checking a pair; ``grid`` and ``random`` scan as on any other.
     """
-    proven = frontier(qmap, params) is not None
     if strategy == "diagonal-ray":
-        if proven:
+        if proven(qmap, params):
             return None
         # on the lattice diagonal both plane maps see d = 2n and d^2 = 2n^2;
         # a subclass may redefine check_pair, so it is asked per pair
@@ -422,13 +419,7 @@ def find_violation(qmap: Map, params: QIParams, strategy: str,
                 pair = ((zero, zero), (num(n), num(n)))
                 return Violation(pair, found[0].side, found[0].margin)
         return None
-    pairs = islice(iter_pairs(qmap, strategy, seed, box), max(budget, 0))
-    if proven:
-        if strategy == "random" and qmap.domain == "plane":
-            for _ in pairs:
-                pass
-        return None
-    for a, b in pairs:
+    for a, b in islice(iter_pairs(qmap, strategy, seed, box), max(budget, 0)):
         found = qmap.check_pair(a, b, params)
         if found:
             return found[0]

@@ -15,7 +15,7 @@ from gridrays.lattice import (GeneratingSet, generating_set_lipschitz,
                               standard_generators, word_metric)
 from gridrays.quasi import (FloorMap, GensetMap, InclusionMap, LatticeBall,
                             QIParams, Violation, check_embedding, find_violation,
-                            floor_chain_holds, floor_map, frontier, iter_pairs,
+                            floor_chain_holds, floor_map, iter_pairs, proven,
                             quasi_surjectivity_bound, roundtrip_displacement,
                             sample_plane_pairs, sample_plane_points)
 from test_ell1 import _fractions_built
@@ -990,13 +990,11 @@ frontier_constants = st.one_of(
 def test_frontier_claims_hold_and_the_others_have_witnesses(k_sq, c, seed):
     params = QIParams.from_k_squared(k_sq, c)
     for qmap in (FloorMap(), InclusionMap()):
-        rule = frontier(qmap, params)
-        if rule is None:
+        if not proven(qmap, params):
             witnesses = frontier_witnesses(qmap, params)
             assert witnesses
             assert all(qmap.check_pair(p, q, params) for p, q in witnesses)
             continue
-        assert rule == qmap.name
         pairs = [*islice(iter_pairs(qmap, "random", seed), 300),
                  *islice(iter_pairs(qmap, "grid"), 0, None, 97),
                  *CORNER_PAIRS, *FAR_DIAGONALS]
@@ -1009,35 +1007,35 @@ def test_frontier_claims_hold_and_the_others_have_witnesses(k_sq, c, seed):
     (FloorMap(), 2, 2), (FloorMap(), 4, 2), (InclusionMap(), 2, 0)])
 def test_whole_grids_hold_on_the_frontier(qmap, k_sq, c):
     params = QIParams.from_k_squared(k_sq, c)
-    assert frontier(qmap, params) == qmap.name
+    assert proven(qmap, params) is True
     pairs = list(iter_pairs(qmap, "grid"))
     assert oracle_check_embedding(qmap, params, pairs) == (len(pairs), [])
     assert check_embedding(qmap, params, pairs) == quasi.QIReport(
         qmap.name, params, len(pairs), [])
 
 
-@pytest.mark.parametrize("qmap, k_sq, c, rule", [
-    (FloorMap(), 2, 2, "floor"),
-    (FloorMap(), 4, 2, "floor"),
-    (FloorMap(), Fraction(9, 4), 5, "floor"),
-    (FloorMap(), 2, Fraction(199, 100), None),
-    (FloorMap(), Fraction(1999, 1000), 2, None),
-    (FloorMap(), 1, 100, None),
-    (InclusionMap(), 2, 0, "inclusion"),
-    (InclusionMap(), 10000000019, Fraction(1, 3), "inclusion"),
-    (InclusionMap(), Fraction(1999, 1000), 100, None),
-    (GENSET, 100, 100, None),
-    (CountingMap(FloorMap()), 4, 2, None),
-    (CountingMap(InclusionMap()), 4, 2, None),
+@pytest.mark.parametrize("qmap, k_sq, c, holds", [
+    (FloorMap(), 2, 2, True),
+    (FloorMap(), 4, 2, True),
+    (FloorMap(), Fraction(9, 4), 5, True),
+    (FloorMap(), 2, Fraction(199, 100), False),
+    (FloorMap(), Fraction(1999, 1000), 2, False),
+    (FloorMap(), 1, 100, False),
+    (InclusionMap(), 2, 0, True),
+    (InclusionMap(), 10000000019, Fraction(1, 3), True),
+    (InclusionMap(), Fraction(1999, 1000), 100, False),
+    (GENSET, 100, 100, False),
+    (CountingMap(FloorMap()), 4, 2, False),
+    (CountingMap(InclusionMap()), 4, 2, False),
 ])
-def test_frontier_rules_at_their_edges(qmap, k_sq, c, rule):
-    assert frontier(qmap, QIParams.from_k_squared(k_sq, c)) == rule
+def test_frontier_rules_at_their_edges(qmap, k_sq, c, holds):
+    assert proven(qmap, QIParams.from_k_squared(k_sq, c)) is holds
 
 
 def test_the_false_floor_claim_is_outside_the_frontier():
     # sampling passes (sqrt(2), 199/100); a pair just inside a corner fails
     params = QIParams.from_k_squared(2, Fraction(199, 100))
-    assert frontier(FloorMap(), params) is None
+    assert proven(FloorMap(), params) is False
     pair = ((Fraction(999, 1000), Fraction(999, 1000)), (Fraction(1), Fraction(1)))
     assert FloorMap().check_pair(*pair, params) == [
         Violation(pair, "upper", Fraction(3, 31250))]
@@ -1086,23 +1084,26 @@ def test_genset_refuses_plane_and_far_pairs_at_its_lipschitz_constant():
         check_embedding(GENSET, params, [((0, 0), (100, 0))])
 
 
-def test_a_floor_subclass_keeps_the_per_pair_path():
-    class StrictFloor(FloorMap):
+@pytest.mark.parametrize("base", [FloorMap, InclusionMap])
+def test_a_subclass_keeps_the_per_pair_path(base):
+    class Strict(base):
         def check_pair(self, p, q, params):
             return [Violation((p, q), "upper", Fraction(1))]
 
     params = QIParams.from_k(2, 2)
-    assert frontier(StrictFloor(), params) is None
-    pair = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
-    assert check_embedding(StrictFloor(), params, [pair]).violations == [
+    assert proven(base(), params) is True
+    assert proven(Strict(), params) is False
+    num = int if base is InclusionMap else Fraction
+    pair = ((num(0), num(0)), (num(1), num(1)))
+    assert check_embedding(Strict(), params, [pair]).violations == [
         Violation(pair, "upper", Fraction(1))]
     for strategy in ("diagonal-ray", "grid"):
-        assert find_violation(StrictFloor(), params, strategy, 5) is not None
+        assert find_violation(Strict(), params, strategy, 5) is not None
 
 
 def test_frontier_decides_on_integers_alone(monkeypatch):
     def boom(*args):
-        raise AssertionError("irrational arithmetic in frontier")
+        raise AssertionError("irrational arithmetic in proven")
 
     claims = [QIParams.from_k_squared(k_sq, c)
               for k_sq in (1, Fraction(1999, 1000), 2, 10000000019,
@@ -1113,11 +1114,14 @@ def test_frontier_decides_on_integers_alone(monkeypatch):
     monkeypatch.setattr(exactnum, "_split_square", boom)
 
     def decide():
-        return [frontier(qmap, params) for params in claims
+        return [(qmap.name, proven(qmap, params)) for params in claims
                 for qmap in (FloorMap(), InclusionMap(), GENSET)]
 
     assert _fractions_built(decide) == 0
-    assert decide().count("inclusion") == 12
+    # k^2 >= 2 for three of the five, c >= 2 for two of the four
+    assert decide().count(("floor", True)) == 6
+    assert decide().count(("inclusion", True)) == 12
+    assert decide().count(("genset", False)) == 20
 
 
 def test_find_violation_answers_a_proven_claim_without_a_pair(monkeypatch):
@@ -1126,24 +1130,11 @@ def test_find_violation_answers_a_proven_claim_without_a_pair(monkeypatch):
 
     for name in ("_violations", "_pair_terms"):
         monkeypatch.setattr(quasi, name, boom)
-    # a random search on the plane still draws its pairs (next test)
     params = QIParams.from_k(Fraction(3, 2), 2)
-    for qmap, strategies in ((FloorMap(), ("diagonal-ray", "grid")),
-                             (InclusionMap(), ("diagonal-ray", "grid",
-                                               "random"))):
-        for strategy in strategies:
-            assert find_violation(qmap, params, strategy, 10**9) is None
+    for qmap in (FloorMap(), InclusionMap()):
+        assert find_violation(qmap, params, "diagonal-ray", 10**9) is None
         # an unknown strategy is refused first, whatever the budget
         for budget in (0, 10):
             with pytest.raises(ValueError, match="unknown strategy"):
                 find_violation(qmap, params, "sideways", budget)
 
-
-def test_a_proven_random_search_on_the_plane_still_draws():
-    params = QIParams.from_k(2, 2)
-    assert find_violation(FloorMap(), params, "random", 1000, seed=3) is None
-    # [1/3, 1/2] has no numerator for the denominator 1
-    box = (Fraction(1, 3), Fraction(1, 2))
-    with pytest.raises(ValueError, match="empty numerator range"):
-        find_violation(FloorMap(), params, "random", 1000, seed=3, box=box)
-    assert find_violation(FloorMap(), params, "random", 0, box=box) is None
